@@ -32,13 +32,12 @@ from .codes import (
     GabidulinCode,
     crc_from_cdc_pair,
     crc_theorem8,
-    gabidulin_encode,
     lift,
     lift_untransposed_cdc,
     lifted_mrd_cdc,
     lifted_mrd_cdc_odd,
 )
-from .ff import Field, expand_to_matrix, frobenius, make_field, vector_from_matrix
+from .ff import Field, expand_to_matrix, make_field, vector_from_matrix
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly, root_space, symbolic_product
 from .matfq import (
     MatrixFq,

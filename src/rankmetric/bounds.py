@@ -72,8 +72,8 @@ class CodeParams:
     k: int | None = None
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"q must be at least 2, got {self.q}")
+        if not _is_prime_power(self.q):
+            raise ValueError(f"q must be a prime power (the size of a field F_q), got {self.q}")
         if self.n > self.m:
             raise ValueError(f"need n <= m, got n={self.n}, m={self.m}")
         if not 1 <= self.d <= self.n:
@@ -85,6 +85,15 @@ class CodeParams:
     def dimension(self) -> int:
         """k = n - d + 1 (the MRD dimension for the given distance)."""
         return self.k if self.k is not None else self.n - self.d + 1
+
+
+def _is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)  # smallest prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def singleton_max(params: CodeParams) -> int:

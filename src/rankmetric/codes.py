@@ -44,6 +44,8 @@ class GabidulinCode:
         alphas = tuple(int(a) for a in alphas)
         if len(alphas) != self.n:
             raise ValueError(f"need {self.n} evaluation points, got {len(alphas)}")
+        if any(not 0 <= a < self.field.order for a in alphas):
+            raise ValueError(f"evaluation points must lie in 0..{self.field.order - 1}")
         if rank_of_vector(alphas, self.field) != self.n:
             raise ValueError("evaluation points are not F_q-linearly independent")
         object.__setattr__(self, "alphas", alphas)
@@ -142,10 +144,6 @@ def _ext_reduce(rows: list[tuple[int, ...]], vec: tuple[int, ...], F: Field) -> 
     return tuple(v)
 
 
-def gabidulin_encode(code: GabidulinCode, message: LinearizedPoly) -> tuple[int, ...]:
-    return code.encode(message)
-
-
 @dataclass(frozen=True)
 class ConstantDimensionCode:
     """Subspace code whose words all have the same dimension."""
@@ -177,12 +175,25 @@ class ConstantDimensionCode:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ConstantDimensionCode":
-        q = int(data["q"])
-        words = tuple(
-            Subspace(q, int(w["ambient"]), tuple(tuple(int(x) for x in r) for r in w["basis"]))
-            for w in data["words"]
+        """Inverse of to_jsonable; a missing or ill-typed field raises ValueError naming it."""
+        q, ambient, dim, distance = (
+            _json_field(data, key, int) for key in ("q", "ambient", "dim", "min_subspace_distance")
         )
-        return cls(q, int(data["ambient"]), int(data["dim"]), words, int(data["min_subspace_distance"]))
+        words = []
+        for i, w in enumerate(_json_field(data, "words", list)):
+            where = f"words[{i}]"
+            basis = _json_field(w, "basis", list, where)
+            if not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in basis):
+                raise ValueError(f"{where}: field 'basis' must be a list of integer lists")
+            words.append(Subspace(q, _json_field(w, "ambient", int, where), tuple(map(tuple, basis))))
+        return cls(q, ambient, dim, tuple(words), distance)
+
+
+def _json_field(data, key: str, kind: type, where: str = "constant-dimension code"):
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: field {key!r} is missing or not of type {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -261,13 +272,7 @@ def lifted_mrd_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
         raise ValueError(f"subspace-distance parameter d={d} must be a positive even integer")
     if not d // 2 <= tau <= n - tau:
         raise ValueError(f"need n/2 >= tau >= d/2, got n={n}, tau={tau}, d={d}")
-    subfield = make_field(q, n - tau)
-    gab = GabidulinCode(subfield, n=tau, k=tau - d // 2 + 1)
-    words = []
-    for cw in gab.iter_codewords():
-        mat = expand_to_matrix(cw, subfield)  # (n-tau) x tau
-        words.append(lift(mat.transpose()))
-    return ConstantDimensionCode(q, n, tau, tuple(words), d)
+    return _lifted_cdc(q, n, tau, tau - d // 2 + 1, d, transpose=True)
 
 
 def lifted_mrd_cdc_odd(
@@ -291,13 +296,7 @@ def lifted_mrd_cdc_odd(
         k, ds = tau - half + 1, d - 1
     else:
         k, ds = tau - half, d + 1
-    subfield = make_field(q, ambient - tau)
-    gab = GabidulinCode(subfield, n=tau, k=k)
-    words = []
-    for cw in gab.iter_codewords():
-        mat = expand_to_matrix(cw, subfield)
-        words.append(lift(mat.transpose()))
-    return ConstantDimensionCode(q, ambient, tau, tuple(words), ds)
+    return _lifted_cdc(q, ambient, tau, k, ds, transpose=True)
 
 
 def lift_untransposed_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
@@ -317,13 +316,29 @@ def lift_untransposed_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimension
             f"untransposed lifting needs tau >= n - tau (got tau={tau}, n={n}); "
             "use lifted_mrd_cdc for tau <= n - tau"
         )
-    subfield = make_field(q, tau)
-    gab = GabidulinCode(subfield, n=n - tau, k=n - tau - d // 2 + 1)
+    return _lifted_cdc(q, n, tau, n - tau - d // 2 + 1, d, transpose=False)
+
+
+def _lifted_cdc(
+    q: int, ambient: int, dim: int, k: int, distance: int, transpose: bool
+) -> ConstantDimensionCode:
+    """Lift every word of a dimension-k Gabidulin code into Gr(ambient, dim).
+
+    transpose=True: the code has length dim over F_{q^(ambient-dim)} and each
+    (ambient-dim) x dim expansion is transposed before lifting.
+    transpose=False: the code has length ambient-dim over F_{q^dim} and each
+    dim x (ambient-dim) expansion is lifted as it is.
+    """
+    if transpose:
+        subfield, length = make_field(q, ambient - dim), dim
+    else:
+        subfield, length = make_field(q, dim), ambient - dim
+    gab = GabidulinCode(subfield, n=length, k=k)
     words = []
     for cw in gab.iter_codewords():
-        mat = expand_to_matrix(cw, subfield)  # tau x (n-tau)
-        words.append(lift(mat))
-    return ConstantDimensionCode(q, n, tau, tuple(words), d)
+        mat = expand_to_matrix(cw, subfield)
+        words.append(lift(mat.transpose() if transpose else mat))
+    return ConstantDimensionCode(q, ambient, dim, tuple(words), distance)
 
 
 def crc_from_cdc_pair(

@@ -464,10 +464,6 @@ def make_field(q: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     return _cached_field(q, m, key)
 
 
-def frobenius(field: Field, a: int, i: int = 1) -> int:
-    return field.frobenius(a, i)
-
-
 def expand_to_matrix(vec: Sequence[int], field: Field):
     """m x n matrix over F_q whose column j holds the coordinates of vec[j].
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .ff import Field, base_field, expand_to_matrix
+from .ff import Field, base_field
 
 GRASSMANNIAN_GUARD = 1 << 24
 
@@ -157,23 +157,54 @@ def rank(mat: MatrixFq) -> int:
 
 def rank_of_vector(vec: Sequence[int], fld: Field) -> int:
     """Rank of the F_q matrix expansion of a vector over F_{q^m}."""
-    if fld.q == 2:
-        return gf2_rank_ints(list(vec))
-    return rank(expand_to_matrix(vec, fld))
+    return _column_rank(vec, fld.q, fld.m, len(vec))
 
 
-def gf2_rank_ints(vals: Iterable[int]) -> int:
-    """Rank over F_2 of a collection of bitmask-encoded vectors."""
-    basis: dict[int, int] = {}
-    for v in vals:
-        while v:
-            lead = v.bit_length()
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = v
-                break
-            v ^= b
-    return len(basis)
+def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
+    """F_q-rank of the m x len(cols) matrix whose column j holds the base-q
+    digits of the F_{q^m} element cols[j]; stops at limit + 1 once the rank
+    exceeds limit.
+
+    q = 2 keeps an XOR basis keyed by leading bit; q > 2 keeps normalized
+    digit rows reduced with the base-field tables.  Elements are not range
+    checked.
+    """
+    if q == 2:
+        basis: dict[int, int] = {}
+        for v in cols:
+            while v:
+                lead = v.bit_length()
+                b = basis.get(lead)
+                if b is None:
+                    basis[lead] = v
+                    if len(basis) > limit:
+                        return len(basis)
+                    break
+                v ^= b
+        return len(basis)
+    F = base_field(q)
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    rows: list[tuple[int, list[int]]] = []
+    for a in cols:
+        v = []
+        for _ in range(m):
+            a, digit = divmod(a, q)
+            v.append(digit)
+        for piv, row in rows:
+            c = v[piv]
+            if c:
+                minus_c = mul[neg[c]]
+                v = [add[x][minus_c[y]] for x, y in zip(v, row)]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        if v[piv] != 1:
+            scale = mul[inv[v[piv]]]
+            v = [scale[x] for x in v]
+        rows.append((piv, v))
+        if len(rows) > limit:
+            return len(rows)
+    return len(rows)
 
 
 def right_kernel(mat: MatrixFq) -> list[tuple[int, ...]]:

@@ -10,22 +10,23 @@ index.
 For q = 2 the packed index of a difference of two words is the XOR of their
 packed indices, which enables a precomputed rank-ball lookup table; the
 generic path performs exact eliminations per pair.  Both paths return
-identical values.
+identical values.  Every rank here is computed by ``matfq._column_rank``.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .codes import ConstantRankCode, GabidulinCode
-from .ff import Field, base_field, make_field
-from .matfq import rank_of_vector
+from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode
+from .ff import Field, make_field
+from .matfq import _column_rank, rank_of_vector
 
 EXHAUSTIVE_GUARD = 1 << 28
-ENUMERATION_GUARD = 1 << 24
 BRUTEFORCE_GUARD = 1 << 24
 _TABLE_LIMIT = 1 << 20
 
@@ -69,40 +70,21 @@ def code_size(code) -> int:
     return len(code)
 
 
+def _code_length(code) -> int | None:
+    """Word length n of the code; None for an empty plain word sequence."""
+    if isinstance(code, (GabidulinCode, ConstantRankCode)):
+        return code.n
+    return next((len(w) for w in code), None)
+
+
+def _check_tau(tau: int, n: int | None) -> None:
+    if tau < 0 or (n is not None and tau > n):
+        raise ValueError(f"need 0 <= tau <= n={n}, got tau={tau}")
+
+
 def rank_leq(diff: Sequence[int], fld: Field, tau: int) -> bool:
     """rank(diff) <= tau, with early exit once tau is exceeded."""
-    if fld.q == 2:
-        count = 0
-        basis: dict[int, int] = {}
-        for v in diff:
-            while v:
-                lead = v.bit_length()
-                b = basis.get(lead)
-                if b is None:
-                    basis[lead] = v
-                    count += 1
-                    if count > tau:
-                        return False
-                    break
-                v ^= b
-        return True
-    F = fld.base
-    basis_rows: list[tuple[int, list[int]]] = []
-    for e in diff:
-        v = list(fld.coeffs(e))
-        for piv, row in basis_rows:
-            c = v[piv]
-            if c:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is not None:
-            inv = F.inv(v[piv])
-            if inv != 1:
-                v = [F.mul(inv, x) for x in v]
-            basis_rows.append((piv, v))
-            if len(basis_rows) > tau:
-                return False
-    return True
+    return _column_rank(diff, fld.q, fld.m, tau) <= tau
 
 
 @dataclass(frozen=True)
@@ -128,8 +110,10 @@ def list_codewords(code, r: Sequence[int], tau: int, field: Field | None = None)
     if size > ENUMERATION_GUARD:
         raise ValueError(f"code too large to enumerate ({size} > {ENUMERATION_GUARD})")
     r = tuple(int(x) for x in r)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    n = _code_length(code)
+    if n is not None and len(r) != n:
+        raise ValueError(f"received word has length {len(r)}, the code has length {n}")
+    _check_tau(tau, n)
     members = []
     distances = []
     counts = [0] * (tau + 1)
@@ -153,30 +137,8 @@ class MaxListResult:
 
 def _gf2_ball_table(m: int, n: int, tau: int) -> bytes:
     """flags[v] = 1 iff the packed length-n word v has rank <= tau (q = 2)."""
-    total = 1 << (m * n)
-    mask = (1 << m) - 1
-    flags = bytearray(total)
-    for v in range(total):
-        count = 0
-        basis: dict[int, int] = {}
-        w = v
-        ok = True
-        for _ in range(n):
-            e = w & mask
-            w >>= m
-            while e:
-                lead = e.bit_length()
-                b = basis.get(lead)
-                if b is None:
-                    basis[lead] = e
-                    count += 1
-                    break
-                e ^= b
-            if count > tau:
-                ok = False
-                break
-        flags[v] = 1 if ok else 0
-    return bytes(flags)
+    words = itertools.product(range(1 << m), repeat=n)  # ascending pack_word order
+    return bytes(_column_rank(w, 2, m, tau) <= tau for w in words)
 
 
 def _gf2_block_scan(flags: bytes, packed_words: Sequence[int], start: int, stop: int) -> tuple[int, int]:
@@ -209,12 +171,7 @@ def _generic_block_scan(
     fld = make_field(q, m, modulus)
     best_count, best_index = -1, -1
     for index in range(start, stop):
-        r = unpack_word(index, fld.order, n)
-        count = 0
-        for cw in words:
-            diff = tuple(fld.sub(x, y) for x, y in zip(r, cw))
-            if rank_leq(diff, fld, tau):
-                count += 1
+        count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau)
         if count > best_count:
             best_count, best_index = count, index
     return best_count, best_index
@@ -257,13 +214,14 @@ def max_list_size(
     overridable via ``guard``) and returns the exact maximum with the
     lexicographically smallest argmax; mode "random" samples ``trials``
     words seeded by ``seed`` and returns a lower estimate.  ``jobs``
-    parallelizes the exhaustive scan over contiguous index blocks with a
-    deterministic reduction.
+    (capped at the CPU count) parallelizes the exhaustive scan over
+    contiguous index blocks with a deterministic reduction.
     """
     exhaustive_guard = EXHAUSTIVE_GUARD if guard is None else guard
     fld = code_field(code, field)
     if code_size(code) > ENUMERATION_GUARD:
         raise ValueError("code too large to enumerate")
+    _check_tau(tau, _code_length(code))
     words = list(iter_codewords(code))
     n = len(words[0]) if words else 0
     total = fld.order**n
@@ -283,7 +241,7 @@ def max_list_size(
         raise ValueError(f"unknown mode {mode!r}")
     if total > exhaustive_guard:
         raise ValueError(f"word space {total} exceeds exhaustive guard {exhaustive_guard}")
-    jobs = max(1, jobs)
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     blocks = _split_range(total, jobs * 4 if jobs > 1 else 1)
     if fld.q == 2 and total <= _TABLE_LIMIT:
         flags = _gf2_ball_table(fld.m, n, tau)
@@ -360,7 +318,9 @@ def list_to_crc(
 def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[int] | None = None) -> int:
     """Count m x n matrices over F_q within rank distance tau of the center.
 
-    Matrices are enumerated as base-q digit strings (column-major); the count
+    The center is a length-n word over F_{q^m}, column j of the matrix being
+    the base-q digits of its entry j.  Matrices are enumerated as words over
+    F_{q^m} in ascending pack_word order, shifted by the center; the count
     is center-independent.
     """
     total = q ** (m * n)
@@ -368,70 +328,14 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
         raise ValueError(f"matrix space {total} exceeds guard {BRUTEFORCE_GUARD}")
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
-    if q == 2:
-        mask = (1 << m) - 1
-        c = 0
-        if center is not None:
-            for j, col in enumerate(center):
-                c |= int(col) << (j * m)
-        count = 0
-        for v in range(total):
-            v ^= c
-            rank_v = 0
-            basis: dict[int, int] = {}
-            ok = True
-            w = v
-            for _ in range(n):
-                e = w & mask
-                w >>= m
-                while e:
-                    lead = e.bit_length()
-                    b = basis.get(lead)
-                    if b is None:
-                        basis[lead] = e
-                        rank_v += 1
-                        break
-                    e ^= b
-                if rank_v > tau:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
-    F = base_field(q)
-    center_digits = [0] * (m * n)
+    order = q**m
+    columns = [range(order)] * n
     if center is not None:
-        for j, elem in enumerate(center):
-            elem = int(elem)
-            for i in range(m):
-                center_digits[j * m + i] = elem % q
-                elem //= q
-    count = 0
-    for index in range(total):
-        digits = []
-        v = index
-        for _ in range(m * n):
-            digits.append(v % q)
-            v //= q
-        rank_v = 0
-        basis_rows: list[tuple[int, list[int]]] = []
-        ok = True
-        for j in range(n):
-            col = [F.sub(digits[j * m + i], center_digits[j * m + i]) for i in range(m)]
-            for piv, row in basis_rows:
-                cc = col[piv]
-                if cc:
-                    col = [F.sub(x, F.mul(cc, y)) for x, y in zip(col, row)]
-            piv = next((i for i, x in enumerate(col) if x), None)
-            if piv is not None:
-                inv = F.inv(col[piv])
-                if inv != 1:
-                    col = [F.mul(inv, x) for x in col]
-                basis_rows.append((piv, col))
-                rank_v += 1
-                if rank_v > tau:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+        center = [int(c) for c in center]
+        if len(center) != n:
+            raise ValueError(f"center has length {len(center)}, need n={n}")
+        if any(not 0 <= c < order for c in center):
+            raise ValueError(f"center entries must lie in 0..{order - 1}")
+        fld = make_field(q, m)
+        columns = [[fld.sub(a, c) for a in range(order)] for c in center]
+    return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))

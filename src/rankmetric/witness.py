@@ -25,7 +25,7 @@ from typing import Sequence
 from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower
 from .codes import GabidulinCode, crc_theorem8
 from .ff import Field, make_field
-from .linpoly import min_subspace_poly
+from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import grassmannian_enumerate, rank_of_vector
 from .oracle import rank_leq
 
@@ -145,20 +145,18 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     if not 0 <= tau < d:
         raise ValueError(f"need 0 <= tau < d, got tau={tau}, d={d}")
     rdim = n - tau
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    buckets: dict[tuple[int, ...], list[LinearizedPoly]] = {}
     for U in grassmannian_enumerate(n, rdim, fld.q):
-        poly = min_subspace_poly(U, fld)
-        coeffs = tuple(poly.coeff(i) for i in range(rdim + 1))
-        key = coeffs[k:rdim]
-        buckets.setdefault(key, []).append(coeffs)
+        poly = min_subspace_poly(U, fld)  # monic of q-degree rdim
+        buckets.setdefault(poly.coeffs[k:rdim], []).append(poly)
     max_size = max(len(v) for v in buckets.values())
     best_key = min(key for key, v in buckets.items() if len(v) == max_size)
     bucket = buckets[best_key]
-    rep = min(bucket)
-    rep_evals = tuple(_eval_coeffs(rep, a, fld) for a in code.alphas)
+    rep = min(bucket, key=lambda f: f.coeffs)
+    rep_evals = tuple(evaluate(rep, a) for a in code.alphas)
     codewords = []
     for g in bucket:
-        g_evals = tuple(_eval_coeffs(g, a, fld) for a in code.alphas)
+        g_evals = tuple(evaluate(g, a) for a in code.alphas)
         codewords.append(tuple(fld.sub(x, y) for x, y in zip(rep_evals, g_evals)))
     params = CodeParams(q=fld.q, m=fld.m, n=n, d=d, k=k)
     claimed = bound1_lower(params, tau).guarantee
@@ -184,16 +182,6 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
             "bucket_key": [list(fld.coeffs(c)) for c in best_key],
         },
     )
-
-
-def _eval_coeffs(coeffs: Sequence[int], a: int, fld: Field) -> int:
-    acc = 0
-    cur = a
-    for c in coeffs:
-        if c:
-            acc = fld.add(acc, fld.mul(c, cur))
-        cur = fld.frobenius(cur)
-    return acc
 
 
 ALT_SEARCH_GUARD = 1 << 24

@@ -88,6 +88,11 @@ def test_code_params_validation():
         CodeParams(q=2, m=4, n=4, d=5)
     with pytest.raises(ValueError, match="inconsistent k"):
         CodeParams(q=2, m=4, n=4, d=3, k=3)
+    for q in (0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="prime power"):
+            CodeParams(q=q, m=4, n=4, d=3)
+    for q in (16, 25, 49, 101):  # closed forms need no field tables
+        assert CodeParams(q=q, m=4, n=4, d=3).q == q
     p = CodeParams(q=2, m=4, n=4, d=3)
     assert p.dimension == 2
 

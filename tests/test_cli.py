@@ -47,6 +47,11 @@ def test_bounds_precondition_exit_2(capsys):
     )
     assert code == 2
     assert "tau" in err
+    code, out, err = run_cli(
+        capsys, "bounds", "--q", "6", "--m", "4", "--n", "4", "--d", "3", "--tau", "2"
+    )
+    assert code == 2 and out == ""
+    assert "prime power" in err
 
 
 def test_usage_error_exit_1(capsys):
@@ -160,6 +165,50 @@ def test_oracle_list_requires_received(capsys):
     )
     assert code == 2
     assert "received" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("list", "--tau", "2", "--received", "[[0,0,0,0],[1,0,0,0]]"),
+        ("list", "--tau", "7", "--received", "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"),
+        ("list", "--tau", "-1", "--received", "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"),
+        ("max", "--tau", "7"),
+        ("max", "--tau", "-1"),
+    ],
+)
+def test_oracle_rejects_bad_input_exit_2(capsys, extra):
+    action, *rest = extra
+    code, out, err = run_cli(
+        capsys, "oracle", action, "--q", "2", "--m", "4", "--n", "4", "--k", "2", *rest
+    )
+    assert code == 2 and out == ""
+    assert "length" in err or "tau" in err
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"q": 2, "ambient": 4, "dim": 2, "min_subspace_distance": 4}, "words"),
+        ({"q": 2, "ambient": "4", "dim": 2, "min_subspace_distance": 4, "words": []}, "ambient"),
+        ({"q": 2, "ambient": 4, "dim": 2, "min_subspace_distance": 4, "words": [{"ambient": 4}]}, "basis"),
+        ({"q": 2, "ambient": 4, "dim": 1, "min_subspace_distance": 2,
+          "words": [{"ambient": 4, "basis": [[1, 0, "x", 0]]}]}, "basis"),
+        ([1, 2, 3], "q"),
+    ],
+)
+def test_construct_crc_malformed_file_exit_2(capsys, tmp_path, doc, field):
+    good = tmp_path / "good.json"
+    assert run_cli(capsys, "construct", "cdc", "--q", "2", "--n", "4", "--tau", "2", "--d", "4",
+                   "--out", str(good))[0] == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for m_file, n_file in ((bad, good), (good, bad)):
+        code, out, err = run_cli(
+            capsys, "construct", "crc", "--m-file", str(m_file), "--n-file", str(n_file)
+        )
+        assert code == 2 and out == ""
+        assert repr(field) in err and "Traceback" not in err
 
 
 def test_construct_cdc_and_crc_pipeline(capsys, tmp_path):

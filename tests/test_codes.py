@@ -52,6 +52,8 @@ def test_gabidulin_validation():
         GabidulinCode(F16, n=3, k=4)
     with pytest.raises(ValueError, match="independent"):
         GabidulinCode(F16, n=2, k=1, alphas=(1, 1))
+    with pytest.raises(ValueError, match="evaluation points"):
+        GabidulinCode(F16, n=2, k=1, alphas=(1, 16))
 
 
 def test_gabidulin_encode_examples():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rankmetric.bounds import gaussian_binomial
-from rankmetric.ff import base_field, make_field
+from rankmetric.ff import SUPPORTED_Q, base_field, expand_to_matrix, make_field
 from rankmetric.matfq import (
     MatrixFq,
     Subspace,
+    _column_rank,
     column_space,
     distance_sandwich_check,
-    gf2_rank_ints,
     grassmannian_enumerate,
     matrix_from_jsonable,
     rank,
@@ -25,6 +25,7 @@ from rankmetric.matfq import (
     subspace_distance,
     subspace_from_jsonable,
 )
+from rankmetric.oracle import rank_leq
 
 
 def random_matrix(rng, q, rows, cols):
@@ -81,7 +82,20 @@ def test_gf2_rank_ints_matches_generic():
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         cols = [rng.randrange(1 << m) for _ in range(n)]
         mat = MatrixFq(2, tuple(tuple((c >> i) & 1 for c in cols) for i in range(m)), ncols=n)
-        assert gf2_rank_ints(cols) == rank(mat)
+        assert _column_rank(cols, 2, m, n) == rank(mat)
+        limit = rng.randint(0, n)
+        assert _column_rank(cols, 2, m, limit) == min(rank(mat), limit + 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@given(data=st.data())
+def test_rank_of_vector_and_rank_leq_match_rref_rank(q, data):
+    fld = make_field(q, data.draw(st.integers(1, 3)))
+    vec = tuple(data.draw(st.lists(st.integers(0, fld.order - 1), min_size=1, max_size=4)))
+    expected = rank(expand_to_matrix(vec, fld))
+    assert rank_of_vector(vec, fld) == expected
+    for tau in range(len(vec) + 1):
+        assert rank_leq(vec, fld, tau) == (expected <= tau)
 
 
 def test_rank_of_vector_examples():

@@ -9,6 +9,7 @@ from rankmetric.bounds import CodeParams, ball_volume, bound2_upper
 from rankmetric.codes import GabidulinCode
 from rankmetric.ff import base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
+from rankmetric import oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
     iter_codewords,
@@ -164,6 +165,30 @@ def test_max_list_size_jobs_deterministic():
     assert (a.ell, a.word) == (b.ell, b.word)
 
 
+def test_max_list_size_caps_jobs_at_cpu_count(monkeypatch):
+    created = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    code = GabidulinCode(F4, n=2, k=1)
+    res = max_list_size(code, 1, jobs=10**6)
+    assert created == [3]
+    assert res == max_list_size(code, 1)
+
+
 def test_max_list_size_random_mode():
     code = GabidulinCode(F16, n=4, k=2)
     r1 = max_list_size(code, 2, mode="random", seed=11, trials=300)
@@ -186,6 +211,24 @@ def test_max_list_size_translation_invariance():
     a = max_list_size(code, 1)
     b = max_list_size(translated, 1, field=F4)
     assert a.ell == b.ell
+
+
+def test_oracle_rejects_wrong_length_and_tau_out_of_range():
+    code = GabidulinCode(F16, n=4, k=2)
+    with pytest.raises(ValueError, match="length 2"):
+        list_codewords(code, (0, 1), 2)
+    with pytest.raises(ValueError, match="length 5"):
+        list_codewords(code, (0,) * 5, 2)
+    with pytest.raises(ValueError, match="length"):
+        list_codewords([(0, 0), (1, 2)], (0, 0, 0), 1, field=F4)
+    for tau in (-1, 5):
+        with pytest.raises(ValueError, match="tau"):
+            list_codewords(code, (0,) * 4, tau)
+        with pytest.raises(ValueError, match="tau"):
+            max_list_size(code, tau)
+    with pytest.raises(ValueError, match="tau"):
+        max_list_size([(0, 0), (1, 2)], 3, field=F4)
+    assert list_codewords(code, (0,) * 4, 4).size == code.cardinality
 
 
 def test_plain_sequence_requires_field():
@@ -271,10 +314,10 @@ def test_ball_volume_bruteforce_values():
     assert ball_volume_bruteforce(2, 2, 2, 0) == 1
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_ball_volume_bruteforce_matches_formula(q):
     for m in range(1, 4):
-        for n in range(1, 3 if q == 3 else 4):
+        for n in range(1, 4 if q == 2 else 3):
             for tau in range(min(m, n) + 1):
                 assert ball_volume_bruteforce(m, n, q, tau) == ball_volume(m, n, q, tau)
 
@@ -286,6 +329,15 @@ def test_ball_volume_bruteforce_center_independent():
         for _ in range(3):
             center = tuple(rng.randrange(fld.order) for _ in range(2))
             assert ball_volume_bruteforce(2, 2, q, 1, center=center) == base
+
+
+def test_ball_volume_bruteforce_rejects_bad_center():
+    with pytest.raises(ValueError, match="length"):
+        ball_volume_bruteforce(2, 2, 2, 1, center=(1,))
+    with pytest.raises(ValueError, match="length"):
+        ball_volume_bruteforce(2, 2, 3, 1, center=(1, 2, 3))
+    with pytest.raises(ValueError, match="0..3"):
+        ball_volume_bruteforce(2, 2, 2, 1, center=(1, 4))
 
 
 def test_ball_volume_bruteforce_guard():
