@@ -2,12 +2,11 @@
 """End-to-end desk experiment: witnesses vs exhaustive truth for one code.
 
 Builds Gab[n, k] over F_{q^n} (square case), derives the bound values,
-constructs both lower-bound witnesses, exhaustively scans the whole received
-word space, and prints how tightly everything sandwiches the true maximum
-list size.
+constructs both lower-bound witnesses, computes the exact maximum list size
+over all received words, and prints how tightly everything sandwiches it.
 
 Example:
-    python scripts/list_size_experiment.py --q 2 --n 4 --k 2 --tau 2 --jobs 4
+    python scripts/list_size_experiment.py --q 2 --n 4 --k 2 --tau 2
 """
 
 import argparse
@@ -30,7 +29,6 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--k", type=int, default=2)
     parser.add_argument("--tau", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     fld = make_field(args.q, args.n)
@@ -55,7 +53,7 @@ def main() -> int:
     print(f"upper bound tiers: {b2.anticode_sum} <= {b2.four_sum} <= {b2.closed_form}")
 
     start = time.perf_counter()
-    result = max_list_size(code, args.tau, jobs=args.jobs)
+    result = max_list_size(code, args.tau)
     elapsed = time.perf_counter() - start
     print(f"exhaustive maximum over {result.scanned} words: ell = {result.ell}  ({elapsed:.1f}s)")
     print(f"argmax word: {result.word}")

@@ -30,7 +30,6 @@ def main() -> int:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--d", type=int, required=True)
     parser.add_argument("--oracle", action="store_true", help="also run the exhaustive scan (desk scale only)")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     params = CodeParams(q=args.q, m=args.m, n=args.n, d=args.d)
@@ -51,7 +50,7 @@ def main() -> int:
             fmt(report.bound2.iterated_johnson if report.bound2 else None),
         ]
         if args.oracle:
-            result = max_list_size(code, tau, jobs=args.jobs)
+            result = max_list_size(code, tau)
             row.append(fmt(result.ell))
         print("  ".join(row))
     j = report.johnson

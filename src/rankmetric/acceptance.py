@@ -155,10 +155,10 @@ def _check_bound1_witness() -> tuple[bool, str]:
     )
 
 
-def _check_exhaustive_max_list(jobs: int = 1) -> tuple[bool, str]:
+def _check_exhaustive_max_list() -> tuple[bool, str]:
     fld = make_field(2, 4)
     code = codes.GabidulinCode(fld, n=4, k=2)
-    result = oracle.max_list_size(code, tau=2, mode="exhaustive", jobs=jobs)
+    result = oracle.max_list_size(code, tau=2, mode="exhaustive")
     if not 35 <= result.ell <= 36:
         return False, f"exhaustive ell = {result.ell} outside [35, 36]"
     params = bounds.CodeParams(q=2, m=4, n=4, d=3)

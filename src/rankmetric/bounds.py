@@ -87,13 +87,44 @@ class CodeParams:
         return self.k if self.k is not None else self.n - self.d + 1
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # these bases decide primality of every n below it
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _MR_LIMIT."""
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
 def _is_prime_power(q: int) -> bool:
+    """q = p^e for a prime p.
+
+    A q with a prime factor p <= 41 is stripped of p; for any other q the
+    integer e-th root of q is tested for primality, for each feasible e.
+    """
+    if q >= _MR_LIMIT:
+        raise ValueError(f"q={q} is too large to test for a prime power (limit {_MR_LIMIT})")
     if q < 2:
         return False
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)  # smallest prime factor
-    while q % p == 0:
-        q //= p
-    return q == 1
+    small = next((p for p in _MR_BASES if q % p == 0), None)
+    if small is not None:
+        while q % small == 0:
+            q //= small
+        return q == 1
+    for e in range(1, q.bit_length() // 5 + 1):  # q >= 43^e > 2^(5e)
+        root = q if e == 1 else math.isqrt(q) if e == 2 else round(q ** (1 / e))
+        if root**e == q and _is_prime(root):
+            return True
+    return False
 
 
 def singleton_max(params: CodeParams) -> int:

@@ -76,53 +76,15 @@ _BOUNDS_CSV_COLUMNS = [
 def _bounds_csv(doc: dict) -> str:
     import csv
 
-    flat = {
-        "q": doc["params"]["q"],
-        "m": doc["params"]["m"],
-        "n": doc["params"]["n"],
-        "d": doc["params"]["d"],
-        "k": doc["params"]["k"],
-        "tau": doc["tau"],
-        "epsilon": doc["epsilon"],
-        "singleton": doc["singleton"],
-        "sphere_volume": doc["sphere_volume"],
-        "ball_volume": doc["ball_volume"],
-        "bound1_exact_ratio": doc["bound1"]["exact_ratio"],
-        "bound1_guarantee": doc["bound1"]["guarantee"],
-        "bound1_exp_form": doc["bound1"]["exp_form"],
-        "bound1_exp_form_nm": doc["bound1"]["exp_form_nm"],
-    }
-    j = doc.get("johnson") or {}
-    flat.update(
-        {
-            "tau_j_star": j.get("tau_j_star"),
-            "tau_j_star_int": j.get("tau_j_star_int"),
-            "tau_j": j.get("tau_j"),
-            "tau_j_int": j.get("tau_j_int"),
-        }
-    )
-    b2 = doc.get("bound2") or {}
-    flat.update(
-        {
-            "bound2_anticode_sum": b2.get("anticode_sum"),
-            "bound2_four_sum": b2.get("four_sum"),
-            "bound2_closed_form": b2.get("closed_form"),
-            "bound2_iterated_johnson": b2.get("iterated_johnson"),
-        }
-    )
-    b3 = doc["bound3"]
-    flat.update(
-        {
-            "bound3_standard": b3["standard"],
-            "bound3_refined": b3["refined"],
-            "bound3_large_tau": b3["large_tau"],
-        }
-    )
+    # report and params fields keep their names, the bound sections are prefixed
+    flat = {**(doc.get("johnson") or {}), **doc["params"], **doc}
+    for section in ("bound1", "bound2", "bound3"):
+        flat.update({f"{section}_{key}": v for key, v in (doc.get(section) or {}).items()})
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([CSV_SCHEMA_BOUNDS])
     writer.writerow(_BOUNDS_CSV_COLUMNS)
-    writer.writerow(["" if flat[c] is None else flat[c] for c in _BOUNDS_CSV_COLUMNS])
+    writer.writerow(["" if flat.get(c) is None else flat[c] for c in _BOUNDS_CSV_COLUMNS])
     return buf.getvalue()
 
 
@@ -181,8 +143,7 @@ def _cmd_oracle(args) -> int:
         }
     else:
         result = oracle.max_list_size(
-            code, args.tau, mode=args.mode, seed=args.seed, trials=args.trials,
-            jobs=args.jobs, guard=args.guard,
+            code, args.tau, mode=args.mode, seed=args.seed, trials=args.trials, guard=args.guard
         )
         elapsed = int((time.perf_counter() - start) * 1000)
         doc = {
@@ -337,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     omax.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     omax.add_argument("--trials", type=int, default=None)
     omax.add_argument("--seed", type=int, default=None)
-    omax.add_argument("--jobs", type=int, default=1)
-    omax.add_argument("--guard", type=int, default=None, help="override the exhaustive word-space guard")
+    omax.add_argument("--jobs", type=int, default=1, help="no effect; accepted so older command lines run")
+    omax.add_argument("--guard", type=int, default=None, help="override the work guard: rank-ball errors (2^28)")
 
     p_con = sub.add_parser("construct", help="build constant-dimension / constant-rank codes")
     csub = p_con.add_subparsers(dest="family", required=True)

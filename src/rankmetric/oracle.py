@@ -2,33 +2,31 @@
 
 The received-word space F_{q^m}^n is indexed big-endian (the first
 coordinate is the most significant base-q^m digit), so ascending index order
-is lexicographic order on word tuples.  All scans are deterministic,
-including under ``jobs > 1``: the word space is split into contiguous index
-blocks and the reduction keeps the maximum count with the smallest argmax
-index.
+is lexicographic order on word tuples.  Every maximum is exact, with the
+lexicographically smallest argmax.
 
-For q = 2 the packed index of a difference of two words is the XOR of their
-packed indices, which enables a precomputed rank-ball lookup table; the
-generic path performs exact eliminations per pair.  Both paths return
-identical values.  Every rank here is computed by ``matfq._column_rank``.
+For a Gabidulin code the list size of r depends only on the coset r + C, so
+the maximum is the fullest coset of the rank ball of radius tau, counted by
+``_coset_histogram`` without enumerating received words or codewords.  Other
+codes are scanned word by word (``_count_ball``), the tests' ground truth.
+Every rank here is computed by ``matfq._column_rank``.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode
+from .bounds import sphere_volume
+from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode, _ext_reduce
 from .ff import Field, make_field
-from .matfq import _column_rank, rank_of_vector
+from .matfq import _column_rank, grassmannian_enumerate, rank_of_vector
 
 EXHAUSTIVE_GUARD = 1 << 28
 BRUTEFORCE_GUARD = 1 << 24
-_TABLE_LIMIT = 1 << 20
+_CHUNK = 1 << 16
 
 
 def pack_word(vec: Sequence[int], order: int) -> int:
@@ -135,67 +133,78 @@ class MaxListResult:
     exhaustive: bool
 
 
-def _gf2_ball_table(m: int, n: int, tau: int) -> bytes:
-    """flags[v] = 1 iff the packed length-n word v has rank <= tau (q = 2)."""
-    words = itertools.product(range(1 << m), repeat=n)  # ascending pack_word order
-    return bytes(_column_rank(w, 2, m, tau) <= tau for w in words)
+def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
+    return sum(rank_leq(tuple(fld.sub(x, y) for x, y in zip(r, cw)), fld, tau) for cw in words)
 
 
-def _gf2_block_scan(flags: bytes, packed_words: Sequence[int], start: int, stop: int) -> tuple[int, int]:
-    """(best_count, smallest argmax index) over word indices [start, stop)."""
+def _coset_key(rows: list[tuple[int, ...]], word: Sequence[int], fld: Field) -> int:
+    """Bin of the coset word + C in ``_coset_histogram`` (C spanned by ``rows``).
+
+    It is the packed index of the coset's one word that is zero on the first
+    k positions (word reduced modulo the rows); for an MRD code that word is
+    also the lexicographically smallest of the coset.
+    """
+    return pack_word(_ext_reduce(rows, tuple(word), fld), fld.order)
+
+
+def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXHAUSTIVE_GUARD):
+    """counts[i] = number of errors e with rank(e) in ``ranks`` in the coset with key i.
+
+    Keys are those of ``_coset_key``.  Rank-t errors are streamed one column space U in Gr(m, t) at a time: with
+    a basis b_1..b_t of U they are e_j = sum_i A_ij b_i over the full-rank
+    t x n matrices A.  The key is F_{q^m}-linear, so key(e) is the sum over j
+    of e_j key(u_j) (u_j the j-th unit word), read from one table per U.
+    Sums are taken on base-p digit vectors, since F_{q^m} addition is
+    digitwise mod p in the integer encoding of :mod:`rankmetric.ff`.
+
+    Refuses, before any work, a ball of more than ``guard`` errors or more
+    than ENUMERATION_GUARD cosets; the counts are checked against the closed
+    form sphere volumes.
+    """
     import numpy as np
 
-    flags_np = np.frombuffer(flags, dtype=np.uint8)
-    cw = np.asarray(packed_words, dtype=np.int64)
-    chunk = max(1, min(1 << 15, (1 << 22) // max(1, len(packed_words))))
-    best_count, best_index = -1, -1
-    for a in range(start, stop, chunk):
-        b = min(stop, a + chunk)
-        idx = np.arange(a, b, dtype=np.int64)
-        counts = flags_np[np.bitwise_xor(idx[:, None], cw[None, :])].sum(axis=1)
-        pos = int(counts.argmax())
-        c = int(counts[pos])
-        if c > best_count:
-            best_count, best_index = c, a + pos
-    return best_count, best_index
-
-
-def _gf2_block_worker(args) -> tuple[int, int]:
-    return _gf2_block_scan(*args)
-
-
-def _generic_block_scan(
-    q: int, m: int, modulus: tuple[int, ...], words: Sequence[tuple[int, ...]],
-    n: int, tau: int, start: int, stop: int,
-) -> tuple[int, int]:
-    fld = make_field(q, m, modulus)
-    best_count, best_index = -1, -1
-    for index in range(start, stop):
-        count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau)
-        if count > best_count:
-            best_count, best_index = count, index
-    return best_count, best_index
-
-
-def _generic_block_worker(args) -> tuple[int, int]:
-    return _generic_block_scan(*args)
-
-
-def _reduce_blocks(results: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    best_count, best_index = -1, -1
-    for count, index in results:
-        if count > best_count or (count == best_count and index < best_index):
-            best_count, best_index = count, index
-    return best_count, best_index
-
-
-def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
-    count = 0
-    for cw in words:
-        diff = tuple(fld.sub(x, y) for x, y in zip(r, cw))
-        if rank_leq(diff, fld, tau):
-            count += 1
-    return count
+    fld = code.field
+    q, m, n, k, p = fld.q, fld.m, code.n, code.k, fld.char
+    ranks = sorted(set(ranks))
+    volume = sum(sphere_volume(m, n, q, t) for t in ranks)
+    if volume > guard:
+        raise ValueError(f"rank ball of {volume} errors exceeds exhaustive guard {guard}")
+    bins = fld.order ** (n - k)
+    if bins > ENUMERATION_GUARD:
+        raise ValueError(f"{bins} cosets exceed the coset guard {ENUMERATION_GUARD}")
+    # a key has (n-k) m e base-p digits (q = p^e); the ball guard keeps n small enough
+    # that a sum of n digits fits in uint8
+    powers = p ** np.arange((n - k) * m * fld.base.e, dtype=np.int64)
+    rows = code.generator_rows()
+    # the reduced unit words; x times one of them is already reduced, so its
+    # _coset_key is the pack_word index of x times its last n-k entries
+    unit_keys = [_ext_reduce(rows, tuple(int(i == j) for i in range(n)), fld)[k:] for j in range(n)]
+    counts = np.zeros(bins, dtype=np.int64)
+    counts[0] = 0 in ranks
+    for t in filter(None, ranks):
+        # every full-rank t x n matrix A over F_q; row j holds column j of each A,
+        # as the integer whose base-q digit i is A_ij
+        cols = np.array(
+            [a for a in itertools.product(range(q**t), repeat=n) if _column_rank(a, q, t, t) == t]
+        ).T
+        for U in grassmannian_enumerate(m, t, q):
+            span = [0]
+            for row in U.basis:
+                b = fld.from_coeffs(row)
+                span = [fld.add(x, fld.mul(c, b)) for c in range(q) for x in span]
+            packed = np.array(
+                [[pack_word([fld.mul(x, a) for a in key], fld.order) for x in span] for key in unit_keys]
+            )
+            table = (packed[:, :, None] // powers % p).astype(np.uint8)
+            for start in range(0, cols.shape[1], _CHUNK):
+                block = cols[:, start : start + _CHUNK]
+                digits = np.take(table[0], block[0], axis=0)
+                for j in range(1, n):
+                    digits += np.take(table[j], block[j], axis=0)
+                np.add.at(counts, digits % p @ powers, 1)
+    if counts.sum() != volume:
+        raise AssertionError(f"coset counts add up to {counts.sum()}, not the ball volume {volume}")
+    return counts
 
 
 def max_list_size(
@@ -204,78 +213,51 @@ def max_list_size(
     mode: str = "exhaustive",
     seed: int | None = None,
     trials: int | None = None,
-    jobs: int = 1,
     field: Field | None = None,
     guard: int | None = None,
 ) -> MaxListResult:
     """max over received words r of |{c in code : rank(r - c) <= tau}|.
 
-    mode "exhaustive" scans the full word space (guarded at 2^28 words,
-    overridable via ``guard``) and returns the exact maximum with the
-    lexicographically smallest argmax; mode "random" samples ``trials``
-    words seeded by ``seed`` and returns a lower estimate.  ``jobs``
-    (capped at the CPU count) parallelizes the exhaustive scan over
-    contiguous index blocks with a deterministic reduction.
+    mode "exhaustive" returns the exact maximum with the lexicographically
+    smallest argmax.  For a GabidulinCode it is the fullest coset of the rank
+    ball (see ``_coset_histogram``), refused when the ball holds more than
+    ``guard`` (default EXHAUSTIVE_GUARD) errors; any other code is scanned
+    word by word, refused when received words times codewords exceed
+    ``guard``.  mode "random" samples ``trials`` words seeded by ``seed``
+    and returns a lower estimate.  ``scanned`` is the number of received
+    words the maximum covers.
     """
-    exhaustive_guard = EXHAUSTIVE_GUARD if guard is None else guard
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    guard = EXHAUSTIVE_GUARD if guard is None else guard
     fld = code_field(code, field)
-    if code_size(code) > ENUMERATION_GUARD:
-        raise ValueError("code too large to enumerate")
     _check_tau(tau, _code_length(code))
-    words = list(iter_codewords(code))
+    if mode == "exhaustive" and isinstance(code, GabidulinCode):
+        counts = _coset_histogram(code, range(tau + 1), guard)
+        key = int(counts.argmax())
+        return MaxListResult(int(counts[key]), unpack_word(key, fld.order, code.n), fld.order**code.n, True)
+    words = list(iter_codewords(code))  # a GabidulinCode refuses more than ENUMERATION_GUARD words
     n = len(words[0]) if words else 0
     total = fld.order**n
     if mode == "random":
         if trials is None or trials < 1:
             raise ValueError("random mode requires trials >= 1")
         rng = random.Random(seed)
-        best_count, best_index = -1, -1
-        for _ in range(trials):
-            index = rng.randrange(total)
-            r = unpack_word(index, fld.order, n)
-            count = _count_ball(r, words, fld, tau)
-            if count > best_count or (count == best_count and index < best_index):
-                best_count, best_index = count, index
-        return MaxListResult(best_count, unpack_word(best_index, fld.order, n), trials, False)
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    if total > exhaustive_guard:
-        raise ValueError(f"word space {total} exceeds exhaustive guard {exhaustive_guard}")
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
-    blocks = _split_range(total, jobs * 4 if jobs > 1 else 1)
-    if fld.q == 2 and total <= _TABLE_LIMIT:
-        flags = _gf2_ball_table(fld.m, n, tau)
-        packed = [pack_word(w, fld.order) for w in words]
-        tasks = [(flags, packed, a, b) for a, b in blocks]
-        if jobs == 1:
-            results = [_gf2_block_worker(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_gf2_block_worker, tasks))
+        indices = [rng.randrange(total) for _ in range(trials)]
+        scanned = trials
     else:
-        word_tuples = [tuple(w) for w in words]
-        tasks = [
-            (fld.q, fld.m, fld.modulus, word_tuples, n, tau, a, b) for a, b in blocks
-        ]
-        if jobs == 1:
-            results = [_generic_block_worker(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_generic_block_worker, tasks))
-    best_count, best_index = _reduce_blocks(results)
-    return MaxListResult(best_count, unpack_word(best_index, fld.order, n), total, True)
-
-
-def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = min(parts, total) or 1
-    step, rem = divmod(total, parts)
-    blocks = []
-    a = 0
-    for i in range(parts):
-        b = a + step + (1 if i < rem else 0)
-        blocks.append((a, b))
-        a = b
-    return blocks
+        if total * len(words) > guard:
+            raise ValueError(
+                f"scan of {total} words against {len(words)} codewords exceeds exhaustive guard {guard}"
+            )
+        indices = range(total)
+        scanned = total
+    best_count, best_index = -1, -1
+    for index in indices:
+        count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau)
+        if count > best_count or (count == best_count and index < best_index):
+            best_count, best_index = count, index
+    return MaxListResult(best_count, unpack_word(best_index, fld.order, n), scanned, mode == "exhaustive")
 
 
 def list_to_crc(

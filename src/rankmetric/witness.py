@@ -10,7 +10,9 @@ tie-breaking), so identical inputs serialize to identical JSON.
   a maximum bucket P; differences of members of P encode to codewords at
   distance exactly tau from the evaluation of a representative of P.
 * bound1_alt: exhaustively search the cosets C + b, b in a complementary
-  code B, for the one holding the most rank-tau words of the MRD direct sum.
+  code B, for the one holding the most rank-tau words of the MRD direct sum;
+  the per-coset counts come from the oracle's coset histogram of the rank-tau
+  sphere or from a B x C scan, whichever has less work.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 """
@@ -22,12 +24,12 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower
-from .codes import GabidulinCode, crc_theorem8
+from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, sphere_volume
+from .codes import ENUMERATION_GUARD, GabidulinCode, crc_theorem8
 from .ff import Field, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
-from .matfq import grassmannian_enumerate, rank_of_vector
-from .oracle import rank_leq
+from .matfq import _column_rank, grassmannian_enumerate, rank_of_vector
+from .oracle import _coset_histogram, _coset_key
 
 CERTIFICATE_WORD_CAP = 1 << 16
 PAIRWISE_CHECK_CAP = 700
@@ -187,6 +189,12 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
 ALT_SEARCH_GUARD = 1 << 24
 
 
+def _at_rank(b: Sequence[int], c_words: list, fld: Field, tau: int) -> list:
+    """The words c of c_words with rank(b - c) = tau."""
+    diffs = ([fld.sub(x, y) for x, y in zip(b, c)] for c in c_words)
+    return [c for c, e in zip(c_words, diffs) if _column_rank(e, fld.q, fld.m, tau) == tau]
+
+
 def bound1_alt_witness(
     params: CodeParams, tau: int, word_cap: int = CERTIFICATE_WORD_CAP
 ) -> WitnessCertificate:
@@ -209,23 +217,20 @@ def bound1_alt_witness(
     code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
     if code_b.cardinality * code_c.cardinality > ALT_SEARCH_GUARD:
         raise ValueError("coset search space exceeds the enumeration guard")
-    c_words = list(code_c.iter_codewords())
-    best_count, best_index, best_b = -1, -1, None
-    coset_counts = []
-    for index, b in enumerate(code_b.iter_codewords()):
-        count = 0
-        for cw in c_words:
-            diff = tuple(fld.sub(b[i], cw[i]) for i in range(n))
-            if rank_leq(diff, fld, tau) and not rank_leq(diff, fld, tau - 1):
-                count += 1
-        coset_counts.append(count)
-        if count > best_count:
-            best_count, best_index, best_b = count, index, b
-    codewords = []
-    for cw in c_words:
-        diff = tuple(fld.sub(best_b[i], cw[i]) for i in range(n))
-        if rank_of_vector(diff, fld) == tau:
-            codewords.append(tuple(cw))
+    b_words, c_words = list(code_b.iter_codewords()), list(code_c.iter_codewords())
+    # the rank-tau words of each coset b - C are counted either in the rank-tau
+    # histogram of C (work: the sphere plus one bin per coset) or by a B x C
+    # scan (work: one rank test per pair, measured 15-25 times slower per step);
+    # the histogram must also stay inside the enumeration guard
+    histogram_cost = sphere_volume(m, n, q, tau) + fld.order ** (d - 1)
+    if histogram_cost < min(10 * len(b_words) * len(c_words), ENUMERATION_GUARD):
+        counts, rows = _coset_histogram(code_c, (tau,)), code_c.generator_rows()
+        coset_counts = [int(counts[_coset_key(rows, b, fld)]) for b in b_words]
+    else:
+        coset_counts = [len(_at_rank(b, c_words, fld, tau)) for b in b_words]
+    best_index = coset_counts.index(max(coset_counts))
+    best_b = b_words[best_index]
+    codewords = _at_rank(best_b, c_words, fld, tau)
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
     stored, truncated = _cap_words(codewords, word_cap)
     meta: dict = {"coset_total": sum(coset_counts), "best_coset_index": best_index}

@@ -1,10 +1,12 @@
 """Exact bound calculators: frozen values, chains, and property sweeps."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from rankmetric.bounds import (
+    _MR_LIMIT,
     Bound2Values,
     CodeParams,
     anticode_bound,
@@ -23,6 +25,7 @@ from rankmetric.bounds import (
     regions_table,
     report_to_jsonable,
     singleton_max,
+    _is_prime_power,
     sphere_volume,
 )
 
@@ -95,6 +98,31 @@ def test_code_params_validation():
         assert CodeParams(q=q, m=4, n=4, d=3).q == q
     p = CodeParams(q=2, m=4, n=4, d=3)
     assert p.dimension == 2
+
+
+def test_is_prime_power_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    limit = 10**5
+    powers = set()
+    for p in sympy.primerange(2, limit):
+        v = p
+        while v < limit:
+            powers.add(v)
+            v *= p
+    assert [q for q in range(-2, limit) if _is_prime_power(q) != (q in powers)] == []
+
+
+def test_is_prime_power_large_q():
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(10**18)
+    start = time.perf_counter()
+    assert CodeParams(q=p, m=4, n=4, d=3).q == p
+    assert time.perf_counter() - start < 0.1
+    assert _is_prime_power((10**9 + 7) ** 2) and _is_prime_power(sympy.prevprime(_MR_LIMIT))
+    assert not _is_prime_power(sympy.nextprime(10**9) * sympy.nextprime(10**10))
+    assert not _is_prime_power(sympy.nextprime(10**6) ** 2 * 43**2)
+    with pytest.raises(ValueError, match="too large"):
+        CodeParams(q=_MR_LIMIT, m=4, n=4, d=3)
 
 
 def test_singleton_values():

@@ -54,6 +54,17 @@ def test_bounds_precondition_exit_2(capsys):
     assert "prime power" in err
 
 
+def test_bounds_large_q(capsys):
+    code, out, _ = run_cli(
+        capsys, "bounds", "--q", str(10**18 + 3), "--m", "4", "--n", "4", "--d", "3", "--tau", "1"
+    )
+    assert code == 0 and json.loads(out)["params"]["q"] == 10**18 + 3
+    code, out, err = run_cli(
+        capsys, "bounds", "--q", str(10**25), "--m", "4", "--n", "4", "--d", "3", "--tau", "1"
+    )
+    assert code == 2 and out == "" and "too large" in err
+
+
 def test_usage_error_exit_1(capsys):
     code, _, _ = run_cli(capsys, "bounds", "--q", "2", "--nonsense")
     assert code == 1

@@ -1,14 +1,20 @@
 """Brute-force oracle: cross-checked against naive recounts written here."""
 
+import concurrent.futures
 import itertools
+import json
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from rankmetric.bounds import CodeParams, ball_volume, bound2_upper
+from rankmetric.bounds import CodeParams, ball_volume, bound1_lower, bound2_upper, mrd_weight_tau
+from rankmetric.cli import main
 from rankmetric.codes import GabidulinCode
 from rankmetric.ff import base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
+from rankmetric.matfq import rank_of_vector
 from rankmetric import oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
@@ -159,34 +165,36 @@ def test_max_list_size_tight_at_pigeonhole_bound():
 
 
 def test_max_list_size_jobs_deterministic():
+    # the worker count is gone with the process pool: repeated calls agree with each other
+    # and with the plain-sequence scan, and `jobs` is no longer accepted
     code = GabidulinCode(F4, n=2, k=1)
-    a = max_list_size(code, 1, jobs=1)
-    b = max_list_size(code, 1, jobs=3)
-    assert (a.ell, a.word) == (b.ell, b.word)
+    a, b = max_list_size(code, 1), max_list_size(code, 1)
+    plain = max_list_size(list(iter_codewords(code)), 1, field=F4)
+    assert (a.ell, a.word) == (b.ell, b.word) == (plain.ell, plain.word)
+    with pytest.raises(TypeError):
+        max_list_size(code, 1, jobs=3)
 
 
-def test_max_list_size_caps_jobs_at_cpu_count(monkeypatch):
+def test_max_list_size_caps_jobs_at_cpu_count(monkeypatch, capsys):
+    # `oracle max --jobs` has no effect: even 10^6 starts no worker process
     created = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers", args[0] if args else None))
+            raise AssertionError("oracle max started a process pool")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    code = GabidulinCode(F4, n=2, k=1)
-    res = max_list_size(code, 1, jobs=10**6)
-    assert created == [3]
-    assert res == max_list_size(code, 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    args = ["oracle", "max", "--q", "2", "--m", "2", "--n", "2", "--k", "1", "--tau", "1"]
+    outs = []
+    for extra in ([], ["--jobs", str(10**6)]):
+        assert main(args + extra) == 0
+        d = json.loads(capsys.readouterr().out)
+        d.pop("elapsed_ms")
+        outs.append(d)
+    assert created == [] and outs[0] == outs[1]
+    assert outs[0]["ell"] == max_list_size(GabidulinCode(F4, n=2, k=1), 1).ell
+    assert not hasattr(oracle, "ProcessPoolExecutor")
 
 
 def test_max_list_size_random_mode():
@@ -251,10 +259,81 @@ def test_exhaustive_guard_override():
 
 def test_enumeration_guard():
     big = GabidulinCode(make_field(2, 6), n=6, k=5)  # 2^30 codewords
+    # the coset count enumerates no codeword: 3970 errors over 64 cosets
+    assert max_list_size(big, 1).ell == 63
     with pytest.raises(ValueError, match="too large"):
-        max_list_size(big, 2)
+        max_list_size(big, 1, mode="random", trials=1)
     with pytest.raises(ValueError, match="too large"):
         list_codewords(big, (0,) * 6, 1)
+
+
+def test_exhaustive_guard_refuses_before_work():
+    code = GabidulinCode(make_field(2, 6), n=6, k=3)  # ball of 3.3e8 errors at tau = 3
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard"):
+        max_list_size(code, 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_coset_guard():
+    code = GabidulinCode(make_field(2, 7), n=7, k=3)  # 2^28 cosets
+    with pytest.raises(ValueError, match="coset guard"):
+        max_list_size(code, 1)
+
+
+def test_plain_sequence_scan_guards_pairs():
+    words = [(0, 0), (1, 2), (2, 3)]
+    with pytest.raises(ValueError, match="guard"):
+        max_list_size(words, 1, field=F4, guard=47)  # 16 words x 3 codewords
+    assert max_list_size(words, 1, field=F4, guard=48).scanned == 16
+
+
+# --- coset histogram: cross-checks against the naive scan and closed forms ---------
+
+
+@st.composite
+def gabidulin_codes(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(2, 3)) if q == 2 else 2
+    fld = make_field(q, m)
+    n = draw(st.integers(1, 2 if q > 2 else m))
+    alphas = draw(st.lists(st.integers(1, fld.order - 1), min_size=n, max_size=n))
+    assume(rank_of_vector(alphas, fld) == n)
+    k = draw(st.integers(1, n))
+    return GabidulinCode(fld, n=n, k=k, alphas=tuple(alphas)), draw(st.integers(0, n))
+
+
+@settings(max_examples=25)
+@given(gabidulin_codes())
+def test_coset_path_matches_naive_scan(case):
+    code, tau = case
+    coset = max_list_size(code, tau)
+    naive = max_list_size(list(iter_codewords(code)), tau, field=code.field)
+    assert (coset.ell, coset.word, coset.scanned) == (naive.ell, naive.word, naive.scanned)
+
+
+@pytest.mark.parametrize("q,m,n,k", [(2, 4, 4, 2), (2, 3, 3, 1), (3, 3, 3, 2), (4, 3, 2, 1), (5, 2, 2, 1)])
+def test_coset_histogram_totals(q, m, n, k):
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    for tau in range(n + 1):
+        counts = oracle._coset_histogram(code, range(tau + 1))
+        assert len(counts) == code.field.order ** (n - k)
+        assert counts.sum() == ball_volume(m, n, q, tau)
+    # coset 0 is the code itself: the zero word and the minimum-weight codewords
+    counts = oracle._coset_histogram(code, range(code.d + 1))
+    assert counts[0] == 1 + mrd_weight_tau(n, m, code.d, q)
+
+
+@pytest.mark.parametrize("m,k,ell", [(5, 3, 155), (6, 4, 651)])
+def test_max_list_size_beyond_word_space_scan(m, k, ell):
+    code = GabidulinCode(make_field(2, m), n=m, k=k)
+    res = max_list_size(code, 2)
+    params = CodeParams(q=2, m=m, n=m, d=code.d, k=k)
+    assert res.ell == ell
+    assert bound1_lower(params, 2).guarantee <= res.ell <= bound2_upper(params, 2).anticode_sum
+    assert res.scanned == 2 ** (m * m)
+    if m == 5:  # 2^15 codewords: cheap enough to recount the list at the argmax
+        assert list_codewords(code, res.word, 2).size == ell
 
 
 def test_list_to_crc_from_witness_list():

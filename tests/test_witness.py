@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from rankmetric.bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower
+from rankmetric.bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, mrd_weight_tau
 from rankmetric.codes import GabidulinCode, crc_theorem8
 from rankmetric.ff import make_field
 from rankmetric.matfq import rank_of_vector
 from rankmetric.oracle import list_codewords
+from rankmetric import witness
 from rankmetric.witness import (
     bound1_alt_witness,
     bound1_witness,
@@ -168,6 +169,40 @@ def test_alt_witness_complement_size_at_tau_d_minus_one():
 def test_alt_witness_deterministic():
     params = CodeParams(q=2, m=4, n=4, d=3)
     assert bound1_alt_witness(params, 2).to_json() == bound1_alt_witness(params, 2).to_json()
+
+
+@pytest.mark.parametrize("q,n,d,tau", [(2, 4, 3, 1), (2, 4, 4, 2), (3, 3, 3, 1), (3, 3, 2, 1), (5, 2, 2, 1)])
+def test_alt_witness_histogram_and_scan_agree(monkeypatch, q, n, d, tau):
+    # these sets count by histogram; a zero guard forces the B x C scan
+    params = CodeParams(q=q, m=n, n=n, d=d)
+    by_histogram = bound1_alt_witness(params, tau).to_json()
+    monkeypatch.setattr(witness, "ENUMERATION_GUARD", 0)
+    assert bound1_alt_witness(params, tau).to_json() == by_histogram
+
+
+def test_alt_witness_counts_small_sphere_by_histogram(monkeypatch):
+    # rank-1 sphere of 338 words and 729 cosets against |B| x |C| = 19683 pairs:
+    # only the best coset is scanned, to list its words
+    scanned = []
+    at_rank = witness._at_rank
+    monkeypatch.setattr(witness, "_at_rank", lambda b, *rest: scanned.append(b) or at_rank(b, *rest))
+    cert = bound1_alt_witness(CodeParams(q=3, m=3, n=3, d=3), 1)
+    assert scanned == [cert.received_word]
+    assert cert.total_size >= cert.claimed_size
+
+
+def test_alt_witness_counts_large_sphere_by_scan(monkeypatch):
+    # 2^30 cosets of C and a rank-4 sphere of 8.5e9 words, but only
+    # |B| x |C| = 2^18 pairs: the histogram would be refused by its guards
+    def refuse(*args):
+        raise AssertionError("the histogram was chosen")
+
+    monkeypatch.setattr(witness, "_coset_histogram", refuse)
+    cert = bound1_alt_witness(CodeParams(q=2, m=6, n=6, d=6), 4)
+    assert cert.total_size >= cert.claimed_size
+    # the cosets of C partition the rank-4 (minimum-weight) words of B + C = Gab[6, 3]
+    assert len(cert.meta["coset_counts"]) == 4096
+    assert cert.meta["coset_total"] == mrd_weight_tau(6, 6, 4, 2)
 
 
 # --- bound 3 ---------------------------------------------------------------------------
