@@ -258,7 +258,7 @@ def lift(X: MatrixFq) -> Subspace:
     identity = MatrixFq.identity(X.q, r)
     stacked = identity.hstack(X) if r else MatrixFq(X.q, (), ncols=X.ncols)
     # [I | X] is already in RREF
-    return Subspace(X.q, r + X.ncols, stacked.rows)
+    return Subspace._canonical(X.q, r + X.ncols, stacked.rows)
 
 
 def lifted_mrd_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:

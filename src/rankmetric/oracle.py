@@ -9,7 +9,11 @@ For a Gabidulin code the list size of r depends only on the coset r + C, so
 the maximum is the fullest coset of the rank ball of radius tau, counted by
 ``_coset_histogram`` without enumerating received words or codewords.  Other
 codes are scanned word by word (``_count_ball``), the tests' ground truth.
-Every rank here is computed by ``matfq._column_rank``.
+Ranks of many words against one are streamed through
+``matfq.iter_rank_distances``, and ball counts use the batched kernel
+directly, both in numpy from ``matfq._BATCH_MIN`` words on; ``rank_leq`` and
+``_count_ball`` keep to the scalar ``matfq._column_rank``, the reference the
+batched kernel is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +26,17 @@ from typing import Iterable, Iterator, Sequence
 from .bounds import sphere_volume
 from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode, _ext_reduce
 from .ff import Field, make_field
-from .matfq import _column_rank, grassmannian_enumerate, rank_of_vector
+from .matfq import (
+    _column_rank,
+    _batched,
+    _column_ranks,
+    _digits,
+    _sub_words,
+    _undigits,
+    grassmannian_enumerate,
+    iter_rank_distances,
+    min_pairwise_rank_distance,
+)
 
 EXHAUSTIVE_GUARD = 1 << 28
 BRUTEFORCE_GUARD = 1 << 24
@@ -115,9 +129,7 @@ def list_codewords(code, r: Sequence[int], tau: int, field: Field | None = None)
     members = []
     distances = []
     counts = [0] * (tau + 1)
-    for cw in iter_codewords(code):
-        diff = tuple(fld.sub(x, y) for x, y in zip(r, cw))
-        dist = rank_of_vector(diff, fld)
+    for cw, dist in iter_rank_distances(r, iter_codewords(code), fld, size):
         if dist <= tau:
             members.append(cw)
             distances.append(dist)
@@ -174,7 +186,7 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
         raise ValueError(f"{bins} cosets exceed the coset guard {ENUMERATION_GUARD}")
     # a key has (n-k) m e base-p digits (q = p^e); the ball guard keeps n small enough
     # that a sum of n digits fits in uint8
-    powers = p ** np.arange((n - k) * m * fld.base.e, dtype=np.int64)
+    width = (n - k) * m * fld.base.e
     rows = code.generator_rows()
     # the reduced unit words; x times one of them is already reduced, so its
     # _coset_key is the pack_word index of x times its last n-k entries
@@ -184,8 +196,14 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
     for t in filter(None, ranks):
         # every full-rank t x n matrix A over F_q; row j holds column j of each A,
         # as the integer whose base-q digit i is A_ij
-        cols = np.array(
-            [a for a in itertools.product(range(q**t), repeat=n) if _column_rank(a, q, t, t) == t]
+        total = q ** (t * n)
+        cols = np.concatenate(
+            [
+                block[_column_ranks(block, q, t) == t]
+                for block in (
+                    _digits(np.arange(lo, min(lo + _CHUNK, total)), q**t, n) for lo in range(0, total, _CHUNK)
+                )
+            ]
         ).T
         for U in grassmannian_enumerate(m, t, q):
             span = [0]
@@ -195,13 +213,13 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
             packed = np.array(
                 [[pack_word([fld.mul(x, a) for a in key], fld.order) for x in span] for key in unit_keys]
             )
-            table = (packed[:, :, None] // powers % p).astype(np.uint8)
+            table = _digits(packed, p, width)
             for start in range(0, cols.shape[1], _CHUNK):
                 block = cols[:, start : start + _CHUNK]
                 digits = np.take(table[0], block[0], axis=0)
                 for j in range(1, n):
                     digits += np.take(table[j], block[j], axis=0)
-                np.add.at(counts, digits % p @ powers, 1)
+                np.add.at(counts, _undigits(digits % p, p), 1)
     if counts.sum() != volume:
         raise AssertionError(f"coset counts add up to {counts.sum()}, not the ball volume {volume}")
     return counts
@@ -283,12 +301,7 @@ def list_to_crc(
     if not translated:
         raise ValueError(f"no codewords at exact distance {tau}")
     if len(translated) <= 512:
-        pairwise = [
-            rank_of_vector(tuple(fld.sub(a, b) for a, b in zip(u, v)), fld)
-            for i, u in enumerate(translated)
-            for v in translated[i + 1 :]
-        ]
-        min_dist = min(pairwise) if pairwise else 0
+        min_dist = min_pairwise_rank_distance(translated, fld) or 0
         exact = True
     else:
         if source_min_distance is None:
@@ -301,9 +314,9 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     """Count m x n matrices over F_q within rank distance tau of the center.
 
     The center is a length-n word over F_{q^m}, column j of the matrix being
-    the base-q digits of its entry j.  Matrices are enumerated as words over
-    F_{q^m} in ascending pack_word order, shifted by the center; the count
-    is center-independent.
+    the base-q digits of its entry j (default: the zero word).  Every word w
+    over F_{q^m} is enumerated and counted when rank(w - center) <= tau; the
+    count is center-independent.
     """
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:
@@ -311,13 +324,21 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
     order = q**m
-    columns = [range(order)] * n
-    if center is not None:
-        center = [int(c) for c in center]
-        if len(center) != n:
-            raise ValueError(f"center has length {len(center)}, need n={n}")
-        if any(not 0 <= c < order for c in center):
-            raise ValueError(f"center entries must lie in 0..{order - 1}")
-        fld = make_field(q, m)
+    center = (0,) * n if center is None else tuple(int(c) for c in center)
+    if len(center) != n:
+        raise ValueError(f"center has length {len(center)}, need n={n}")
+    if any(not 0 <= c < order for c in center):
+        raise ValueError(f"center entries must lie in 0..{order - 1}")
+    fld = make_field(q, m)
+    if not _batched(total, fld):
+        # the shifted words a - center, ranked with an early exit at tau
         columns = [[fld.sub(a, c) for a in range(order)] for c in center]
-    return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))
+        return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))
+    import numpy as np
+
+    shift = np.asarray(center, dtype=np.int64)
+    count = 0
+    for lo in range(0, total, _CHUNK):
+        words = _digits(np.arange(lo, min(lo + _CHUNK, total)), order, n)
+        count += int((_column_ranks(_sub_words(words, shift, fld), q, m) <= tau).sum())
+    return count

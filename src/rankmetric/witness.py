@@ -15,6 +15,11 @@ tie-breaking), so identical inputs serialize to identical JSON.
   sphere or from a B x C scan, whichever has less work.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
+
+Distances to the received word, the B x C scan and pairwise distances are
+computed by ``matfq.rank_distances``, ``matfq.rank_distance_rows`` and
+``matfq.min_pairwise_rank_distance``, which batch the ranks in numpy once
+there are enough of them.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, sp
 from .codes import ENUMERATION_GUARD, GabidulinCode, crc_theorem8
 from .ff import Field, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
-from .matfq import _column_rank, grassmannian_enumerate, rank_of_vector
+from .matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_distance_rows, rank_distances
 from .oracle import _coset_histogram, _coset_key
 
 CERTIFICATE_WORD_CAP = 1 << 16
@@ -191,8 +196,7 @@ ALT_SEARCH_GUARD = 1 << 24
 
 def _at_rank(b: Sequence[int], c_words: list, fld: Field, tau: int) -> list:
     """The words c of c_words with rank(b - c) = tau."""
-    diffs = ([fld.sub(x, y) for x, y in zip(b, c)] for c in c_words)
-    return [c for c, e in zip(c_words, diffs) if _column_rank(e, fld.q, fld.m, tau) == tau]
+    return [c for c, dist in zip(c_words, rank_distances(b, c_words, fld)) if dist == tau]
 
 
 def bound1_alt_witness(
@@ -220,14 +224,14 @@ def bound1_alt_witness(
     b_words, c_words = list(code_b.iter_codewords()), list(code_c.iter_codewords())
     # the rank-tau words of each coset b - C are counted either in the rank-tau
     # histogram of C (work: the sphere plus one bin per coset) or by a B x C
-    # scan (work: one rank test per pair, measured 15-25 times slower per step);
-    # the histogram must also stay inside the enumeration guard
+    # scan (work: one rank test per pair, measured 15-25 times slower per step in
+    # the scalar loop); the histogram must also stay inside the enumeration guard
     histogram_cost = sphere_volume(m, n, q, tau) + fld.order ** (d - 1)
     if histogram_cost < min(10 * len(b_words) * len(c_words), ENUMERATION_GUARD):
         counts, rows = _coset_histogram(code_c, (tau,)), code_c.generator_rows()
         coset_counts = [int(counts[_coset_key(rows, b, fld)]) for b in b_words]
     else:
-        coset_counts = [len(_at_rank(b, c_words, fld, tau)) for b in b_words]
+        coset_counts = [row.count(tau) for row in rank_distance_rows(b_words, c_words, fld)]
     best_index = coset_counts.index(max(coset_counts))
     best_b = b_words[best_index]
     codewords = _at_rank(best_b, c_words, fld, tau)
@@ -330,8 +334,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     if not cert.truncated:
         checks["stored_matches_total"] = len(cert.codewords) == cert.total_size
     checks["sphere_distance_exact"] = all(
-        rank_of_vector(tuple(fld.sub(r, c) for r, c in zip(cert.received_word, cw)), fld) == cert.tau
-        for cw in cert.codewords
+        dist == cert.tau for dist in rank_distances(cert.received_word, cert.codewords, fld)
     )
     if cert.kind in (KIND_BOUND1, KIND_BOUND1_ALT):
         code = GabidulinCode(fld, n=cert.n, k=cert.k, alphas=cert.alphas)
@@ -349,11 +352,8 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
         checks["membership"] = set(cert.codewords) <= expected
         checks["size_exact"] = cert.total_size == crc.cardinality == cert.claimed_size
     sample = cert.codewords[:PAIRWISE_CHECK_CAP]
-    checks["pairwise_distance"] = all(
-        rank_of_vector(tuple(fld.sub(a, b) for a, b in zip(u, v)), fld) >= cert.d
-        for i, u in enumerate(sample)
-        for v in sample[i + 1 :]
-    )
+    min_dist = min_pairwise_rank_distance(sample, fld)
+    checks["pairwise_distance"] = min_dist is None or min_dist >= cert.d
     checks["pairwise_exhaustive"] = len(sample) == len(cert.codewords)
     ok = all(v for key, v in checks.items() if key != "pairwise_exhaustive")
     return ok, checks

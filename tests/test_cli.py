@@ -1,9 +1,14 @@
 """CLI: subcommands, exit codes, report formats, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankmetric
 from rankmetric.cli import main
 
 
@@ -291,3 +296,29 @@ def test_verify_selected_criteria(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 3
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+_SMALL_RUNS = """
+import contextlib, io, sys
+from rankmetric import cli
+received = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main("witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2".split()),
+        cli.main(f"oracle list --q 2 --m 4 --n 4 --k 2 --tau 2 --received {received}".split()),
+    ]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_small_cli_runs_do_not_import_numpy():
+    # ranks below matfq._BATCH_MIN stay in the scalar loop: a one-shot run this
+    # small must not pay numpy's import
+    env = dict(os.environ)
+    src = str(Path(rankmetric.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_RUNS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]

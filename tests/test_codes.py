@@ -143,6 +143,13 @@ def test_lift_examples():
     assert lift(one) == Subspace.from_vectors(2, 2, [(1, 1)])
 
 
+def test_lift_builds_canonical_subspaces():
+    # lift skips Subspace validation; the validating constructor must agree
+    for entries in itertools.product(range(3), repeat=4):
+        s = lift(MatrixFq(3, (entries[:2], entries[2:])))
+        assert Subspace(3, 4, s.basis) == s
+
+
 def test_lift_is_injective():
     seen = set()
     for entries in itertools.product(range(2), repeat=4):

@@ -3,21 +3,28 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from rankmetric import matfq
 from rankmetric.bounds import gaussian_binomial
 from rankmetric.ff import SUPPORTED_Q, base_field, expand_to_matrix, make_field
 from rankmetric.matfq import (
     MatrixFq,
     Subspace,
     _column_rank,
+    _column_ranks,
+    _sub_words,
     column_space,
     distance_sandwich_check,
     grassmannian_enumerate,
     matrix_from_jsonable,
+    min_pairwise_rank_distance,
     rank,
     rank_decompose,
+    rank_distance_rows,
+    rank_distances,
     rank_of_vector,
     right_kernel,
     row_space,
@@ -88,6 +95,57 @@ def test_gf2_rank_ints_matches_generic():
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_column_ranks_match_column_rank(q, seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4 if q <= 4 else 3), rng.randint(1, 5)
+    fld = make_field(q, m)
+    # low-rank words: every entry an F_q-combination of t random elements
+    gens = [rng.randrange(fld.order) for _ in range(rng.randint(0, min(m, n)))]
+
+    def entry():
+        x = 0
+        for g in gens:
+            x = fld.add(x, fld.mul(rng.randrange(q), g))
+        return x
+
+    words = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(1, 24))]
+    expected = [_column_rank(w, q, m, n) for w in words]
+    assert _column_ranks(np.array(words), q, m).tolist() == expected
+    r = tuple(rng.randrange(fld.order) for _ in range(n))
+    diffs = _sub_words(np.array(r), np.array(words), fld).tolist()
+    assert diffs == [[fld.sub(x, y) for x, y in zip(r, w)] for w in words]
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matfq, "_BATCH_ROWS", 16)  # pair blocks cross rows of pairs
+        for batch_min in (0, 1 << 60):
+            mp.setattr(matfq, "_BATCH_MIN", batch_min)
+            results.append(
+                (
+                    rank_distances((0,) * n, words, fld),
+                    rank_distances(r, words, fld),
+                    min_pairwise_rank_distance(words, fld),
+                    list(rank_distance_rows(words[:3], words, fld)),
+                )
+            )
+    assert results[0] == results[1]
+    assert results[0][0] == expected
+    table = [[_column_rank(tuple(fld.sub(a, b) for a, b in zip(u, v)), q, m, n) for v in words] for u in words]
+    pairwise = [table[i][j] for i in range(len(words)) for j in range(i + 1, len(words))]
+    assert results[0][2] == (min(pairwise) if pairwise else None)
+    assert results[0][3] == table[:3]
+
+
+@pytest.mark.parametrize("m", [9, 17])
+def test_column_ranks_wide_q2_fields(m):
+    rng = random.Random(m)
+    words = [[rng.randrange(1 << m) for _ in range(3)] for _ in range(50)]
+    words += [[w[0], w[0], w[0] ^ w[1]] for w in words[:10]]
+    assert _column_ranks(np.array(words), 2, m).tolist() == [_column_rank(w, 2, m, 3) for w in words]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
 @given(data=st.data())
 def test_rank_of_vector_and_rank_leq_match_rref_rank(q, data):
     fld = make_field(q, data.draw(st.integers(1, 3)))
@@ -128,6 +186,20 @@ def test_subspace_canonical_equality():
     assert Subspace.zero(2, 3).dim == 0
     with pytest.raises(ValueError):
         Subspace(2, 3, ((1, 1, 0), (1, 0, 0)))  # not RREF
+    with pytest.raises(ValueError):
+        subspace_from_jsonable(2, {"ambient": 3, "basis": [[1, 1, 0], [1, 0, 0]]})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_subspaces_built_without_validation_are_canonical(q):
+    # grassmannian_enumerate and from_vectors skip __post_init__'s rref;
+    # the validating constructor must accept what they build
+    spaces = [U for r in range(4) for U in grassmannian_enumerate(3, r, q)]
+    spaces.append(Subspace.from_vectors(q, 4, [(1, 2 % q, 0, 1), (2 % q, 1, 1, 0), (1, 1, 1, 1)]))
+    for U in spaces:
+        assert Subspace(q, U.ambient_dim, U.basis) == U
+        assert hash(Subspace(q, U.ambient_dim, U.basis)) == hash(U)
+        assert all(type(x) is int for row in U.basis for x in row)
 
 
 def test_subspace_contains():

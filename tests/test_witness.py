@@ -1,5 +1,6 @@
 """Adversarial witness certificates: sizes, verification, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ from rankmetric.codes import GabidulinCode, crc_theorem8
 from rankmetric.ff import make_field
 from rankmetric.matfq import rank_of_vector
 from rankmetric.oracle import list_codewords
-from rankmetric import witness
+from rankmetric import matfq, witness
 from rankmetric.witness import (
     bound1_alt_witness,
     bound1_witness,
@@ -280,12 +281,46 @@ def test_tampered_certificate_fails_verification():
     cert = bound3_witness(6, 6, 2, 3, 2)
     bad = certificate_from_jsonable(json.loads(cert.to_json()))
     tampered = bad.codewords[:-1] + ((1, 0, 0, 0, 0, 0),)
-    import dataclasses
-
     bad = dataclasses.replace(bad, codewords=tampered)
     ok, checks = verify_certificate(bad)
     assert not ok
     assert not checks["membership"]
+
+
+@pytest.fixture(scope="module")
+def gab64_bound1_cert():
+    """The 651-word bound1 certificate of Gab[6,4]/F_64 at tau=2 (211 575 pairs)."""
+    cert = bound1_witness(GabidulinCode(make_field(2, 6), n=6, k=4), 2)
+    assert cert.total_size == len(cert.codewords) == 651
+    return cert
+
+
+def test_tampered_large_certificate_duplicate_codeword(gab64_bound1_cert):
+    cert = gab64_bound1_cert
+    bad = dataclasses.replace(cert, codewords=cert.codewords[:-1] + cert.codewords[:1])
+    ok, checks = verify_certificate(bad)
+    assert not ok
+    assert not checks["pairwise_distance"]
+    assert checks["membership"] and checks["sphere_distance_exact"]
+
+
+def test_tampered_large_certificate_wrong_distance(gab64_bound1_cert, monkeypatch):
+    cert = gab64_bound1_cert
+    fld = cert.field
+    code = GabidulinCode(fld, n=6, k=4, alphas=cert.alphas)
+    listed = set(cert.codewords)
+    other = next(
+        c
+        for c in code.iter_codewords()
+        if c not in listed
+        and rank_of_vector(tuple(fld.sub(r, x) for r, x in zip(cert.received_word, c)), fld) != 2
+    )
+    bad = dataclasses.replace(cert, codewords=cert.codewords[:-1] + (other,))
+    monkeypatch.setattr(matfq, "_BATCH_MIN", 0)  # the sphere check runs batched too
+    ok, checks = verify_certificate(bad)
+    assert not ok
+    assert not checks["sphere_distance_exact"]
+    assert checks["membership"]
 
 
 def test_word_cap_produces_sampled_certificate():
