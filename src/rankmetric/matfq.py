@@ -323,25 +323,6 @@ def rank_distances(r: Sequence[int], words: Sequence[Sequence[int]], fld: Field)
     return [dist for _, dist in iter_rank_distances(r, words, fld, len(words))]
 
 
-def rank_distance_rows(
-    rs: Sequence[Sequence[int]], words: Sequence[Sequence[int]], fld: Field
-) -> Iterator[list[int]]:
-    """[rank(r - w) for w in words] for each r of ``rs`` in turn, batched in
-    numpy (whole rows, about _BATCH_ROWS pairs a block) from _BATCH_MIN pairs on."""
-    if not _batched(len(rs) * len(words), fld):
-        for r in rs:
-            yield rank_distances(r, words, fld)
-        return
-    import numpy as np
-
-    words = np.asarray(words, dtype=np.int64)
-    step = max(1, _BATCH_ROWS // len(words))
-    for lo in range(0, len(rs), step):
-        centers = np.asarray(rs[lo : lo + step], dtype=np.int64)
-        diffs = _sub_words(centers[:, None, :], words[None, :, :], fld).reshape(-1, words.shape[1])
-        yield from _column_ranks(diffs, fld.q, fld.m).reshape(len(centers), -1).tolist()
-
-
 def min_pairwise_rank_distance(words: Sequence[Sequence[int]], fld: Field) -> int | None:
     """min rank(u - v) over pairs of distinct positions; None for fewer than two
     words.  Batched in numpy from _BATCH_MIN pairs on."""

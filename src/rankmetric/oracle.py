@@ -9,11 +9,10 @@ For a Gabidulin code the list size of r depends only on the coset r + C, so
 the maximum is the fullest coset of the rank ball of radius tau, counted by
 ``_coset_histogram`` without enumerating received words or codewords.  Other
 codes are scanned word by word (``_count_ball``), the tests' ground truth.
-Ranks of many words against one are streamed through
-``matfq.iter_rank_distances``, and ball counts use the batched kernel
-directly, both in numpy from ``matfq._BATCH_MIN`` words on; ``rank_leq`` and
-``_count_ball`` keep to the scalar ``matfq._column_rank``, the reference the
-batched kernel is tested against.
+Decoding lists stream their ranks through ``matfq.iter_rank_distances``,
+batched in numpy from ``matfq._BATCH_MIN`` words on; ``rank_leq``,
+``_count_ball`` and ``ball_volume_bruteforce`` keep to the scalar
+``matfq._column_rank``, the reference the batched kernel is tested against.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode, _ext_redu
 from .ff import Field, make_field
 from .matfq import (
     _column_rank,
-    _batched,
     _column_ranks,
     _digits,
-    _sub_words,
     _undigits,
     grassmannian_enumerate,
     iter_rank_distances,
@@ -314,9 +311,9 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     """Count m x n matrices over F_q within rank distance tau of the center.
 
     The center is a length-n word over F_{q^m}, column j of the matrix being
-    the base-q digits of its entry j (default: the zero word).  Every word w
-    over F_{q^m} is enumerated and counted when rank(w - center) <= tau; the
-    count is center-independent.
+    the base-q digits of its entry j.  Matrices are enumerated as words over
+    F_{q^m} in ascending pack_word order, shifted by the center; the count
+    is center-independent.
     """
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:
@@ -324,21 +321,13 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
     order = q**m
-    center = (0,) * n if center is None else tuple(int(c) for c in center)
-    if len(center) != n:
-        raise ValueError(f"center has length {len(center)}, need n={n}")
-    if any(not 0 <= c < order for c in center):
-        raise ValueError(f"center entries must lie in 0..{order - 1}")
-    fld = make_field(q, m)
-    if not _batched(total, fld):
-        # the shifted words a - center, ranked with an early exit at tau
+    columns = [range(order)] * n
+    if center is not None:
+        center = [int(c) for c in center]
+        if len(center) != n:
+            raise ValueError(f"center has length {len(center)}, need n={n}")
+        if any(not 0 <= c < order for c in center):
+            raise ValueError(f"center entries must lie in 0..{order - 1}")
+        fld = make_field(q, m)
         columns = [[fld.sub(a, c) for a in range(order)] for c in center]
-        return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))
-    import numpy as np
-
-    shift = np.asarray(center, dtype=np.int64)
-    count = 0
-    for lo in range(0, total, _CHUNK):
-        words = _digits(np.arange(lo, min(lo + _CHUNK, total)), order, n)
-        count += int((_column_ranks(_sub_words(words, shift, fld), q, m) <= tau).sum())
-    return count
+    return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))

@@ -16,8 +16,8 @@ tie-breaking), so identical inputs serialize to identical JSON.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 
-Distances to the received word, the B x C scan and pairwise distances are
-computed by ``matfq.rank_distances``, ``matfq.rank_distance_rows`` and
+Distances to the received word (also in the B x C scan) and pairwise
+distances are computed by ``matfq.rank_distances`` and
 ``matfq.min_pairwise_rank_distance``, which batch the ranks in numpy once
 there are enough of them.
 """
@@ -33,7 +33,7 @@ from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, sp
 from .codes import ENUMERATION_GUARD, GabidulinCode, crc_theorem8
 from .ff import Field, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
-from .matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_distance_rows, rank_distances
+from .matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_distances
 from .oracle import _coset_histogram, _coset_key
 
 CERTIFICATE_WORD_CAP = 1 << 16
@@ -224,14 +224,14 @@ def bound1_alt_witness(
     b_words, c_words = list(code_b.iter_codewords()), list(code_c.iter_codewords())
     # the rank-tau words of each coset b - C are counted either in the rank-tau
     # histogram of C (work: the sphere plus one bin per coset) or by a B x C
-    # scan (work: one rank test per pair, measured 15-25 times slower per step in
-    # the scalar loop); the histogram must also stay inside the enumeration guard
+    # scan (work: one rank test per pair, measured 15-25 times slower per step);
+    # the histogram must also stay inside the enumeration guard
     histogram_cost = sphere_volume(m, n, q, tau) + fld.order ** (d - 1)
     if histogram_cost < min(10 * len(b_words) * len(c_words), ENUMERATION_GUARD):
         counts, rows = _coset_histogram(code_c, (tau,)), code_c.generator_rows()
         coset_counts = [int(counts[_coset_key(rows, b, fld)]) for b in b_words]
     else:
-        coset_counts = [row.count(tau) for row in rank_distance_rows(b_words, c_words, fld)]
+        coset_counts = [len(_at_rank(b, c_words, fld, tau)) for b in b_words]
     best_index = coset_counts.index(max(coset_counts))
     best_b = b_words[best_index]
     codewords = _at_rank(best_b, c_words, fld, tau)

@@ -420,16 +420,13 @@ def test_ball_volume_bruteforce_rejects_bad_center():
 
 
 def test_oracle_batched_path_matches_scalar(monkeypatch):
-    # the oracle's own tasks are below matfq._BATCH_MIN; force numpy for all of them
+    # the oracle's own lists are below matfq._BATCH_MIN; force numpy for them
     def run():
         lists = [
             list_codewords(GabidulinCode(F9, n=2, k=1), (3, 7), 1),
             list_codewords(GabidulinCode(F16, n=4, k=2), (1, 2, 3, 4), 2),
         ]
-        shapes = [(q, m, t) for q, m in ((2, 3), (3, 2)) for t in range(3)]
-        balls = [ball_volume_bruteforce(m, 3, q, t, center=(1, 0, 2)) for q, m, t in shapes]
-        assert balls == [ball_volume(m, 3, q, t) for q, m, t in shapes]
-        return lists, list_to_crc(lists[1], 2).min_rank_distance, balls
+        return lists, list_to_crc(lists[1], 2).min_rank_distance
 
     scalar = run()
     monkeypatch.setattr(matfq, "_BATCH_MIN", 0)
