@@ -13,6 +13,7 @@ the ``elapsed_ms`` field of ``oracle``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -345,8 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building one costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,7 +17,18 @@ from typing import Iterator, Sequence
 
 from .ff import Field, expand_to_matrix, make_field, vector_from_matrix
 from .linpoly import LinearizedPoly, evaluate
-from .matfq import MatrixFq, Subspace, rank_of_vector
+from .matfq import (
+    _BATCH_ROWS,
+    _MEMBER_WORK,
+    MatrixFq,
+    Subspace,
+    _addends,
+    _batched,
+    _digits,
+    _multiples,
+    _table_sums,
+    rank_of_vector,
+)
 
 ENUMERATION_GUARD = 1 << 24
 
@@ -110,12 +121,54 @@ class GabidulinCode:
                     word = tuple(F.add(a, b) for a, b in zip(word, scaled[i][f]))
             yield word
 
+    def codeword_blocks(self, size: int = _BATCH_ROWS):
+        """All codewords in the order of ``iter_codewords``, as int64 numpy
+        arrays of at most ``size`` rows, one codeword per row.
+
+        Row i of a block is the sum over generator rows g_j of f_j g_j, with
+        f_j digit j of the message index, read from one table of the
+        multiples f g_j per row.
+        """
+        import numpy as np
+
+        if self.cardinality > ENUMERATION_GUARD:
+            raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
+        F = self.field
+        Q, p = F.order, F.char
+        tables = [_addends(_multiples(F, range(Q), g), p, F.m * F.base.e) for g in self.generator_rows()]
+        for lo in range(0, self.cardinality, size):
+            messages = _digits(np.arange(lo, min(lo + size, self.cardinality)), Q, self.k)
+            yield _table_sums(tables, messages, p)
+
     def contains(self, vec: Sequence[int]) -> bool:
         """Membership test by row reduction against the generator matrix."""
         if len(vec) != self.n:
             return False
         reduced = _ext_reduce(self.generator_rows(), tuple(int(v) for v in vec), self.field)
         return all(x == 0 for x in reduced)
+
+    def contains_all(self, words: Sequence[Sequence[int]]) -> bool:
+        """all(self.contains(w) for w in words).
+
+        Enough words (see ``matfq._batched``) are checked in numpy blocks: a
+        word is a codeword exactly when its coset key (``_unit_keys``) is 0,
+        and the key of w is the sum over j of w_j key(u_j), read from one
+        table of the multiples x key(u_j) per coordinate.  Fields with more
+        elements than there are words keep the scalar test, since their
+        tables would cost more than the reductions they replace.
+        """
+        F = self.field
+        batched = _batched(len(words) * _MEMBER_WORK, F.order) and F.order <= len(words)
+        if not batched or any(len(w) != self.n for w in words):
+            return all(self.contains(w) for w in words)
+        import numpy as np
+
+        tables = [_addends(_multiples(F, range(F.order), key), F.char, F.m * F.base.e) for key in _unit_keys(self)]
+        for lo in range(0, len(words), _BATCH_ROWS):
+            block = np.asarray(words[lo : lo + _BATCH_ROWS], dtype=np.int64)
+            if block.min() < 0 or block.max() >= F.order or _table_sums(tables, block, F.char).any():
+                return False
+        return True
 
 
 def _ext_reduce(rows: list[tuple[int, ...]], vec: tuple[int, ...], F: Field) -> tuple[int, ...]:
@@ -142,6 +195,19 @@ def _ext_reduce(rows: list[tuple[int, ...]], vec: tuple[int, ...], F: Field) -> 
         if r == len(work):
             break
     return tuple(v)
+
+
+def _unit_keys(code: GabidulinCode) -> list[tuple[int, ...]]:
+    """key(u_j) for the unit words u_j of F_{q^m}^n.
+
+    The key of a word is its reduction modulo the generator rows without the
+    first k entries, which the reduction zeroes (any k positions of an MRD
+    code are an information set).  It is F_{q^m}-linear, so key(w) is the
+    sum over j of w_j key(u_j), and it is 0 exactly on the codewords.
+    """
+    rows = code.generator_rows()
+    units = (tuple(int(i == j) for i in range(code.n)) for j in range(code.n))
+    return [_ext_reduce(rows, u, code.field)[code.k :] for u in units]
 
 
 @dataclass(frozen=True)

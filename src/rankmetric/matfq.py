@@ -8,6 +8,7 @@ echelon form, so equal subspaces compare equal and enumeration is canonical.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -39,6 +40,16 @@ class MatrixFq:
             if any(not 0 <= x < self.q for x in r):
                 raise ValueError(f"entries must lie in 0..{self.q - 1}")
 
+    @classmethod
+    def _unchecked(cls, q: int, rows: tuple[tuple[int, ...], ...], ncols: int) -> "MatrixFq":
+        """A matrix from a tuple of equal-length int tuples with entries in
+        0..q-1, without the checks of ``__post_init__``."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "q", q)
+        object.__setattr__(mat, "rows", rows)
+        object.__setattr__(mat, "ncols", ncols)
+        return mat
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -58,26 +69,24 @@ class MatrixFq:
     def add(self, other: "MatrixFq") -> "MatrixFq":
         self._check_compatible(other)
         F = base_field(self.q)
-        return MatrixFq(
+        return MatrixFq._unchecked(
             self.q,
             tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def sub(self, other: "MatrixFq") -> "MatrixFq":
         self._check_compatible(other)
         F = base_field(self.q)
-        return MatrixFq(
+        return MatrixFq._unchecked(
             self.q,
             tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def scale(self, c: int) -> "MatrixFq":
         F = base_field(self.q)
-        return MatrixFq(
-            self.q, tuple(tuple(F.mul(c, a) for a in r) for r in self.rows), ncols=self.ncols
-        )
+        return MatrixFq._unchecked(self.q, tuple(tuple(F.mul(c, a) for a in r) for r in self.rows), self.ncols)
 
     def mul(self, other: "MatrixFq") -> "MatrixFq":
         if self.q != other.q:
@@ -95,22 +104,20 @@ class MatrixFq:
                         if rb[j]:
                             row[j] = F.add(row[j], F.mul(a, rb[j]))
             out.append(tuple(row))
-        return MatrixFq(self.q, tuple(out), ncols=other.ncols)
+        return MatrixFq._unchecked(self.q, tuple(out), other.ncols)
 
     def transpose(self) -> "MatrixFq":
-        return MatrixFq(
+        return MatrixFq._unchecked(
             self.q,
             tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-            ncols=self.nrows,
+            self.nrows,
         )
 
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.nrows != other.nrows or self.q != other.q:
             raise ValueError("hstack shape mismatch")
-        return MatrixFq(
-            self.q,
-            tuple(ra + rb for ra, rb in zip(self.rows, other.rows)),
-            ncols=self.ncols + other.ncols,
+        return MatrixFq._unchecked(
+            self.q, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)), self.ncols + other.ncols
         )
 
     def is_zero(self) -> bool:
@@ -146,7 +153,7 @@ def rref(mat: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
         r += 1
         if r == len(rows):
             break
-    reduced = MatrixFq(mat.q, tuple(tuple(row) for row in rows), ncols=mat.ncols)
+    reduced = MatrixFq._unchecked(mat.q, tuple(tuple(row) for row in rows), mat.ncols)
     return reduced, tuple(pivots)
 
 
@@ -207,14 +214,25 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
     return len(rows)
 
 
-# Below this many rank computations in one call the helpers run the scalar
-# _column_rank loop, so that a one-shot run never imports numpy (0.14-0.16 s
+# _batched weighs the work a call's scalar path would do, in scalar rank
+# computations (1.25-1.8 us each at q=2, m=n<=3; 2.0-3.0 us at q=2, m=n=4;
+# 5-18 us at q>2), against a floor.  While numpy is not yet imported the floor
+# is _BATCH_MIN: a one-shot run must not pay numpy's import (0.14-0.17 s
 # measured, Python 3.11, numpy 2.4, 2-vCPU VM) to save less work than that.
-# A scalar difference-and-rank costs 1.25-1.8 us at q=2, m=n<=3 (2^17 of them
-# 0.16-0.24 s), 2.0-3.0 us at q=2, m=n=4, 2.6-4.5 us at q=2, m=n=6 and 5-18 us
-# at q>2, against 0.08-0.13 us (q=2) and 0.3-1.9 us (q>2) batched.
+# Once numpy is loaded only its per-call overhead is left, 0.1-0.2 ms, which
+# _BATCH_MIN_LOADED covers: at q=2, m=n=4, 64 rank distances take 0.20 ms
+# either way and 128 take 0.38 ms scalar against 0.24 ms batched; a 16-word
+# decoding list (64 work) takes 0.11 ms scalar against 0.19 ms batched, a
+# 256-word one (1024 work) 1.06 against 0.19 ms.  Batched, a rank costs
+# 0.08-0.13 us (q=2) and 0.3-1.9 us (q>2).
 _BATCH_MIN = 1 << 17
-_BATCH_ROWS = 1 << 12  # differences ranked per numpy block
+_BATCH_MIN_LOADED = 128
+# scalar work per item, in ranks: a Gabidulin codeword built as a tuple and
+# ranked costs 4-7 us at q=2, m=4; GabidulinCode.contains re-reduces the
+# generator rows, 20-60 us per word
+_CODEWORD_WORK = 4
+_MEMBER_WORK = 16
+_BATCH_ROWS = 1 << 12  # words ranked per numpy block
 _BATCH_ORDER = 1 << 32  # larger fields keep to the scalar loop
 
 
@@ -242,6 +260,35 @@ def _sub_words(a, b, fld: Field):
         return a ^ b
     width = fld.m * fld.base.e
     return _undigits((_digits(a, p, width) + (p - _digits(b, p, width))) % p, p)
+
+
+def _multiples(fld: Field, xs: Iterable[int], vec: Sequence[int]):
+    """int64 array with one row [x * v for v in vec] per x of ``xs``."""
+    import numpy as np
+
+    return np.array([[fld.mul(x, v) for v in vec] for x in xs], dtype=np.int64)
+
+
+def _addends(values, p: int, width: int):
+    """The integer array ``values`` in the form ``_table_sums`` adds in
+    characteristic p: unchanged for p = 2, else its ``width`` base-p digits."""
+    return values if p == 2 else _digits(values, p, width)
+
+
+def _table_sums(tables, index, p: int):
+    """sum over j of tables[j][index[..., j]] in characteristic p, for tables
+    made by ``_addends``: XOR for p = 2, else digitwise mod p and packed back.
+
+    F_{q^m} addition is exactly this on the integer encoding of
+    :mod:`rankmetric.ff`, also for integers that pack several elements.
+    """
+    if p != 2 and len(tables) * (p - 1) > 255:
+        raise ValueError(f"{len(tables)} uint8 digit addends of characteristic {p} could overflow")
+    total = tables[0][index[..., 0]]
+    for j in range(1, len(tables)):
+        addend = tables[j][index[..., j]]
+        total = total ^ addend if p == 2 else total + addend
+    return total if p == 2 else _undigits(total % p, p)
 
 
 def _column_ranks(words, q: int, m: int):
@@ -290,8 +337,11 @@ def _column_ranks(words, q: int, m: int):
     return ranks
 
 
-def _batched(count: int, fld: Field) -> bool:
-    return 0 < count and _BATCH_MIN <= count and fld.order <= _BATCH_ORDER
+def _batched(work: int, order: int) -> bool:
+    """Whether a call whose scalar path does ``work`` scalar rank computations
+    over a field of ``order`` elements should run in numpy (see _BATCH_MIN)."""
+    floor = _BATCH_MIN_LOADED if "numpy" in sys.modules else _BATCH_MIN
+    return 0 < work and floor <= work and order <= _BATCH_ORDER
 
 
 def iter_rank_distances(
@@ -305,7 +355,7 @@ def iter_rank_distances(
     """
     r, q, m = tuple(r), fld.q, fld.m
     words = iter(words)
-    if not _batched(count, fld):
+    if not _batched(count, fld.order):
         shift = any(r)  # rank(0 - w) = rank(w)
         for w in words:
             yield w, _column_rank(tuple(fld.sub(x, y) for x, y in zip(r, w)) if shift else w, q, m, len(r))
@@ -329,7 +379,7 @@ def min_pairwise_rank_distance(words: Sequence[Sequence[int]], fld: Field) -> in
     count = len(words)
     if count < 2:
         return None
-    if not _batched(count * (count - 1) // 2, fld):
+    if not _batched(count * (count - 1) // 2, fld.order):
         return min(min(rank_distances(u, words[i + 1 :], fld)) for i, u in enumerate(words[:-1]))
     import numpy as np
 
@@ -381,9 +431,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, q: int, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        mat = MatrixFq(q, tuple(tuple(v) for v in vectors), ncols=ambient_dim)
-        reduced, pivots = rref(mat)
-        return cls._canonical(q, ambient_dim, reduced.rows[: len(pivots)])
+        return row_space(MatrixFq(q, tuple(tuple(v) for v in vectors), ncols=ambient_dim))
 
     @classmethod
     def _canonical(cls, q: int, ambient_dim: int, basis: tuple[tuple[int, ...], ...]) -> "Subspace":
@@ -417,10 +465,10 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.from_vectors(self.q, self.ambient_dim, self.basis + other.basis)
+        return row_space(MatrixFq._unchecked(self.q, self.basis + other.basis, self.ambient_dim))
 
     def to_matrix(self) -> MatrixFq:
-        return MatrixFq(self.q, self.basis, ncols=self.ambient_dim)
+        return MatrixFq._unchecked(self.q, self.basis, self.ambient_dim)
 
     def _check(self, other: "Subspace") -> None:
         if self.q != other.q:
@@ -433,7 +481,8 @@ class Subspace:
 
 
 def row_space(mat: MatrixFq) -> Subspace:
-    return Subspace.from_vectors(mat.q, mat.ncols, mat.rows)
+    reduced, pivots = rref(mat)
+    return Subspace._canonical(mat.q, mat.ncols, reduced.rows[: len(pivots)])
 
 
 def column_space(mat: MatrixFq) -> Subspace:

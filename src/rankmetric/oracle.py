@@ -9,26 +9,38 @@ For a Gabidulin code the list size of r depends only on the coset r + C, so
 the maximum is the fullest coset of the rank ball of radius tau, counted by
 ``_coset_histogram`` without enumerating received words or codewords.  Other
 codes are scanned word by word (``_count_ball``), the tests' ground truth.
-Decoding lists stream their ranks through ``matfq.iter_rank_distances``,
-batched in numpy from ``matfq._BATCH_MIN`` words on; ``rank_leq``,
-``_count_ball`` and ``ball_volume_bruteforce`` keep to the scalar
-``matfq._column_rank``, the reference the batched kernel is tested against.
+
+Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
+once ``matfq._batched`` finds enough work: Gabidulin codewords come as
+blocks from ``GabidulinCode.codeword_blocks`` and matrices as blocks of
+base-q^m digits, ranked by ``matfq._column_ranks``.  Below that they build
+one tuple per word and rank it with the scalar ``matfq._column_rank``, as
+``rank_leq`` and ``_count_ball`` always do: the reference the batched paths
+are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import sphere_volume
-from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode, _ext_reduce
+from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode, _ext_reduce, _unit_keys
 from .ff import Field, make_field
 from .matfq import (
+    _BATCH_ROWS,
+    _CODEWORD_WORK,
+    _addends,
+    _batched,
     _column_rank,
     _column_ranks,
     _digits,
+    _multiples,
+    _sub_words,
+    _table_sums,
     _undigits,
     grassmannian_enumerate,
     iter_rank_distances,
@@ -112,26 +124,65 @@ class ListResult:
         return len(self.codewords)
 
 
-def list_codewords(code, r: Sequence[int], tau: int, field: Field | None = None) -> ListResult:
-    """All codewords within rank distance tau of r, in enumeration order."""
-    fld = code_field(code, field)
+def _check_received(code, r: tuple[int, ...]) -> None:
     size = code_size(code)
     if size > ENUMERATION_GUARD:
         raise ValueError(f"code too large to enumerate ({size} > {ENUMERATION_GUARD})")
-    r = tuple(int(x) for x in r)
     n = _code_length(code)
     if n is not None and len(r) != n:
         raise ValueError(f"received word has length {len(r)}, the code has length {n}")
-    _check_tau(tau, n)
+
+
+def _distance_blocks(code, r: tuple[int, ...], fld: Field):
+    """(words, ranks) blocks covering the code in enumeration order, with
+    ranks[i] = rank(r - words[i]) in a list.
+
+    A GabidulinCode with enough work for ``matfq._batched`` comes as int64
+    blocks of ``codeword_blocks``; any other code as tuples of word tuples
+    from ``iter_rank_distances``.
+    """
+    size = code_size(code)
+    if isinstance(code, GabidulinCode) and _batched(size * _CODEWORD_WORK, fld.order):
+        import numpy as np
+
+        center = np.asarray(r, dtype=np.int64)
+        for block in code.codeword_blocks():
+            diffs = _sub_words(center, block, fld) if any(r) else block  # rank(0 - c) = rank(c)
+            yield block, _column_ranks(diffs, fld.q, fld.m).tolist()
+        return
+    pairs = iter_rank_distances(r, iter_codewords(code), fld, size)
+    while chunk := list(itertools.islice(pairs, _BATCH_ROWS)):
+        words, ranks = zip(*chunk)
+        yield words, list(ranks)
+
+
+def list_codewords(code, r: Sequence[int], tau: int, field: Field | None = None) -> ListResult:
+    """All codewords within rank distance tau of r, in enumeration order."""
+    fld = code_field(code, field)
+    r = tuple(int(x) for x in r)
+    _check_received(code, r)
+    _check_tau(tau, _code_length(code))
     members = []
     distances = []
-    counts = [0] * (tau + 1)
-    for cw, dist in iter_rank_distances(r, iter_codewords(code), fld, size):
-        if dist <= tau:
-            members.append(cw)
-            distances.append(dist)
-            counts[dist] += 1
-    return ListResult(fld, r, tau, tuple(members), tuple(distances), tuple(counts))
+    for words, ranks in _distance_blocks(code, r, fld):
+        for i, dist in enumerate(ranks):
+            if dist <= tau:
+                members.append(tuple(map(int, words[i])))
+                distances.append(dist)
+    counts = tuple(distances.count(t) for t in range(tau + 1))
+    return ListResult(fld, r, tau, tuple(members), tuple(distances), counts)
+
+
+def distance_counts(code, r: Sequence[int], field: Field | None = None) -> list[int]:
+    """counts[t] = number of codewords at rank distance t from r, t = 0..n."""
+    fld = code_field(code, field)
+    r = tuple(int(x) for x in r)
+    _check_received(code, r)
+    counts = [0] * (len(r) + 1)
+    for _, ranks in _distance_blocks(code, r, fld):
+        for t, count in Counter(ranks).items():
+            counts[t] += count
+    return counts
 
 
 @dataclass(frozen=True)
@@ -162,9 +213,8 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
     Keys are those of ``_coset_key``.  Rank-t errors are streamed one column space U in Gr(m, t) at a time: with
     a basis b_1..b_t of U they are e_j = sum_i A_ij b_i over the full-rank
     t x n matrices A.  The key is F_{q^m}-linear, so key(e) is the sum over j
-    of e_j key(u_j) (u_j the j-th unit word), read from one table per U.
-    Sums are taken on base-p digit vectors, since F_{q^m} addition is
-    digitwise mod p in the integer encoding of :mod:`rankmetric.ff`.
+    of e_j key(u_j) (``codes._unit_keys``), read from one table per U and j
+    by ``matfq._table_sums``.
 
     Refuses, before any work, a ball of more than ``guard`` errors or more
     than ENUMERATION_GUARD cosets; the counts are checked against the closed
@@ -181,18 +231,15 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
     bins = fld.order ** (n - k)
     if bins > ENUMERATION_GUARD:
         raise ValueError(f"{bins} cosets exceed the coset guard {ENUMERATION_GUARD}")
-    # a key has (n-k) m e base-p digits (q = p^e); the ball guard keeps n small enough
-    # that a sum of n digits fits in uint8
+    # a key packs (n-k) m e base-p digits (q = p^e)
     width = (n - k) * m * fld.base.e
-    rows = code.generator_rows()
-    # the reduced unit words; x times one of them is already reduced, so its
-    # _coset_key is the pack_word index of x times its last n-k entries
-    unit_keys = [_ext_reduce(rows, tuple(int(i == j) for i in range(n)), fld)[k:] for j in range(n)]
+    # key(x u_j) = x key(u_j), packed big-endian like pack_word
+    unit_keys = _unit_keys(code)
     counts = np.zeros(bins, dtype=np.int64)
     counts[0] = 0 in ranks
     for t in filter(None, ranks):
-        # every full-rank t x n matrix A over F_q; row j holds column j of each A,
-        # as the integer whose base-q digit i is A_ij
+        # every full-rank t x n matrix A over F_q, one per row: entry j is
+        # column j of A, the integer whose base-q digit i is A_ij
         total = q ** (t * n)
         cols = np.concatenate(
             [
@@ -201,22 +248,17 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
                     _digits(np.arange(lo, min(lo + _CHUNK, total)), q**t, n) for lo in range(0, total, _CHUNK)
                 )
             ]
-        ).T
+        )
         for U in grassmannian_enumerate(m, t, q):
             span = [0]
             for row in U.basis:
                 b = fld.from_coeffs(row)
                 span = [fld.add(x, fld.mul(c, b)) for c in range(q) for x in span]
-            packed = np.array(
-                [[pack_word([fld.mul(x, a) for a in key], fld.order) for x in span] for key in unit_keys]
-            )
-            table = _digits(packed, p, width)
-            for start in range(0, cols.shape[1], _CHUNK):
-                block = cols[:, start : start + _CHUNK]
-                digits = np.take(table[0], block[0], axis=0)
-                for j in range(1, n):
-                    digits += np.take(table[j], block[j], axis=0)
-                np.add.at(counts, _undigits(digits % p, p), 1)
+            tables = [
+                _addends(_undigits(_multiples(fld, span, key)[:, ::-1], fld.order), p, width) for key in unit_keys
+            ]
+            for start in range(0, len(cols), _CHUNK):
+                np.add.at(counts, _table_sums(tables, cols[start : start + _CHUNK], p), 1)
     if counts.sum() != volume:
         raise AssertionError(f"coset counts add up to {counts.sum()}, not the ball volume {volume}")
     return counts
@@ -312,8 +354,10 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
 
     The center is a length-n word over F_{q^m}, column j of the matrix being
     the base-q digits of its entry j.  Matrices are enumerated as words over
-    F_{q^m} in ascending pack_word order, shifted by the center; the count
-    is center-independent.
+    F_{q^m}, shifted by the center; the count is center-independent.  With
+    enough of them for ``matfq._batched`` the words come as numpy blocks of
+    the base-q^m digits of their indices, else one ``itertools.product``
+    tuple at a time in ascending pack_word order.
     """
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:
@@ -321,13 +365,25 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
     order = q**m
-    columns = [range(order)] * n
     if center is not None:
         center = [int(c) for c in center]
         if len(center) != n:
             raise ValueError(f"center has length {len(center)}, need n={n}")
         if any(not 0 <= c < order for c in center):
             raise ValueError(f"center entries must lie in 0..{order - 1}")
-        fld = make_field(q, m)
+    fld = make_field(q, m) if center is not None and any(center) else None
+    if _batched(total, order):
+        import numpy as np
+
+        shift = None if fld is None else np.asarray(center, dtype=np.int64)
+        count = 0
+        for lo in range(0, total, _BATCH_ROWS):
+            words = _digits(np.arange(lo, min(lo + _BATCH_ROWS, total)), order, n)
+            if shift is not None:
+                words = _sub_words(words, shift, fld)
+            count += int((_column_ranks(words, q, m) <= tau).sum())
+        return count
+    columns = [range(order)] * n
+    if fld is not None:
         columns = [[fld.sub(a, c) for a in range(order)] for c in center]
     return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))

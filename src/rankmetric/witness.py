@@ -338,7 +338,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     )
     if cert.kind in (KIND_BOUND1, KIND_BOUND1_ALT):
         code = GabidulinCode(fld, n=cert.n, k=cert.k, alphas=cert.alphas)
-        checks["membership"] = all(code.contains(cw) for cw in cert.codewords)
+        checks["membership"] = code.contains_all(cert.codewords)
     else:
         crc = crc_theorem8(cert.n, cert.m, cert.tau, cert.d, cert.q)
         translate = cert.meta.get("translate")

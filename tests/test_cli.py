@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rankmetric
+from rankmetric import cli
 from rankmetric.cli import main
 
 
@@ -75,6 +77,35 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    calls = [
+        "bounds --q 2 --m 4 --n 4 --d 3 --tau 2".split(),
+        ["bounds", "--q", "2"],
+        ["oracle", "list", "--q", "2", "--m", "4", "--n", "4", "--k", "2", "--tau", "2",
+         "--received", json.dumps([[1, 0, 0, 0]] * 4)],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"elapsed_ms": \d+', "", out), err
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    fresh = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        fresh.append(run(argv))
+    builds.clear()
+    cli._shared_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert len(builds) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_bounds_byte_identical(capsys):
@@ -322,3 +353,34 @@ def test_small_cli_runs_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
+_SETUP_CODES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import rankmetric.cli
+from rankmetric import GabidulinCode, make_field
+from workloads import WORKLOADS
+codes = {c for w in WORKLOADS.values() for c in w.codes}
+for q, m, n, k in sorted(codes):
+    GabidulinCode(make_field(q, m), n=n, k=k)
+print(len(codes), "numpy" in sys.modules)
+"""
+
+
+def test_setup_does_not_import_numpy():
+    # the benchmark's set-up (perfbench/probe.py) imports the CLI and builds its
+    # workloads' codes in a fresh interpreter; numpy's import belongs to the
+    # work that needs it, not to every start
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (perfbench / "workloads.py").is_file():
+        pytest.skip("no perfbench/ in this checkout")
+    env = dict(os.environ)
+    src = str(Path(rankmetric.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SETUP_CODES, str(perfbench)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, loaded = proc.stdout.split()
+    assert int(count) > 0 and loaded == "False"

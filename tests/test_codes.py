@@ -3,7 +3,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankmetric.bounds import singleton_max, CodeParams
 from rankmetric.codes import (
@@ -18,7 +20,7 @@ from rankmetric.codes import (
     lifted_mrd_cdc,
     lifted_mrd_cdc_odd,
 )
-from rankmetric.ff import make_field
+from rankmetric.ff import SUPPORTED_Q, make_field
 from rankmetric.linpoly import LinearizedPoly
 from rankmetric.matfq import MatrixFq, Subspace, rank_of_vector, subspace_distance
 
@@ -101,6 +103,56 @@ def test_gabidulin_membership():
         assert code.contains(code.codeword(index))
     # a word of weight below the minimum distance cannot be a nonzero codeword
     assert not code.contains((1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_codeword_blocks_match_iter_codewords(q, seed):
+    rng = random.Random(seed)
+    fld = make_field(q, rng.randint(1, {2: 5, 3: 3, 4: 3}.get(q, 2)))
+    n = rng.randint(1, fld.m)
+    k = rng.randint(1, n)
+    while fld.order**k > 4096:
+        k -= 1
+    while True:
+        alphas = tuple(rng.randrange(1, fld.order) for _ in range(n))
+        if rank_of_vector(alphas, fld) == n:
+            break
+    code = GabidulinCode(fld, n=n, k=k, alphas=alphas)
+    # most sizes do not divide a power of q^m: blocks then start mid-way through message digits
+    size = rng.choice([1, fld.order - 1, fld.order + 1, rng.randint(1, code.cardinality + 1)]) or 1
+    blocks = list(code.codeword_blocks(size))
+    assert all(b.dtype == np.int64 and b.shape[1:] == (n,) and 0 < len(b) <= size for b in blocks)
+    assert [tuple(w) for b in blocks for w in b.tolist()] == list(code.iter_codewords())
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_contains_all_matches_contains(q, force_batching, monkeypatch):
+    rng = random.Random(q)
+    fld = make_field(q, 3 if q <= 4 else 2)
+    code = GabidulinCode(fld, n=fld.m, k=fld.m - 1)
+    # as many words as field elements, so that the batched check tabulates
+    words = [code.codeword(rng.randrange(code.cardinality)) for _ in range(fld.order)]
+    tampered = []
+    for _ in range(4):
+        i, j = rng.randrange(len(words)), rng.randrange(code.n)
+        bad = list(words[i])
+        bad[j] = fld.add(bad[j], rng.randrange(1, fld.order))
+        tampered.append(words[:i] + [tuple(bad)] + words[i + 1 :])
+    tampered.append(words[:-1] + [words[-1][:-1]])  # a word of the wrong length
+    assert all(code.contains(w) for w in words)
+    assert not any(all(code.contains(w) for w in t) for t in tampered)
+    for batched in (False, True):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            if batched:
+                mp.setattr(GabidulinCode, "contains", None)  # the batched check never calls it
+            assert code.contains_all(words)
+            assert not any(code.contains_all(t) for t in tampered[:-1])
+        assert not code.contains_all(tampered[-1])
+    out_of_range = words[:-1] + [(fld.order,) + words[-1][1:]]
+    assert not code.contains_all(out_of_range)
 
 
 def test_gabidulin_custom_alphas():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,7 @@ def test_column_ranks_match_column_rank(q, seed):
         mp.setattr(matfq, "_BATCH_ROWS", 16)  # pair blocks cross rows of pairs
         for batch_min in (0, 1 << 60):
             mp.setattr(matfq, "_BATCH_MIN", batch_min)
+            mp.setattr(matfq, "_BATCH_MIN_LOADED", batch_min)
             results.append(
                 (
                     rank_distances((0,) * n, words, fld),
@@ -140,6 +142,15 @@ def test_column_ranks_wide_q2_fields(m):
     words = [[rng.randrange(1 << m) for _ in range(3)] for _ in range(50)]
     words += [[w[0], w[0], w[0] ^ w[1]] for w in words[:10]]
     assert _column_ranks(np.array(words), 2, m).tolist() == [_column_rank(w, 2, m, 3) for w in words]
+
+
+def test_batch_rule_charges_numpy_import_until_loaded(monkeypatch):
+    loaded = matfq._BATCH_MIN_LOADED
+    assert matfq._batched(loaded, 16) and not matfq._batched(loaded - 1, 16)
+    assert not matfq._batched(loaded, matfq._BATCH_ORDER + 1)
+    monkeypatch.delitem(sys.modules, "numpy")  # as in a run that has not imported it yet
+    assert not matfq._batched(matfq._BATCH_MIN - 1, 16)
+    assert matfq._batched(matfq._BATCH_MIN, 16)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -197,6 +208,26 @@ def test_subspaces_built_without_validation_are_canonical(q):
         assert Subspace(q, U.ambient_dim, U.basis) == U
         assert hash(Subspace(q, U.ambient_dim, U.basis)) == hash(U)
         assert all(type(x) is int for row in U.basis for x in row)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_matrices_built_without_validation_are_valid(q):
+    # rref, transpose, mul, add, sub, scale and hstack skip __post_init__'s
+    # checks; the validating constructor must accept what they build
+    rng = random.Random(q)
+    for _ in range(20):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+        if rows:
+            a, b = random_matrix(rng, q, rows, cols), random_matrix(rng, q, rows, cols)
+        else:
+            a = b = MatrixFq(q, (), ncols=cols)
+        c = random_matrix(rng, q, cols, rng.randint(1, 4))
+        built = [rref(a)[0], a.transpose(), a.mul(c), a.add(b), a.sub(b), a.scale(rng.randrange(q)), a.hstack(b)]
+        for mat in built:
+            valid = MatrixFq(mat.q, mat.rows, ncols=mat.ncols)
+            assert mat == valid and hash(mat) == hash(valid)
+            assert type(mat.rows) is tuple and all(type(r) is tuple for r in mat.rows)
+            assert all(type(x) is int for r in mat.rows for x in r)
 
 
 def test_subspace_contains():

@@ -15,9 +15,10 @@ from rankmetric.codes import GabidulinCode
 from rankmetric.ff import base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import rank_of_vector
-from rankmetric import matfq, oracle
+from rankmetric import acceptance, oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
+    distance_counts,
     iter_codewords,
     list_codewords,
     list_to_crc,
@@ -419,18 +420,49 @@ def test_ball_volume_bruteforce_rejects_bad_center():
         ball_volume_bruteforce(2, 2, 2, 1, center=(1, 4))
 
 
-def test_oracle_batched_path_matches_scalar(monkeypatch):
-    # the oracle's own lists are below matfq._BATCH_MIN; force numpy for them
+def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
+    # each path forced through both floors of matfq._batched; the enumerator of
+    # the other path is removed, so a wrong choice fails instead of agreeing
+    F27, F16_2 = make_field(3, 3), make_field(4, 2)
+
     def run():
         lists = [
             list_codewords(GabidulinCode(F9, n=2, k=1), (3, 7), 1),
             list_codewords(GabidulinCode(F16, n=4, k=2), (1, 2, 3, 4), 2),
+            list_codewords(GabidulinCode(F27, n=3, k=2), (0, 0, 0), 1),
+            list_codewords(GabidulinCode(F27, n=3, k=1), (5, 0, 26), 2),
+            list_codewords(GabidulinCode(F16_2, n=2, k=1), (5, 9), 1),
         ]
-        return lists, list_to_crc(lists[1], 2).min_rank_distance
+        counts = [
+            distance_counts(GabidulinCode(F16, n=4, k=2), (0, 0, 0, 0)),
+            distance_counts(GabidulinCode(F27, n=3, k=2), (1, 2, 3)),
+        ]
+        return lists, counts, list_to_crc(lists[1], 2).min_rank_distance, acceptance._check_mrd()
 
-    scalar = run()
-    monkeypatch.setattr(matfq, "_BATCH_MIN", 0)
-    assert run() == scalar
+    results = []
+    for batched, unused in ((False, "codeword_blocks"), (True, "iter_codewords")):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            mp.setattr(GabidulinCode, unused, None)
+            results.append(run())
+    assert results[0] == results[1]
+    assert results[0][3][0] is True  # criterion 6 passes on both paths
+    assert results[0][1][0] == [1, 0, 0, 15 * 15, 255 - 15 * 15]  # Gab[4,2]: [4;3]*15 words of weight d = 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("batched", [False, True])
+def test_ball_volume_bruteforce_paths_match_formula(q, batched, force_batching, monkeypatch):
+    force_batching(batched)
+    monkeypatch.setattr(oracle, "_column_rank" if batched else "_column_ranks", None)  # the other path
+    rng = random.Random(q)
+    for m in range(1, 4):
+        for n in range(1, 4 if q == 2 else 3):
+            for tau in range(min(m, n) + 1):
+                center = tuple(rng.randrange(q**m) for _ in range(n))
+                closed = ball_volume(m, n, q, tau)
+                assert ball_volume_bruteforce(m, n, q, tau) == closed
+                assert ball_volume_bruteforce(m, n, q, tau, center=center) == closed
 
 
 def test_ball_volume_bruteforce_guard():

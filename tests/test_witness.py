@@ -11,7 +11,7 @@ from rankmetric.codes import GabidulinCode, crc_theorem8
 from rankmetric.ff import make_field
 from rankmetric.matfq import rank_of_vector
 from rankmetric.oracle import list_codewords
-from rankmetric import matfq, witness
+from rankmetric import witness
 from rankmetric.witness import (
     bound1_alt_witness,
     bound1_witness,
@@ -304,7 +304,7 @@ def test_tampered_large_certificate_duplicate_codeword(gab64_bound1_cert):
     assert checks["membership"] and checks["sphere_distance_exact"]
 
 
-def test_tampered_large_certificate_wrong_distance(gab64_bound1_cert, monkeypatch):
+def test_tampered_large_certificate_wrong_distance(gab64_bound1_cert, force_batching):
     cert = gab64_bound1_cert
     fld = cert.field
     code = GabidulinCode(fld, n=6, k=4, alphas=cert.alphas)
@@ -316,11 +316,25 @@ def test_tampered_large_certificate_wrong_distance(gab64_bound1_cert, monkeypatc
         and rank_of_vector(tuple(fld.sub(r, x) for r, x in zip(cert.received_word, c)), fld) != 2
     )
     bad = dataclasses.replace(cert, codewords=cert.codewords[:-1] + (other,))
-    monkeypatch.setattr(matfq, "_BATCH_MIN", 0)  # the sphere check runs batched too
+    force_batching(True)  # the sphere and membership checks run batched too
     ok, checks = verify_certificate(bad)
     assert not ok
     assert not checks["sphere_distance_exact"]
     assert checks["membership"]
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_tampered_large_certificate_non_codeword(gab64_bound1_cert, force_batching, batched):
+    # 100 words: at least the 64 field elements, so the batched check tabulates
+    cert = gab64_bound1_cert
+    fld = cert.field
+    word = list(cert.codewords[99])
+    word[2] = fld.add(word[2], 1)
+    bad = dataclasses.replace(cert, codewords=cert.codewords[:99] + (tuple(word),))
+    force_batching(batched)
+    ok, checks = verify_certificate(bad)
+    assert not ok
+    assert not checks["membership"]
 
 
 def test_word_cap_produces_sampled_certificate():
