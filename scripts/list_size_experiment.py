@@ -47,7 +47,7 @@ def main() -> int:
     print(f"full rescan at the witness word: {scan.size} in the ball, counts {scan.sphere_counts}")
 
     alt = bound1_alt_witness(params, args.tau)
-    print(f"coset-search witness: best translate holds {alt.total_size} (claimed {alt.claimed_size})")
+    print(f"coset witness: best translate holds {alt.total_size} (claimed {alt.claimed_size})")
 
     b2 = bound2_upper(params, args.tau)
     print(f"upper bound tiers: {b2.anticode_sum} <= {b2.four_sum} <= {b2.closed_form}")

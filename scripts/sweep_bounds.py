@@ -50,8 +50,10 @@ def main() -> int:
             fmt(report.bound2.iterated_johnson if report.bound2 else None),
         ]
         if args.oracle:
-            result = max_list_size(code, tau)
-            row.append(fmt(result.ell))
+            try:
+                row.append(fmt(max_list_size(code, tau).ell))
+            except ValueError:  # the oracle's guards refuse this radius
+                row.append(fmt("refused"))
         print("  ".join(row))
     j = report.johnson
     if j is not None:

@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     w1.add_argument("--tau", type=int, required=True)
     w1.add_argument("--out", type=str, default=None)
     w1.set_defaults(func=_cmd_witness)
-    walt = wsub.add_parser("alt", help="coset-search witness over a direct-sum code (n = m)")
+    walt = wsub.add_parser("alt", help="coset witness over a direct-sum code, from subspace polynomials (n = m)")
     walt.add_argument("--q", type=int, required=True)
     walt.add_argument("--n", type=int, required=True)
     walt.add_argument("--d", type=int, required=True)

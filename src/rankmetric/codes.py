@@ -13,6 +13,7 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .ff import Field, expand_to_matrix, make_field, vector_from_matrix
@@ -141,11 +142,39 @@ class GabidulinCode:
             yield _table_sums(tables, messages, p)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        """Membership test by row reduction against the generator matrix."""
-        if len(vec) != self.n:
+        """Membership test: the coset key sum_j w_j key(u_j) is 0 (``_unit_keys``)."""
+        F = self.field
+        if len(vec) != self.n or any(not 0 <= int(w) < F.order for w in vec):
             return False
-        reduced = _ext_reduce(self.generator_rows(), tuple(int(v) for v in vec), self.field)
-        return all(x == 0 for x in reduced)
+        key = [0] * (self.n - self.k)
+        for w, unit in zip(vec, self._unit_keys):
+            key = [F.add(x, F.mul(int(w), y)) for x, y in zip(key, unit)]
+        return not any(key)
+
+    @cached_property
+    def _unit_keys(self) -> tuple[tuple[int, ...], ...]:
+        """key(u_j) for the unit words u_j of F_{q^m}^n, computed once per code.
+
+        The key of a word is its reduction modulo the generator rows without
+        the first k entries, which the reduction zeroes.  Any k positions of
+        an MRD code are an information set, so the rows reduce to [I | A], and
+        u_j reduces to (0, -A_j) for j < k and to itself for j >= k.  The key
+        is F_{q^m}-linear, so key(w) is the sum over j of w_j key(u_j), and it
+        is 0 exactly on the codewords.
+        """
+        F, k = self.field, self.k
+        rows = [list(r) for r in self.generator_rows()]
+        for c in range(k):
+            pivot = next(i for i in range(c, k) if rows[i][c])
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            inv = F.inv(rows[c][c])
+            rows[c] = [F.mul(inv, x) for x in rows[c]]
+            for i in range(k):
+                if i != c and rows[i][c]:
+                    coef = rows[i][c]
+                    rows[i] = [F.sub(x, F.mul(coef, y)) for x, y in zip(rows[i], rows[c])]
+        units = tuple(tuple(int(i == j) for i in range(self.n - k)) for j in range(self.n - k))
+        return tuple(tuple(F.neg(x) for x in row[k:]) for row in rows) + units
 
     def contains_all(self, words: Sequence[Sequence[int]]) -> bool:
         """all(self.contains(w) for w in words).
@@ -155,7 +184,7 @@ class GabidulinCode:
         and the key of w is the sum over j of w_j key(u_j), read from one
         table of the multiples x key(u_j) per coordinate.  Fields with more
         elements than there are words keep the scalar test, since their
-        tables would cost more than the reductions they replace.
+        tables would cost more than the scalar sums they replace.
         """
         F = self.field
         batched = _batched(len(words) * _MEMBER_WORK, F.order) and F.order <= len(words)
@@ -163,51 +192,12 @@ class GabidulinCode:
             return all(self.contains(w) for w in words)
         import numpy as np
 
-        tables = [_addends(_multiples(F, range(F.order), key), F.char, F.m * F.base.e) for key in _unit_keys(self)]
+        tables = [_addends(_multiples(F, range(F.order), key), F.char, F.m * F.base.e) for key in self._unit_keys]
         for lo in range(0, len(words), _BATCH_ROWS):
             block = np.asarray(words[lo : lo + _BATCH_ROWS], dtype=np.int64)
             if block.min() < 0 or block.max() >= F.order or _table_sums(tables, block, F.char).any():
                 return False
         return True
-
-
-def _ext_reduce(rows: list[tuple[int, ...]], vec: tuple[int, ...], F: Field) -> tuple[int, ...]:
-    """Reduce vec modulo the F_{q^m}-row space of rows (Gaussian elimination)."""
-    work = [list(r) for r in rows]
-    v = list(vec)
-    r = 0
-    n = len(vec)
-    for c in range(n):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = F.inv(work[r][c])
-        work[r] = [F.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                coef = work[i][c]
-                work[i] = [F.sub(x, F.mul(coef, y)) for x, y in zip(work[i], work[r])]
-        if v[c]:
-            coef = v[c]
-            v = [F.sub(x, F.mul(coef, y)) for x, y in zip(v, work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return tuple(v)
-
-
-def _unit_keys(code: GabidulinCode) -> list[tuple[int, ...]]:
-    """key(u_j) for the unit words u_j of F_{q^m}^n.
-
-    The key of a word is its reduction modulo the generator rows without the
-    first k entries, which the reduction zeroes (any k positions of an MRD
-    code are an information set).  It is F_{q^m}-linear, so key(w) is the
-    sum over j of w_j key(u_j), and it is 0 exactly on the codewords.
-    """
-    rows = code.generator_rows()
-    units = (tuple(int(i == j) for i in range(code.n)) for j in range(code.n))
-    return [_ext_reduce(rows, u, code.field)[code.k :] for u in units]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import sphere_volume
-from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode, _ext_reduce, _unit_keys
+from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode
 from .ff import Field, make_field
 from .matfq import (
     _BATCH_ROWS,
@@ -197,24 +197,18 @@ def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
     return sum(rank_leq(tuple(fld.sub(x, y) for x, y in zip(r, cw)), fld, tau) for cw in words)
 
 
-def _coset_key(rows: list[tuple[int, ...]], word: Sequence[int], fld: Field) -> int:
-    """Bin of the coset word + C in ``_coset_histogram`` (C spanned by ``rows``).
+def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUARD):
+    """counts[i] = number of errors e with rank(e) <= tau in the coset with key i.
 
-    It is the packed index of the coset's one word that is zero on the first
-    k positions (word reduced modulo the rows); for an MRD code that word is
-    also the lexicographically smallest of the coset.
-    """
-    return pack_word(_ext_reduce(rows, tuple(word), fld), fld.order)
-
-
-def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXHAUSTIVE_GUARD):
-    """counts[i] = number of errors e with rank(e) in ``ranks`` in the coset with key i.
-
-    Keys are those of ``_coset_key``.  Rank-t errors are streamed one column space U in Gr(m, t) at a time: with
-    a basis b_1..b_t of U they are e_j = sum_i A_ij b_i over the full-rank
-    t x n matrices A.  The key is F_{q^m}-linear, so key(e) is the sum over j
-    of e_j key(u_j) (``codes._unit_keys``), read from one table per U and j
-    by ``matfq._table_sums``.
+    The key of a coset is the packed index (``pack_word``) of its one word
+    that is zero on the first k positions, the reduction of any of its words
+    modulo the generator rows; for an MRD code that word is also the
+    lexicographically smallest of the coset.  Rank-t errors are streamed one
+    column space U in Gr(m, t) at a time: with a basis b_1..b_t of U they are
+    e_j = sum_i A_ij b_i over the full-rank t x n matrices A.  The key is
+    F_{q^m}-linear, so key(e) is the sum over j of e_j key(u_j)
+    (``GabidulinCode._unit_keys``), read from one table per U and j by
+    ``matfq._table_sums``.
 
     Refuses, before any work, a ball of more than ``guard`` errors or more
     than ENUMERATION_GUARD cosets; the counts are checked against the closed
@@ -224,8 +218,7 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
 
     fld = code.field
     q, m, n, k, p = fld.q, fld.m, code.n, code.k, fld.char
-    ranks = sorted(set(ranks))
-    volume = sum(sphere_volume(m, n, q, t) for t in ranks)
+    volume = sum(sphere_volume(m, n, q, t) for t in range(tau + 1))
     if volume > guard:
         raise ValueError(f"rank ball of {volume} errors exceeds exhaustive guard {guard}")
     bins = fld.order ** (n - k)
@@ -234,10 +227,10 @@ def _coset_histogram(code: GabidulinCode, ranks: Iterable[int], guard: int = EXH
     # a key packs (n-k) m e base-p digits (q = p^e)
     width = (n - k) * m * fld.base.e
     # key(x u_j) = x key(u_j), packed big-endian like pack_word
-    unit_keys = _unit_keys(code)
+    unit_keys = code._unit_keys
     counts = np.zeros(bins, dtype=np.int64)
-    counts[0] = 0 in ranks
-    for t in filter(None, ranks):
+    counts[0] = 1
+    for t in range(1, tau + 1):
         # every full-rank t x n matrix A over F_q, one per row: entry j is
         # column j of A, the integer whose base-q digit i is A_ij
         total = q ** (t * n)
@@ -290,7 +283,7 @@ def max_list_size(
     fld = code_field(code, field)
     _check_tau(tau, _code_length(code))
     if mode == "exhaustive" and isinstance(code, GabidulinCode):
-        counts = _coset_histogram(code, range(tau + 1), guard)
+        counts = _coset_histogram(code, tau, guard)
         key = int(counts.argmax())
         return MaxListResult(int(counts[key]), unpack_word(key, fld.order, code.n), fld.order**code.n, True)
     words = list(iter_codewords(code))  # a GabidulinCode refuses more than ENUMERATION_GUARD words

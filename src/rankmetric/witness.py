@@ -9,34 +9,35 @@ tie-breaking), so identical inputs serialize to identical JSON.
   F_{q^n} (n = m), bucket them by their coefficients of q-degree >= k, take
   a maximum bucket P; differences of members of P encode to codewords at
   distance exactly tau from the evaluation of a representative of P.
-* bound1_alt: exhaustively search the cosets C + b, b in a complementary
-  code B, for the one holding the most rank-tau words of the MRD direct sum;
-  the per-coset counts come from the oracle's coset histogram of the rank-tau
-  sphere or from a B x C scan, whichever has less work.
+* bound1_alt: the coset C + b, b in a complementary code B, holding the most
+  rank-tau words of the MRD direct sum C + B = Gab[n, n - tau + 1].  Those
+  words are the x P_V(alpha), x in F_{q^m}^*, so every coset count is the
+  size of a bound1 bucket, with k = n - d + 1.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 
-Distances to the received word (also in the B x C scan) and pairwise
-distances are computed by ``matfq.rank_distances`` and
-``matfq.min_pairwise_rank_distance``, which batch the ranks in numpy once
-there are enough of them.
+Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``.  Distances to
+the received word and pairwise distances are computed by
+``matfq.rank_distances`` and ``matfq.min_pairwise_rank_distance``, which
+batch the ranks in numpy once there are enough of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
-from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, sphere_volume
-from .codes import ENUMERATION_GUARD, GabidulinCode, crc_theorem8
+from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, gaussian_binomial, mrd_weight_tau
+from .codes import GabidulinCode, crc_theorem8
 from .ff import Field, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_distances
-from .oracle import _coset_histogram, _coset_key
 
 CERTIFICATE_WORD_CAP = 1 << 16
+WITNESS_GUARD = 1 << 20
 PAIRWISE_CHECK_CAP = 700
 
 KIND_BOUND1 = "bound1"
@@ -132,6 +133,27 @@ def _cap_words(words: Sequence[tuple[int, ...]], cap: int) -> tuple[tuple, bool]
     return tuple(words[::stride][:cap]), True
 
 
+def _pack(digits: Sequence[int], Q: int) -> int:
+    """sum_j digits[j] Q^j, the message index of a coefficient tuple."""
+    return sum(f * Q**j for j, f in enumerate(digits))
+
+
+def _subspace_poly_buckets(fld: Field, n: int, tau: int, k: int) -> dict[tuple[int, ...], list[LinearizedPoly]]:
+    """The monic subspace polynomials P_U, U in Gr(n, n-tau) over F_{q^n},
+    bucketed by their coefficients of q-degree k..n-tau-1, in Grassmannian order.
+
+    Refuses, before any work, more than WITNESS_GUARD subspaces.
+    """
+    count = gaussian_binomial(n, tau, fld.q)
+    if count > WITNESS_GUARD:
+        raise ValueError(f"{count} subspaces of Gr({n}, {n - tau}) exceed the witness guard {WITNESS_GUARD}")
+    buckets: dict[tuple[int, ...], list[LinearizedPoly]] = {}
+    for U in grassmannian_enumerate(n, n - tau, fld.q):
+        poly = min_subspace_poly(U, fld)  # monic of q-degree n - tau
+        buckets.setdefault(poly.coeffs[k : n - tau], []).append(poly)
+    return buckets
+
+
 def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WORD_CAP) -> WitnessCertificate:
     """Pigeonhole witness for Gabidulin codes (requires n = m).
 
@@ -151,11 +173,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     d = code.d
     if not 0 <= tau < d:
         raise ValueError(f"need 0 <= tau < d, got tau={tau}, d={d}")
-    rdim = n - tau
-    buckets: dict[tuple[int, ...], list[LinearizedPoly]] = {}
-    for U in grassmannian_enumerate(n, rdim, fld.q):
-        poly = min_subspace_poly(U, fld)  # monic of q-degree rdim
-        buckets.setdefault(poly.coeffs[k:rdim], []).append(poly)
+    buckets = _subspace_poly_buckets(fld, n, tau, k)
     max_size = max(len(v) for v in buckets.values())
     best_key = min(key for key, v in buckets.items() if len(v) == max_size)
     bucket = buckets[best_key]
@@ -191,23 +209,18 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     )
 
 
-ALT_SEARCH_GUARD = 1 << 24
-
-
-def _at_rank(b: Sequence[int], c_words: list, fld: Field, tau: int) -> list:
-    """The words c of c_words with rank(b - c) = tau."""
-    return [c for c, dist in zip(c_words, rank_distances(b, c_words, fld)) if dist == tau]
-
-
 def bound1_alt_witness(
     params: CodeParams, tau: int, word_cap: int = CERTIFICATE_WORD_CAP
 ) -> WitnessCertificate:
-    """Coset-search witness via the direct sum of two Gabidulin codes (n = m).
+    """Coset witness via the direct sum of two Gabidulin codes (n = m).
 
     C = Gab[n, n-d+1] on the default points alpha_i; B = Gab[n, d-tau] on the
     Frobenius-shifted points alpha_i^{q^{n-d+1}}.  The best translate C + b
     over b in B holds at least ceil([n; tau](q^m - 1)/q^{m(d-tau)}) words of
-    rank exactly tau.
+    rank exactly tau.  b - c evaluates the polynomial with coefficients
+    -(c's message), then b's message (f_0, ..., f_{d-tau-1}); it has rank tau
+    exactly when it is x P_V, x = f_{d-tau-1} != 0, with P_V in the bucket
+    x^{-1} (f_0, ..., f_{d-tau-2}) for k = n-d+1.  The best coset has x = 1.
     """
     q, m, n, d = params.q, params.m, params.n, params.d
     if n != m:
@@ -215,42 +228,36 @@ def bound1_alt_witness(
     if not 1 <= tau < d:
         raise ValueError(f"need 1 <= tau < d, got tau={tau}, d={d}")
     fld = make_field(q, m)
+    Q = fld.order
     code_c = GabidulinCode(fld, n=n, k=n - d + 1)
-    shift = n - d + 1
-    alphas_b = tuple(fld.frobenius(a, shift) for a in code_c.alphas)
+    alphas_b = tuple(fld.frobenius(a, code_c.k) for a in code_c.alphas)
     code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
-    if code_b.cardinality * code_c.cardinality > ALT_SEARCH_GUARD:
-        raise ValueError("coset search space exceeds the enumeration guard")
-    b_words, c_words = list(code_b.iter_codewords()), list(code_c.iter_codewords())
-    # the rank-tau words of each coset b - C are counted either in the rank-tau
-    # histogram of C (work: the sphere plus one bin per coset) or by a B x C
-    # scan (work: one rank test per pair, measured 15-25 times slower per step);
-    # the histogram must also stay inside the enumeration guard
-    histogram_cost = sphere_volume(m, n, q, tau) + fld.order ** (d - 1)
-    if histogram_cost < min(10 * len(b_words) * len(c_words), ENUMERATION_GUARD):
-        counts, rows = _coset_histogram(code_c, (tau,)), code_c.generator_rows()
-        coset_counts = [int(counts[_coset_key(rows, b, fld)]) for b in b_words]
-    else:
-        coset_counts = [len(_at_rank(b, c_words, fld, tau)) for b in b_words]
-    best_index = coset_counts.index(max(coset_counts))
-    best_b = b_words[best_index]
-    codewords = _at_rank(best_b, c_words, fld, tau)
+    buckets = _subspace_poly_buckets(fld, n, tau, code_c.k)
+    max_size = max(len(v) for v in buckets.values())
+    best_key = min((key for key, v in buckets.items() if len(v) == max_size), key=lambda key: _pack(key, Q))
+    best_index = _pack(best_key + (1,), Q)
+    bucket = buckets[best_key]
+    messages = sorted(_pack([fld.neg(c) for c in P.coeffs[: code_c.k]], Q) for P in bucket)
+    codewords = [code_c.codeword(i) for i in messages]
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
     stored, truncated = _cap_words(codewords, word_cap)
-    meta: dict = {"coset_total": sum(coset_counts), "best_coset_index": best_index}
-    if len(coset_counts) <= 4096:
-        meta["coset_counts"] = coset_counts
+    meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": best_index}
+    if code_b.cardinality <= 4096:  # b's message digits, f_{d-tau-1} = x first, in message-index order
+        meta["coset_counts"] = [
+            len(buckets.get(tuple(fld.mul(fld.inv(x), f) for f in reversed(low)), ())) if x else 0
+            for x, *low in itertools.product(range(Q), repeat=d - tau)
+        ]
     return WitnessCertificate(
         kind=KIND_BOUND1_ALT,
         q=q,
         m=m,
         n=n,
-        k=n - d + 1,
+        k=code_c.k,
         d=d,
         tau=tau,
         modulus=fld.modulus,
         alphas=code_c.alphas,
-        received_word=tuple(best_b),
+        received_word=code_b.codeword(best_index),
         codewords=stored,
         claimed_size=claimed,
         total_size=len(codewords),

@@ -337,6 +337,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [
         cli.main("witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2".split()),
         cli.main(f"oracle list --q 2 --m 4 --n 4 --k 2 --tau 2 --received {received}".split()),
+        cli.main("witness alt --q 2 --n 4 --d 3 --tau 2".split()),
     ]
 print(codes, "numpy" in sys.modules)
 """
@@ -352,7 +353,7 @@ def test_small_cli_runs_do_not_import_numpy():
         [sys.executable, "-c", _SMALL_RUNS], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0]", "False"]
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
 
 
 _SETUP_CODES = """

@@ -103,6 +103,21 @@ def test_gabidulin_membership():
         assert code.contains(code.codeword(index))
     # a word of weight below the minimum distance cannot be a nonzero codeword
     assert not code.contains((1, 0, 0, 0))
+    # against the set of codewords, for each q: every word of a small space
+    # (tampered codewords included), short words and out-of-range entries
+    for q in SUPPORTED_Q:
+        fld = make_field(q, 3 if q == 2 else 2)
+        alphas = tuple(fld.frobenius(a, 1) for a in fld.polynomial_basis(fld.m))
+        for k in range(1, fld.m):
+            code = GabidulinCode(fld, n=fld.m, k=k, alphas=alphas)
+            members = set(code.iter_codewords())
+            words = list(itertools.product(range(fld.order), repeat=code.n))
+            assert [code.contains(w) for w in words] == [w in members for w in words]
+            word = code.codeword(code.cardinality - 1)
+            assert not code.contains(word[:-1])
+            assert not code.contains(word + (0,))
+            assert not code.contains(word[:-1] + (fld.order,))
+            assert not code.contains((-1,) + word[1:])
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)

@@ -172,38 +172,83 @@ def test_alt_witness_deterministic():
     assert bound1_alt_witness(params, 2).to_json() == bound1_alt_witness(params, 2).to_json()
 
 
-@pytest.mark.parametrize("q,n,d,tau", [(2, 4, 3, 1), (2, 4, 4, 2), (3, 3, 3, 1), (3, 3, 2, 1), (5, 2, 2, 1)])
-def test_alt_witness_histogram_and_scan_agree(monkeypatch, q, n, d, tau):
-    # these sets count by histogram; a zero guard forces the B x C scan
+def _alt_reference(q, n, d, tau):
+    """The alt certificate by a B x C scan: enumerate B and C, count each
+    coset's rank-tau differences, take the first fullest coset and list its
+    words in C-message order."""
     params = CodeParams(q=q, m=n, n=n, d=d)
-    by_histogram = bound1_alt_witness(params, tau).to_json()
-    monkeypatch.setattr(witness, "ENUMERATION_GUARD", 0)
-    assert bound1_alt_witness(params, tau).to_json() == by_histogram
+    fld = make_field(q, n)
+    code_c = GabidulinCode(fld, n=n, k=n - d + 1)
+    alphas_b = tuple(fld.frobenius(a, n - d + 1) for a in code_c.alphas)
+    b_words = list(GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b).iter_codewords())
+    c_words = list(code_c.iter_codewords())
+
+    def at_rank(b):
+        return [c for c in c_words if rank_of_vector(tuple(fld.sub(x, y) for x, y in zip(b, c)), fld) == tau]
+
+    counts = [len(at_rank(b)) for b in b_words]
+    best = counts.index(max(counts))
+    codewords = tuple(at_rank(b_words[best]))
+    meta = {"coset_total": sum(counts), "best_coset_index": best}
+    if len(counts) <= 4096:
+        meta["coset_counts"] = counts
+    return witness.WitnessCertificate(
+        kind=witness.KIND_BOUND1_ALT,
+        q=q,
+        m=n,
+        n=n,
+        k=code_c.k,
+        d=d,
+        tau=tau,
+        modulus=fld.modulus,
+        alphas=code_c.alphas,
+        received_word=b_words[best],
+        codewords=codewords,
+        claimed_size=max(1, math.ceil(bound1_alt_lower(params, tau))),
+        total_size=len(codewords),
+        truncated=False,
+        meta=meta,
+    )
 
 
-def test_alt_witness_counts_small_sphere_by_histogram(monkeypatch):
-    # rank-1 sphere of 338 words and 729 cosets against |B| x |C| = 19683 pairs:
-    # only the best coset is scanned, to list its words
-    scanned = []
-    at_rank = witness._at_rank
-    monkeypatch.setattr(witness, "_at_rank", lambda b, *rest: scanned.append(b) or at_rank(b, *rest))
-    cert = bound1_alt_witness(CodeParams(q=3, m=3, n=3, d=3), 1)
-    assert scanned == [cert.received_word]
-    assert cert.total_size >= cert.claimed_size
+@pytest.mark.parametrize(
+    "q,n,d,tau",
+    [(2, 4, 3, 1), (2, 4, 4, 2), (3, 3, 3, 1), (3, 3, 2, 1), (5, 2, 2, 1), (2, 4, 3, 2), (2, 5, 5, 4), (3, 4, 4, 3)],
+)
+def test_alt_witness_matches_reference_scan(q, n, d, tau):
+    params = CodeParams(q=q, m=n, n=n, d=d)
+    assert bound1_alt_witness(params, tau).to_json() == _alt_reference(q, n, d, tau).to_json()
 
 
-def test_alt_witness_counts_large_sphere_by_scan(monkeypatch):
-    # 2^30 cosets of C and a rank-4 sphere of 8.5e9 words, but only
-    # |B| x |C| = 2^18 pairs: the histogram would be refused by its guards
-    def refuse(*args):
-        raise AssertionError("the histogram was chosen")
-
-    monkeypatch.setattr(witness, "_coset_histogram", refuse)
+def test_alt_witness_coset_total_is_minimum_weight_count():
+    # 2^30 cosets of C and a rank-4 sphere of 8.5e9 words, but only [6; 4] = 651
+    # subspace polynomials: the cosets of C partition the rank-4 (minimum-weight)
+    # words of B + C = Gab[6, 3]
     cert = bound1_alt_witness(CodeParams(q=2, m=6, n=6, d=6), 4)
     assert cert.total_size >= cert.claimed_size
-    # the cosets of C partition the rank-4 (minimum-weight) words of B + C = Gab[6, 3]
     assert len(cert.meta["coset_counts"]) == 4096
     assert cert.meta["coset_total"] == mrd_weight_tau(6, 6, 4, 2)
+
+
+def test_witness_guard_refuses_before_work(monkeypatch):
+    # [10; 5]_2 = 109 221 651 subspaces: both Gabidulin witnesses refuse them
+    # before enumerating a single one
+    def refuse(*args):
+        raise AssertionError("the Grassmannian was enumerated")
+
+    monkeypatch.setattr(witness, "grassmannian_enumerate", refuse)
+    with pytest.raises(ValueError, match="witness guard"):
+        bound1_witness(GabidulinCode(make_field(2, 10), n=10, k=2), 5)
+    with pytest.raises(ValueError, match="witness guard"):
+        bound1_alt_witness(CodeParams(q=2, m=10, n=10, d=6), 5)
+
+
+def test_alt_witness_answers_sets_past_the_old_pair_guard():
+    # |B| x |C| = 64^4 x 64 = 2^30 pairs, but [6; 2] = 651 subspaces
+    cert = bound1_alt_witness(CodeParams(q=2, m=6, n=6, d=6), 2)
+    assert cert.meta["coset_total"] == mrd_weight_tau(6, 6, 2, 2) == 41013
+    ok, checks = verify_certificate(cert)
+    assert ok, checks
 
 
 # --- bound 3 ---------------------------------------------------------------------------
