@@ -215,9 +215,28 @@ def _alt_reference(q, n, d, tau):
     "q,n,d,tau",
     [(2, 4, 3, 1), (2, 4, 4, 2), (3, 3, 3, 1), (3, 3, 2, 1), (5, 2, 2, 1), (2, 4, 3, 2), (2, 5, 5, 4), (3, 4, 4, 3)],
 )
-def test_alt_witness_matches_reference_scan(q, n, d, tau):
+def test_alt_witness_histogram_and_scan_agree(q, n, d, tau):
+    # the witness counts cosets by a histogram of subspace-polynomial buckets;
+    # the reference ranks every pair of B x C
     params = CodeParams(q=q, m=n, n=n, d=d)
     assert bound1_alt_witness(params, tau).to_json() == _alt_reference(q, n, d, tau).to_json()
+
+
+def test_alt_witness_counts_small_sphere_by_histogram(monkeypatch):
+    # rank-1 sphere of 338 words and 729 cosets against |B| x |C| = 19683 pairs:
+    # the coset counts and the best coset's words come from the buckets, and
+    # no difference of a pair is ranked
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair of words was ranked")
+
+    monkeypatch.setattr(witness, "rank_distances", refuse)
+    monkeypatch.setattr(witness, "min_pairwise_rank_distance", refuse)
+    cert = bound1_alt_witness(CodeParams(q=3, m=3, n=3, d=3), 1)
+    counts = cert.meta["coset_counts"]
+    assert len(counts) == 729
+    assert sum(counts) == cert.meta["coset_total"] == mrd_weight_tau(3, 3, 1, 3) == 338
+    assert cert.total_size == max(counts) == counts[cert.meta["best_coset_index"]]
+    assert cert.total_size >= cert.claimed_size
 
 
 def test_alt_witness_coset_total_is_minimum_weight_count():
