@@ -300,7 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     omax.add_argument("--trials", type=int, default=None)
     omax.add_argument("--seed", type=int, default=None)
     omax.add_argument("--jobs", type=int, default=1, help="no effect; accepted so older command lines run")
-    omax.add_argument("--guard", type=int, default=None, help="override the work guard: rank-ball errors (2^28)")
+    omax.add_argument(
+        "--guard",
+        type=int,
+        default=None,
+        help="override the work guard (2^28): candidate matrices, subspaces walked, "
+        "orbit-reduced errors keyed and cosets",
+    )
 
     p_con = sub.add_parser("construct", help="build constant-dimension / constant-rank codes")
     csub = p_con.add_subparsers(dest="family", required=True)

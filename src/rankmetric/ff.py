@@ -267,6 +267,8 @@ class Field:
                 raise ValueError(f"modulus {mod} is reducible over F_{q}")
             self.modulus = tuple(mod)
         self._char2 = self.char == 2
+        # set here, not on first use, so every Field keeps one attribute layout
+        self._primitive: int | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if self.order <= _LOG_TABLE_LIMIT:
@@ -391,17 +393,20 @@ class Field:
             return a
         return self.pow(a, self.q**i)
 
+    @property
+    def primitive(self) -> int:
+        """The smallest generator of the multiplicative group F_{q^m}^*, the
+        base of the log tables (1 in F_2); found on first use."""
+        if self._primitive is None:
+            n1 = self.order - 1
+            primes = _prime_factors(n1)
+            self._primitive = next(
+                g for g in range(1, self.order) if all(self._pow_nolog(g, n1 // p) != 1 for p in primes)
+            )
+        return self._primitive
+
     def _build_tables(self) -> None:
-        n1 = self.order - 1
-        if n1 == 1:
-            self._exp, self._log = [1], [0, 0]
-            return
-        primes = _prime_factors(n1)
-        for g in range(2, self.order):
-            if all(self._pow_nolog(g, n1 // p) != 1 for p in primes):
-                break
-        else:
-            raise AssertionError("no multiplicative generator found")
+        n1, g = self.order - 1, self.primitive
         exp = [1] * n1
         for i in range(1, n1):
             exp[i] = self._mul_poly(exp[i - 1], g)

@@ -7,8 +7,11 @@ lexicographically smallest argmax.
 
 For a Gabidulin code the list size of r depends only on the coset r + C, so
 the maximum is the fullest coset of the rank ball of radius tau, counted by
-``_coset_histogram`` without enumerating received words or codewords.  Other
-codes are scanned word by word (``_count_ball``), the tests' ground truth.
+``_coset_histogram`` without enumerating received words or codewords.  Coset
+counts are constant on the orbits of F_{q^m}^*, so it keys the errors of one
+column space per orbit of the Singer cycle and weights them by the orbit
+size; its guard counts those steps, not the ball.  Other codes are scanned
+word by word (``_count_ball``), the tests' ground truth.
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work: Gabidulin codewords come as
@@ -22,12 +25,13 @@ are tested against.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .bounds import sphere_volume
+from .bounds import gaussian_binomial, sphere_volume
 from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode
 from .ff import Field, make_field
 from .matfq import (
@@ -197,39 +201,135 @@ def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
     return sum(rank_leq(tuple(fld.sub(x, y) for x, y in zip(r, cw)), fld, tau) for cw in words)
 
 
+def _orbit_count(m: int, t: int, q: int) -> int:
+    """Number of orbits of Gr(m, t) under multiplication by F_{q^m}^*.
+
+    The stabilizer of U is F_{q^s}^* for the largest s such that U is an
+    F_{q^s}-subspace (s divides m and t), and its orbit has (q^m - 1)/(q^s - 1)
+    subspaces.  The F_{q^s}-subspaces number [m/s; t/s]_{q^s}, so those whose
+    largest such s is exactly s follow by inclusion-exclusion over the
+    multiples of s.
+    """
+    g = math.gcd(m, t)
+    exact: dict[int, int] = {}
+    for s in sorted((s for s in range(1, g + 1) if g % s == 0), reverse=True):
+        exact[s] = gaussian_binomial(m // s, t // s, q**s) - sum(c for r, c in exact.items() if r % s == 0)
+    return sum(c * (q**s - 1) for s, c in exact.items()) // (q**m - 1)
+
+
+def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
+    """One (span, size) per orbit of Gr(m, t) under multiplication by F_{q^m}^*.
+
+    ``span`` lists the elements of the orbit's first subspace U in
+    ``grassmannian_enumerate`` order, span[a] = sum_i a_i b_i over the base-q
+    digits a_i of a and the RREF basis b_1..b_t of U; ``size`` is the number
+    of subspaces xU.  Multiplying by the primitive element walks the orbit
+    (the Singer cycle), so every subspace of Gr(m, t) is visited once.
+    """
+    subspaces = grassmannian_enumerate(fld.m, t, fld.q)
+    times_g = [fld.mul(fld.primitive, x) for x in range(fld.order)]
+    visited: set[frozenset[int]] = set()
+    orbits = []
+    for U in subspaces:
+        span = [0]
+        for row in U.basis:
+            b = fld.from_coeffs(row)
+            span = [fld.add(x, fld.mul(c, b)) for c in range(fld.q) for x in span]
+        first = frozenset(span)
+        if first in visited:
+            continue
+        orbit, moved = {first}, frozenset(map(times_g.__getitem__, first))
+        while moved != first:
+            orbit.add(moved)
+            moved = frozenset(map(times_g.__getitem__, moved))
+        visited |= orbit
+        orbits.append((span, len(orbit)))
+    return orbits
+
+
+def _coset_work(code: GabidulinCode, tau: int) -> int:
+    """Steps of ``_coset_histogram``: per rank t, the q^{tn} candidate
+    matrices A, the [m; t]_q subspaces walked and the errors keyed (orbits
+    times full-rank A); then the bins."""
+    q, m, n = code.q, code.m, code.n
+    steps = code.field.order ** (n - code.k)
+    for t in range(1, tau + 1):
+        steps += q ** (t * n) + gaussian_binomial(m, t, q) + _orbit_count(m, t, q) * sphere_volume(t, n, q, t)
+    return steps
+
+
+def _key_normalizer(fld: Field, width: int):
+    """A function scaling each packed key of ``width`` coordinates by the
+    inverse of its first nonzero coordinate (0 stays 0): the smallest key of
+    its orbit under F_{q^m}^*.  Reads the log tables of ``fld``."""
+    import numpy as np
+
+    if width <= 1:
+        return lambda keys: np.minimum(keys, 1)
+    order, n1 = fld.order, fld.order - 1
+    log = np.asarray(fld._log, dtype=np.int64)
+    # two periods of the antilog table, then zeros, which the log of 0 points into
+    exp = np.concatenate([fld._exp, fld._exp, np.zeros(order, dtype=np.int64)])
+    log_or_zero = log.copy()
+    log_or_zero[0] = 2 * n1
+
+    def normalize(keys):
+        digits = [keys // order**j % order for j in range(width)]  # last coordinate first
+        lead = digits[0]
+        for d in digits[1:]:
+            lead = np.where(d != 0, d, lead)
+        shift = n1 - log[lead]  # exp[log[d] + shift] = d / lead
+        out = exp[log_or_zero[digits[0]] + shift]
+        for j in range(1, width):
+            out += exp[log_or_zero[digits[j]] + shift] * order**j
+        return out
+
+    return normalize
+
+
 def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUARD):
-    """counts[i] = number of errors e with rank(e) <= tau in the coset with key i.
+    """Orbit-reduced coset counts of the rank ball of radius tau.
+
+    Returns acc, indexed by coset key: acc[0] is the number of errors e with
+    rank(e) <= tau in the code itself; for a key whose first nonzero
+    coordinate is 1, acc[key] is q^m - 1 times the number of such errors in
+    each coset of the orbit {x key : x in F_{q^m}^*}; every other bin is 0.
+    So acc sums to the ball volume, and key is the smallest of its orbit.
 
     The key of a coset is the packed index (``pack_word``) of its one word
     that is zero on the first k positions, the reduction of any of its words
     modulo the generator rows; for an MRD code that word is also the
-    lexicographically smallest of the coset.  Rank-t errors are streamed one
-    column space U in Gr(m, t) at a time: with a basis b_1..b_t of U they are
-    e_j = sum_i A_ij b_i over the full-rank t x n matrices A.  The key is
-    F_{q^m}-linear, so key(e) is the sum over j of e_j key(u_j)
-    (``GabidulinCode._unit_keys``), read from one table per U and j by
-    ``matfq._table_sums``.
+    lexicographically smallest of the coset.  The key is F_{q^m}-linear, so
+    key(e) is the sum over j of e_j key(u_j) (``GabidulinCode._unit_keys``),
+    and key(x e) = x key(e): coset counts are constant on orbits.  Rank-t
+    errors are e_j = sum_i A_ij b_i over the full-rank t x n matrices A and a
+    basis b_1..b_t of their column space U; multiplying by x maps U to xU and
+    keeps A.  So only one U per orbit of Gr(m, t) under F_{q^m}^* is keyed
+    (``_singer_orbits``), read from one table per coordinate j by
+    ``matfq._table_sums``, and each error adds its orbit size at its
+    normalized key (``_key_normalizer``).
 
-    Refuses, before any work, a ball of more than ``guard`` errors or more
-    than ENUMERATION_GUARD cosets; the counts are checked against the closed
-    form sphere volumes.
+    Refuses, before any work, more than ENUMERATION_GUARD cosets or more
+    than ``guard`` steps (``_coset_work``); the counts are checked against
+    the closed form sphere volumes.
     """
     import numpy as np
 
     fld = code.field
     q, m, n, k, p = fld.q, fld.m, code.n, code.k, fld.char
-    volume = sum(sphere_volume(m, n, q, t) for t in range(tau + 1))
-    if volume > guard:
-        raise ValueError(f"rank ball of {volume} errors exceeds exhaustive guard {guard}")
     bins = fld.order ** (n - k)
     if bins > ENUMERATION_GUARD:
         raise ValueError(f"{bins} cosets exceed the coset guard {ENUMERATION_GUARD}")
+    work = _coset_work(code, tau)
+    if work > guard:
+        raise ValueError(f"coset count of {work} steps exceeds exhaustive guard {guard}")
     # a key packs (n-k) m e base-p digits (q = p^e)
     width = (n - k) * m * fld.base.e
     # key(x u_j) = x key(u_j), packed big-endian like pack_word
     unit_keys = code._unit_keys
-    counts = np.zeros(bins, dtype=np.int64)
-    counts[0] = 1
+    normalize = _key_normalizer(fld, n - k)
+    acc = np.zeros(bins, dtype=np.int64)
+    acc[0] = 1
     for t in range(1, tau + 1):
         # every full-rank t x n matrix A over F_q, one per row: entry j is
         # column j of A, the integer whose base-q digit i is A_ij
@@ -242,19 +342,17 @@ def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUAR
                 )
             ]
         )
-        for U in grassmannian_enumerate(m, t, q):
-            span = [0]
-            for row in U.basis:
-                b = fld.from_coeffs(row)
-                span = [fld.add(x, fld.mul(c, b)) for c in range(q) for x in span]
+        for span, size in _singer_orbits(fld, t):
             tables = [
                 _addends(_undigits(_multiples(fld, span, key)[:, ::-1], fld.order), p, width) for key in unit_keys
             ]
             for start in range(0, len(cols), _CHUNK):
-                np.add.at(counts, _table_sums(tables, cols[start : start + _CHUNK], p), 1)
-    if counts.sum() != volume:
-        raise AssertionError(f"coset counts add up to {counts.sum()}, not the ball volume {volume}")
-    return counts
+                keys = _table_sums(tables, cols[start : start + _CHUNK], p)
+                np.add.at(acc, normalize(keys), size)
+    volume = sum(sphere_volume(m, n, q, t) for t in range(tau + 1))
+    if acc.sum() != volume:
+        raise AssertionError(f"coset counts add up to {acc.sum()}, not the ball volume {volume}")
+    return acc
 
 
 def max_list_size(
@@ -270,8 +368,8 @@ def max_list_size(
 
     mode "exhaustive" returns the exact maximum with the lexicographically
     smallest argmax.  For a GabidulinCode it is the fullest coset of the rank
-    ball (see ``_coset_histogram``), refused when the ball holds more than
-    ``guard`` (default EXHAUSTIVE_GUARD) errors; any other code is scanned
+    ball (see ``_coset_histogram``), refused when counting it takes more than
+    ``guard`` (default EXHAUSTIVE_GUARD) steps; any other code is scanned
     word by word, refused when received words times codewords exceed
     ``guard``.  mode "random" samples ``trials`` words seeded by ``seed``
     and returns a lower estimate.  ``scanned`` is the number of received
@@ -283,9 +381,14 @@ def max_list_size(
     fld = code_field(code, field)
     _check_tau(tau, _code_length(code))
     if mode == "exhaustive" and isinstance(code, GabidulinCode):
-        counts = _coset_histogram(code, tau, guard)
-        key = int(counts.argmax())
-        return MaxListResult(int(counts[key]), unpack_word(key, fld.order, code.n), fld.order**code.n, True)
+        acc = _coset_histogram(code, tau, guard)
+        # coset 0 against the fullest orbit; the first argmax is the smallest key
+        ell, key = int(acc[0]), 0
+        if len(acc) > 1:
+            best = 1 + int(acc[1:].argmax())
+            if acc[best] // (fld.order - 1) > ell:
+                ell, key = int(acc[best]) // (fld.order - 1), best
+        return MaxListResult(ell, unpack_word(key, fld.order, code.n), fld.order**code.n, True)
     words = list(iter_codewords(code))  # a GabidulinCode refuses more than ENUMERATION_GUARD words
     n = len(words[0]) if words else 0
     total = fld.order**n

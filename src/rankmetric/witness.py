@@ -34,7 +34,13 @@ from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, ga
 from .codes import GabidulinCode, crc_theorem8
 from .ff import Field, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
-from .matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_distances
+from .matfq import (
+    _MEMBER_WORK,
+    _batched,
+    grassmannian_enumerate,
+    min_pairwise_rank_distance,
+    rank_distances,
+)
 
 CERTIFICATE_WORD_CAP = 1 << 16
 WITNESS_GUARD = 1 << 20
@@ -323,7 +329,8 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     large; every stored codeword belongs to the declared code; every stored
     codeword has rank distance exactly tau from the received word; pairwise
     rank distances are >= d (exhaustive up to PAIRWISE_CHECK_CAP words, a
-    deterministic prefix beyond).
+    deterministic prefix beyond).  Whether the checks run in numpy is decided
+    once, from their scalar work together.
     """
     fld = cert.field
     checks: dict[str, bool] = {}
@@ -340,6 +347,10 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     checks["size_at_least_claimed"] = cert.total_size >= cert.claimed_size
     if not cert.truncated:
         checks["stored_matches_total"] = len(cert.codewords) == cert.total_size
+    sample = cert.codewords[:PAIRWISE_CHECK_CAP]
+    words = len(cert.codewords)
+    if _batched(words * (1 + _MEMBER_WORK) + len(sample) * (len(sample) - 1) // 2, fld.order):
+        import numpy  # noqa: F401  (loaded first, each check below takes its batched path)
     checks["sphere_distance_exact"] = all(
         dist == cert.tau for dist in rank_distances(cert.received_word, cert.codewords, fld)
     )
@@ -358,7 +369,6 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
             }
         checks["membership"] = set(cert.codewords) <= expected
         checks["size_exact"] = cert.total_size == crc.cardinality == cert.claimed_size
-    sample = cert.codewords[:PAIRWISE_CHECK_CAP]
     min_dist = min_pairwise_rank_distance(sample, fld)
     checks["pairwise_distance"] = min_dist is None or min_dist >= cert.d
     checks["pairwise_exhaustive"] = len(sample) == len(cert.codewords)

@@ -356,6 +356,33 @@ def test_small_cli_runs_do_not_import_numpy():
     assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
 
 
+_LARGE_CERTIFICATE = """
+import sys
+from rankmetric import GabidulinCode, make_field, witness
+cert = witness.bound1_witness(GabidulinCode(make_field(2, 6), n=6, k=4), 2)
+loaded = "numpy" in sys.modules
+def scalar_membership(self, vec):
+    raise AssertionError("scalar membership test")
+GabidulinCode.contains = scalar_membership
+ok, checks = witness.verify_certificate(cert)
+print(loaded, ok, len(cert.codewords))
+"""
+
+
+def test_certificate_checks_decide_numpy_together():
+    # the 651-word certificate's checks together are worth numpy's import, so
+    # membership is batched too, not tested word by word before the pairwise
+    # check loads numpy
+    env = dict(os.environ)
+    src = str(Path(rankmetric.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_CERTIFICATE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "651"]
+
+
 _SETUP_CODES = """
 import sys
 sys.path.insert(0, sys.argv[1])

@@ -38,6 +38,26 @@ def test_f16_default_modulus_and_generator_order():
     assert cur == 1 and len(seen) == 15
 
 
+@pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 4), (3, 3), (4, 2), (9, 2), (2, 8)])
+def test_primitive_is_the_smallest_generator(q, m):
+    F = make_field(q, m)
+
+    def multiplicative_order(x):  # by repeated multiplication, not the log tables
+        cur, k = x, 1
+        while cur != 1:
+            cur, k = F._mul_poly(cur, x), k + 1
+        return k
+
+    orders = [multiplicative_order(x) for x in range(1, F.primitive + 1)]
+    assert orders[-1] == F.order - 1 and max(orders[:-1], default=0) < F.order - 1
+    assert F._exp == [F._pow_nolog(F.primitive, i) for i in range(F.order - 1)]
+
+
+def test_primitive_without_log_tables():
+    F = make_field(2, 17)  # 2^17 - 1 is prime: every element but 0 and 1 generates
+    assert F._exp is None and F.primitive == 2
+
+
 def test_reducible_modulus_rejected():
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2
     with pytest.raises(ValueError, match="reducible"):
@@ -55,6 +75,24 @@ def test_unsupported_q_rejected():
     for q in (1, 6, 10, 11):
         with pytest.raises(ValueError, match="unsupported"):
             make_field(q, 2)
+
+
+@given(p=st.sampled_from([2, 3, 5, 7]), m=st.integers(1, 5), data=st.data())
+def test_default_modulus_and_irreducibility_agree_with_sympy(p, m, data):
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    def sympy_irreducible(coeffs):  # sympy lists coefficients high degree first
+        return galoistools.gf_irreducible_p([int(c) for c in reversed(coeffs)], p, ZZ)
+
+    modulus = default_modulus(p, m)
+    assert modulus[-1] == 1 and sympy_irreducible(modulus)
+    if m > 1:  # the smallest: every candidate encoded below it with a nonzero constant is reducible
+        for enc in range(sum(c * p**i for i, c in enumerate(modulus[:-1]))):
+            lower = [enc // p**i % p for i in range(m)] + [1]
+            assert not lower[0] or not sympy_irreducible(lower)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)) + [1]
+    assert is_irreducible(coeffs, p) == sympy_irreducible(coeffs)
 
 
 def test_is_irreducible_known_cases():

@@ -9,7 +9,14 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rankmetric.bounds import CodeParams, ball_volume, bound1_lower, bound2_upper, mrd_weight_tau
+from rankmetric.bounds import (
+    CodeParams,
+    ball_volume,
+    bound1_lower,
+    bound2_upper,
+    gaussian_binomial,
+    mrd_weight_tau,
+)
 from rankmetric.cli import main
 from rankmetric.codes import GabidulinCode
 from rankmetric.ff import base_field, make_field
@@ -253,9 +260,10 @@ def test_exhaustive_guard():
 
 def test_exhaustive_guard_override():
     code = GabidulinCode(F4, n=2, k=1)
+    # 14 steps: 4 candidate matrices A, 3 subspaces walked, 1 orbit x 3 errors, 4 bins
     with pytest.raises(ValueError, match="guard"):
-        max_list_size(code, 1, guard=8)  # word space is 16
-    assert max_list_size(code, 1, guard=16).ell == 3
+        max_list_size(code, 1, guard=13)
+    assert max_list_size(code, 1, guard=14).ell == 3
 
 
 def test_enumeration_guard():
@@ -269,10 +277,10 @@ def test_enumeration_guard():
 
 
 def test_exhaustive_guard_refuses_before_work():
-    code = GabidulinCode(make_field(2, 6), n=6, k=3)  # ball of 3.3e8 errors at tau = 3
+    code = GabidulinCode(make_field(2, 6), n=6, k=3)  # 7.8e8 orbit-reduced errors at tau = 5
     start = time.perf_counter()
     with pytest.raises(ValueError, match="guard"):
-        max_list_size(code, 3)
+        max_list_size(code, 5)
     assert time.perf_counter() - start < 1.0
 
 
@@ -323,6 +331,68 @@ def test_coset_histogram_totals(q, m, n, k):
     # coset 0 is the code itself: the zero word and the minimum-weight codewords
     counts = oracle._coset_histogram(code, code.d)
     assert counts[0] == 1 + mrd_weight_tau(n, m, code.d, q)
+
+
+@pytest.mark.parametrize(
+    "q,m,t", [(2, 4, 2), (2, 6, 2), (2, 6, 3), (2, 6, 4), (3, 4, 2), (4, 3, 2), (2, 5, 1), (3, 3, 3)]
+)
+def test_singer_orbits_partition_the_grassmannian(q, m, t):
+    fld = make_field(q, m)
+    orbits = oracle._singer_orbits(fld, t)
+    sizes = [size for _, size in orbits]
+    assert sum(sizes) == gaussian_binomial(m, t, q)
+    assert len(orbits) == oracle._orbit_count(m, t, q)
+    # the stabilizer of U is F_{q^s}^* for some s dividing m and t
+    assert set(sizes) <= {(q**m - 1) // (q**s - 1) for s in range(1, t + 1) if m % s == 0 and t % s == 0}
+    for span, _ in orbits:
+        assert len(set(span)) == q**t
+    if (q, m, t) == (2, 4, 2):
+        assert sorted(sizes) == [5, 15, 15]  # F_16 holds one orbit of the 5 lines of F_4^2
+
+
+def _smallest_of_orbit(key, fld):
+    """Independent normalization: min over x in F_{q^m}^* of x * key."""
+    return min(tuple(fld.mul(x, c) for c in key) for x in range(1, fld.order))
+
+
+@pytest.mark.parametrize(
+    "q,m,n,k,taus",
+    [
+        (2, 4, 4, 2, (1, 2)),
+        (2, 4, 4, 3, (2, 3)),
+        (2, 3, 3, 1, (1, 2)),
+        (3, 3, 3, 2, (1, 2)),
+        (3, 2, 2, 1, (1, 2)),
+        (4, 2, 2, 1, (1, 2)),
+        (4, 3, 2, 1, (1,)),
+    ],
+)
+def test_orbit_reduced_counts_match_naive_scan_at_every_coset(q, m, n, k, taus):
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    fld = code.field
+    words = list(iter_codewords(code))
+    for tau in taus:
+        acc = oracle._coset_histogram(code, tau)
+        for key in itertools.product(range(fld.order), repeat=n - k):
+            if any(key):
+                count, rest = divmod(int(acc[pack_word(_smallest_of_orbit(key, fld), fld.order)]), fld.order - 1)
+                assert rest == 0
+            else:
+                count = int(acc[0])
+            # the coset's word that is zero on the first k positions
+            assert count == oracle._count_ball((0,) * k + key, words, fld, tau), (key, tau)
+
+
+@pytest.mark.parametrize(
+    "m,k,tau,ell,word",
+    [(8, 6, 2, 10795, (0, 0, 0, 0, 0, 0, 1, 77)), (6, 3, 3, 1395, (0, 0, 0, 1, 26, 13))],
+)
+def test_max_list_size_closes_the_bound_gap(m, k, tau, ell, word):
+    # bound1 = ell here: the pigeonhole over Gr(n, n - tau) is tight
+    code = GabidulinCode(make_field(2, m), n=m, k=k)
+    res = max_list_size(code, tau)
+    assert (res.ell, res.word) == (ell, word)
+    assert bound1_lower(CodeParams(q=2, m=m, n=m, d=code.d, k=k), tau).guarantee == ell
 
 
 @pytest.mark.parametrize("m,k,ell", [(5, 3, 155), (6, 4, 651)])
