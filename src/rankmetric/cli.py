@@ -123,6 +123,9 @@ def _load_received(args, fld) -> tuple[int, ...]:
         data = json.loads(args.received)
     else:
         raise ValueError("provide --received or --received-file")
+    # type(x) is int: JSON true must not read as 1
+    if not isinstance(data, list) or not all(isinstance(c, list) and all(type(x) is int for x in c) for c in data):
+        raise ValueError("the received word must be a JSON list of lists of integer coordinates")
     return tuple(fld.from_coeffs(c) for c in data)
 
 
@@ -226,6 +229,9 @@ def _cmd_verify(args) -> int:
     selected = None
     if args.criteria:
         selected = {int(x) for x in args.criteria.split(",")}
+        known = [cid for cid, _, _ in acceptance.CRITERIA]
+        if unknown := sorted(selected.difference(known)):
+            raise ValueError(f"unknown criterion id {', '.join(map(str, unknown))}; valid ids are 1..{known[-1]}")
     rows = acceptance.run_all(selected)
     failures = 0
     for cid, desc, passed, detail in rows:
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--guard",
         type=int,
         default=None,
-        help="override the work guard (2^28): candidate matrices, subspaces walked, "
+        help="override the work guard (2^28): candidate matrices, subspaces in the keyed orbits, "
         "orbit-reduced errors keyed and cosets",
     )
 

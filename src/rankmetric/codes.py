@@ -26,6 +26,7 @@ from .matfq import (
     _addends,
     _batched,
     _digits,
+    _gauss_jordan,
     _multiples,
     _table_sums,
     rank_of_vector,
@@ -164,15 +165,7 @@ class GabidulinCode:
         """
         F, k = self.field, self.k
         rows = [list(r) for r in self.generator_rows()]
-        for c in range(k):
-            pivot = next(i for i in range(c, k) if rows[i][c])
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            inv = F.inv(rows[c][c])
-            rows[c] = [F.mul(inv, x) for x in rows[c]]
-            for i in range(k):
-                if i != c and rows[i][c]:
-                    coef = rows[i][c]
-                    rows[i] = [F.sub(x, F.mul(coef, y)) for x, y in zip(rows[i], rows[c])]
+        _gauss_jordan(rows, self.n, F)
         units = tuple(tuple(int(i == j) for i in range(self.n - k)) for j in range(self.n - k))
         return tuple(tuple(F.neg(x) for x in row[k:]) for row in rows) + units
 

@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from .bounds import gaussian_binomial
 from .ff import Field, base_field
 
 GRASSMANNIAN_GUARD = 1 << 24
@@ -133,11 +134,17 @@ class MatrixFq:
 
 def rref(mat: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    F = base_field(mat.q)
     rows = [list(r) for r in mat.rows]
+    pivots = _gauss_jordan(rows, mat.ncols, base_field(mat.q))
+    return MatrixFq._unchecked(mat.q, tuple(tuple(row) for row in rows), mat.ncols), pivots
+
+
+def _gauss_jordan(rows: list[list[int]], ncols: int, F) -> tuple[int, ...]:
+    """Reduce ``rows``, lists of elements of F (F_q or F_{q^m}), in place to
+    RREF; returns the pivot columns."""
     pivots = []
     r = 0
-    for c in range(mat.ncols):
+    for c in range(ncols):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
@@ -153,8 +160,7 @@ def rref(mat: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
         r += 1
         if r == len(rows):
             break
-    reduced = MatrixFq._unchecked(mat.q, tuple(tuple(row) for row in rows), mat.ncols)
-    return reduced, tuple(pivots)
+    return tuple(pivots)
 
 
 def rank(mat: MatrixFq) -> int:
@@ -504,11 +510,7 @@ def grassmannian_enumerate(n: int, r: int, q: int, guard: int = GRASSMANNIAN_GUA
     """
     if not 0 <= r <= n:
         raise ValueError(f"dimension r={r} out of range for ambient n={n}")
-    num = den = 1
-    for i in range(r):
-        num *= q**n - q**i
-        den *= q**r - q**i
-    total = num // den
+    total = gaussian_binomial(n, r, q)
     if total > guard:
         raise ValueError(f"Grassmannian size {total} exceeds guard {guard}")
     out = []

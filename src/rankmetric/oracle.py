@@ -9,7 +9,7 @@ For a Gabidulin code the list size of r depends only on the coset r + C, so
 the maximum is the fullest coset of the rank ball of radius tau, counted by
 ``_coset_histogram`` without enumerating received words or codewords.  Coset
 counts are constant on the orbits of F_{q^m}^*, so it keys the errors of one
-column space per orbit of the Singer cycle and weights them by the orbit
+column space through 1 per orbit of the Singer cycle, weighted by the orbit
 size; its guard counts those steps, not the ball.  Other codes are scanned
 word by word (``_count_ball``), the tests' ground truth.
 
@@ -220,37 +220,35 @@ def _orbit_count(m: int, t: int, q: int) -> int:
 def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
     """One (span, size) per orbit of Gr(m, t) under multiplication by F_{q^m}^*.
 
-    ``span`` lists the elements of the orbit's first subspace U in
-    ``grassmannian_enumerate`` order, span[a] = sum_i a_i b_i over the base-q
-    digits a_i of a and the RREF basis b_1..b_t of U; ``size`` is the number
-    of subspaces xU.  Multiplying by the primitive element walks the orbit
-    (the Singer cycle), so every subspace of Gr(m, t) is visited once.
+    ``span`` lists the elements of the orbit's representative U, span[a] =
+    sum_i a_i b_i over the base-q digits a_i of a and the RREF basis b_i of
+    U; ``size`` is the number of subspaces xU.  The orbit members that hold
+    1 are the u^{-1} U, u in U nonzero, and are the U = <1> + (0 | W), W in
+    Gr(m - 1, t - 1), with basis [e_0; 0 | W].  U represents its orbit when
+    its sorted span is the smallest of theirs; the (q^m - 1)/size u with
+    u^{-1} U = U are its stabilizer.
     """
-    subspaces = grassmannian_enumerate(fld.m, t, fld.q)
-    times_g = [fld.mul(fld.primitive, x) for x in range(fld.order)]
-    visited: set[frozenset[int]] = set()
     orbits = []
-    for U in subspaces:
+    for W in grassmannian_enumerate(fld.m - 1, t - 1, fld.q):
         span = [0]
-        for row in U.basis:
-            b = fld.from_coeffs(row)
+        for b in [1] + [fld.from_coeffs((0,) + row) for row in W.basis]:
             span = [fld.add(x, fld.mul(c, b)) for c in range(fld.q) for x in span]
-        first = frozenset(span)
-        if first in visited:
-            continue
-        orbit, moved = {first}, frozenset(map(times_g.__getitem__, first))
-        while moved != first:
-            orbit.add(moved)
-            moved = frozenset(map(times_g.__getitem__, moved))
-        visited |= orbit
-        orbits.append((span, len(orbit)))
+        smallest, stabilizer = sorted(span), 0
+        for u in span[1:]:
+            inv = fld.inv(u)
+            moved = sorted(fld.mul(inv, x) for x in span)
+            if moved < smallest:
+                break
+            stabilizer += moved == smallest
+        else:
+            orbits.append((span, (fld.order - 1) // stabilizer))
     return orbits
 
 
 def _coset_work(code: GabidulinCode, tau: int) -> int:
     """Steps of ``_coset_histogram``: per rank t, the q^{tn} candidate
-    matrices A, the [m; t]_q subspaces walked and the errors keyed (orbits
-    times full-rank A); then the bins."""
+    matrices A, the [m; t]_q subspaces the orbit representatives stand for
+    and the errors keyed (orbits times full-rank A); then the bins."""
     q, m, n = code.q, code.m, code.n
     steps = code.field.order ** (n - code.k)
     for t in range(1, tau + 1):

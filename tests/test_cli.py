@@ -234,6 +234,22 @@ def test_oracle_rejects_bad_input_exit_2(capsys, extra):
 
 
 @pytest.mark.parametrize(
+    "received", ["5", "null", "[5,6]", '{"a": 1}', '[["1",0],[0,0]]', "[[0.5,0],[0,0]]", "[[true,0],[0,0]]"]
+)
+@pytest.mark.parametrize("source", ["--received", "--received-file"])
+def test_oracle_list_rejects_malformed_received_word(capsys, tmp_path, received, source):
+    if source == "--received-file":
+        path = tmp_path / "received.json"
+        path.write_text(received)
+        received = str(path)
+    code, out, err = run_cli(
+        capsys, "oracle", "list", "--q", "2", "--m", "2", "--n", "2", "--k", "1", "--tau", "1", source, received
+    )
+    assert code == 2 and out == ""
+    assert "list of lists of integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "doc, field",
     [
         ({"q": 2, "ambient": 4, "dim": 2, "min_subspace_distance": 4}, "words"),
@@ -327,6 +343,15 @@ def test_verify_selected_criteria(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) == 3
     assert all(ln.startswith("PASS") for ln in lines)
+
+
+@pytest.mark.parametrize("criteria, unknown", [("99", "99"), ("1,0,13", "0, 13")])
+def test_verify_rejects_unknown_criteria_before_running(capsys, monkeypatch, criteria, unknown):
+    ran = []
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda selected: ran.append(selected) or [])
+    code, out, err = run_cli(capsys, "verify", "--criteria", criteria)
+    assert code == 2 and out == "" and ran == []
+    assert f"unknown criterion id {unknown}" in err and "1..12" in err
 
 
 _SMALL_RUNS = """

@@ -21,7 +21,7 @@ from rankmetric.cli import main
 from rankmetric.codes import GabidulinCode
 from rankmetric.ff import base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
-from rankmetric.matfq import rank_of_vector
+from rankmetric.matfq import grassmannian_enumerate, rank_of_vector
 from rankmetric import acceptance, oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
@@ -260,7 +260,7 @@ def test_exhaustive_guard():
 
 def test_exhaustive_guard_override():
     code = GabidulinCode(F4, n=2, k=1)
-    # 14 steps: 4 candidate matrices A, 3 subspaces walked, 1 orbit x 3 errors, 4 bins
+    # 14 steps: 4 candidate matrices A, 3 subspaces the one orbit stands for, 1 orbit x 3 errors, 4 bins
     with pytest.raises(ValueError, match="guard"):
         max_list_size(code, 1, guard=13)
     assert max_list_size(code, 1, guard=14).ell == 3
@@ -348,6 +348,54 @@ def test_singer_orbits_partition_the_grassmannian(q, m, t):
         assert len(set(span)) == q**t
     if (q, m, t) == (2, 4, 2):
         assert sorted(sizes) == [5, 15, 15]  # F_16 holds one orbit of the 5 lines of F_4^2
+
+
+def _span_set(fld, basis):
+    """The elements of the F_q-span of ``basis`` (coefficient vectors)."""
+    span = {0}
+    for row in basis:
+        b = fld.from_coeffs(row)
+        span = {fld.add(x, fld.mul(c, b)) for c in range(fld.q) for x in span}
+    return frozenset(span)
+
+
+@pytest.mark.parametrize(
+    "q,m,t",
+    [(2, 1, 1), (2, 3, 3), (2, 4, 2), (2, 4, 4), (2, 6, 2), (2, 6, 3), (3, 3, 1), (3, 4, 2), (3, 2, 2),
+     (4, 2, 1), (4, 3, 2), (4, 3, 3), (9, 2, 1), (9, 2, 2)],
+)
+def test_singer_orbits_cover_the_grassmannian_once(q, m, t):
+    # independent cross-check: expand each representative by every x in F_{q^m}^*
+    fld = make_field(q, m)
+    covered = set()
+    for span, size in oracle._singer_orbits(fld, t):
+        orbit = {frozenset(fld.mul(x, s) for s in span) for x in range(1, fld.order)}
+        assert len(orbit) == size
+        assert covered.isdisjoint(orbit)
+        covered |= orbit
+    grassmannian = [_span_set(fld, U.basis) for U in grassmannian_enumerate(m, t, q)]
+    assert len(covered) == len(grassmannian) and covered == set(grassmannian)
+
+
+def test_singer_orbits_walk_only_the_subspaces_through_one(monkeypatch):
+    calls = []
+
+    def recorded(n, r, q, *rest):
+        calls.append((n, r, q))
+        return grassmannian_enumerate(n, r, q, *rest)
+
+    monkeypatch.setattr(oracle, "grassmannian_enumerate", recorded)
+    for q, m, t in [(2, 6, 3), (3, 4, 2), (2, 5, 1), (2, 4, 4)]:
+        calls.clear()
+        oracle._singer_orbits(make_field(q, m), t)
+        assert calls == [(m - 1, t - 1, q)]
+
+
+def test_max_list_size_on_a_large_field():
+    # 2^18 cosets; the walk reads the one subspace of Gr(17, 0) instead of all 2^18 - 1 lines
+    code = GabidulinCode(make_field(2, 18), n=2, k=1)
+    res = max_list_size(code, 1)
+    assert (res.ell, res.word) == (3, (0, 1))
 
 
 def _smallest_of_orbit(key, fld):
