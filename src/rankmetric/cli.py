@@ -126,6 +126,9 @@ def _load_received(args, fld) -> tuple[int, ...]:
     # type(x) is int: JSON true must not read as 1
     if not isinstance(data, list) or not all(isinstance(c, list) and all(type(x) is int for x in c) for c in data):
         raise ValueError("the received word must be a JSON list of lists of integer coordinates")
+    bad = next((i for i, c in enumerate(data) if len(c) != fld.m), None)
+    if bad is not None:
+        raise ValueError(f"received word entry {bad} has {len(data[bad])} coordinates, need m={fld.m}")
     return tuple(fld.from_coeffs(c) for c in data)
 
 
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the work guard (2^28): candidate matrices, subspaces in the keyed orbits, "
-        "orbit-reduced errors keyed and cosets",
+        "orbit-reduced errors keyed and cosets; in random mode, trials times codewords",
     )
 
     p_con = sub.add_parser("construct", help="build constant-dimension / constant-rank codes")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Iterator, Sequence
 
+from . import ff
 from .ff import Field, expand_to_matrix, make_field, vector_from_matrix
 from .linpoly import LinearizedPoly, evaluate
 from .matfq import (
@@ -96,12 +97,7 @@ class GabidulinCode:
         """Codeword for message index sum_i f_i Q^i (digit i = coefficient f_i)."""
         if not 0 <= index < self.cardinality:
             raise ValueError("message index out of range")
-        Q = self.field.order
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(index % Q)
-            index //= Q
-        return self.encode(LinearizedPoly(self.field, tuple(coeffs)))
+        return self.encode(LinearizedPoly(self.field, ff._digits(index, self.field.order, self.k)))
 
     def iter_codewords(self) -> Iterator[tuple[int, ...]]:
         """All codewords in message-index order."""

@@ -3,7 +3,9 @@
 Elements of F_{q^m} are represented as integers in ``range(q**m)`` whose
 base-q digits are the coordinates in the polynomial basis 1, x, ..., x^{m-1}
 of the defining modulus (digit i = coefficient of x^i).  The base field F_q
-(q in 2, 3, 4, 5, 7, 8, 9) uses the same convention over F_p.
+(q in 2, 3, 4, 5, 7, 8, 9) uses the same convention over F_p: for q = p^e
+with e > 1 its add/mul tables and modulus are those of ``make_field(p, e)``,
+so F_4, F_8 and F_9 are built by the one construction of F_{p^e}.
 
 Moduli are monic irreducible polynomials given as coefficient lists
 low-degree-first, e.g. x^4 + x + 1 <-> [1, 1, 0, 0, 1].  When no modulus is
@@ -32,31 +34,21 @@ SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 _LOG_TABLE_LIMIT = 1 << 16
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, e) with q = p^e, p prime."""
-    for p in (2, 3, 5, 7):
-        if q % p == 0:
-            e, v = 0, q
-            while v % p == 0:
-                v //= p
-                e += 1
-            if v == 1:
-                return p, e
-            break
-    raise ValueError(f"unsupported base field size q={q}; supported: {SUPPORTED_Q}")
+# q -> (p, e) with q = p^e, for q in SUPPORTED_Q
+_PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
 class BaseField:
     """F_q for q <= 9, fully tabulated.
 
-    Elements are integers 0..q-1; for q = p^e they encode base-p digit
-    vectors over the lexicographically smallest degree-e irreducible.
+    Elements are integers 0..q-1; for q = p^e they are the elements of
+    ``make_field(p, e)``, base-p digit vectors over its default modulus.
     """
 
     def __init__(self, q: int):
         if q not in SUPPORTED_Q:
             raise ValueError(f"unsupported base field size q={q}; supported: {SUPPORTED_Q}")
-        p, e = _prime_power(q)
+        p, e = _PRIME_POWER[q]
         self.q = q
         self.p = p
         self.e = e
@@ -65,9 +57,10 @@ class BaseField:
             add = [[(a + b) % p for b in range(p)] for a in range(p)]
             mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         else:
-            self.modulus = self._find_modulus(p, e)
-            add = [[self._digit_add(a, b) for b in range(q)] for a in range(q)]
-            mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
+            ext = make_field(p, e)
+            self.modulus = ext.modulus
+            add = [[ext.add(a, b) for b in range(q)] for a in range(q)]
+            mul = [[ext.mul(a, b) for b in range(q)] for a in range(q)]
         self._add = tuple(tuple(r) for r in add)
         self._mul = tuple(tuple(r) for r in mul)
         self._neg = tuple(next(b for b in range(q) if self._add[a][b] == 0) for a in range(q))
@@ -75,35 +68,6 @@ class BaseField:
         for a in range(1, q):
             inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
         self._inv = tuple(inv)
-
-    @staticmethod
-    def _find_modulus(p: int, e: int) -> tuple[int, ...]:
-        # degree 2 or 3 only: irreducible iff no root in F_p
-        for enc in range(p**e):
-            coeffs = _digits(enc, p, e) + [1]
-            if all(_poly_eval_prime(coeffs, x, p) != 0 for x in range(p)):
-                return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _digit_add(self, a: int, b: int) -> int:
-        da, db = _digits(a, self.p, self.e), _digits(b, self.p, self.e)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        da, db = _digits(a, p, e), _digits(b, p, e)
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-        for i in range(2 * e - 2, e - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j in range(e):
-                    conv[i - e + j] = (conv[i - e + j] - c * self.modulus[j]) % p
-        return _undigits(conv[:e], p)
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -147,13 +111,6 @@ def _undigits(digits: Iterable[int], base: int) -> int:
     for d in reversed(list(digits)):
         v = v * base + d
     return v
-
-
-def _poly_eval_prime(coeffs: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 # --- polynomial helpers over a BaseField (coefficient lists, low-degree-first) ---
@@ -401,7 +358,7 @@ class Field:
             n1 = self.order - 1
             primes = _prime_factors(n1)
             self._primitive = next(
-                g for g in range(1, self.order) if all(self._pow_nolog(g, n1 // p) != 1 for p in primes)
+                g for g in range(1, self.order) if all(self.pow(g, n1 // p) != 1 for p in primes)
             )
         return self._primitive
 
@@ -414,15 +371,6 @@ class Field:
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp, log
-
-    def _pow_nolog(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
 
     # -- misc ---------------------------------------------------------------
 

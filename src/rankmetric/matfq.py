@@ -3,6 +3,11 @@
 Matrices are immutable value types with entries 0..q-1 (integer encoding of
 F_q, see :mod:`rankmetric.ff`).  Subspaces of F_q^n are kept in reduced row
 echelon form, so equal subspaces compare equal and enumeration is canonical.
+
+Every rank question (``rank``, ``subspace_distance``, ``Subspace.contains``
+and the rank of a vector over F_{q^m}) goes through the one kernel
+``_column_rank``; the Gauss-Jordan loop runs only where the RREF itself is
+the result.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+from . import ff
 from .bounds import gaussian_binomial
 from .ff import Field, base_field
 
@@ -164,8 +170,8 @@ def _gauss_jordan(rows: list[list[int]], ncols: int, F) -> tuple[int, ...]:
 
 
 def rank(mat: MatrixFq) -> int:
-    """Rank over F_q via Gaussian elimination."""
-    return len(rref(mat)[1])
+    """Rank over F_q: ``_column_rank`` of the rows read as base-q digits."""
+    return _column_rank([ff._undigits(row, mat.q) for row in mat.rows], mat.q, mat.ncols, mat.nrows)
 
 
 def rank_of_vector(vec: Sequence[int], fld: Field) -> int:
@@ -458,16 +464,10 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        F = base_field(self.q)
-        v = [int(x) for x in vec]
+        v = tuple(vec)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
-            if v[p]:
-                c = v[p]
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        return rank(MatrixFq(self.q, self.basis + (v,), ncols=self.ambient_dim)) == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -498,10 +498,10 @@ def column_space(mat: MatrixFq) -> Subspace:
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """2 dim(U+V) - dim U - dim V; a metric on subspaces of F_q^n."""
     U._check(V)
-    return 2 * U.sum(V).dim - U.dim - V.dim
+    return 2 * rank(MatrixFq._unchecked(U.q, U.basis + V.basis, U.ambient_dim)) - U.dim - V.dim
 
 
-def grassmannian_enumerate(n: int, r: int, q: int, guard: int = GRASSMANNIAN_GUARD) -> list[Subspace]:
+def grassmannian_enumerate(n: int, r: int, q: int) -> list[Subspace]:
     """All r-dimensional subspaces of F_q^n, canonically ordered.
 
     Order: lexicographic by pivot pattern, then by the free entries read
@@ -511,8 +511,8 @@ def grassmannian_enumerate(n: int, r: int, q: int, guard: int = GRASSMANNIAN_GUA
     if not 0 <= r <= n:
         raise ValueError(f"dimension r={r} out of range for ambient n={n}")
     total = gaussian_binomial(n, r, q)
-    if total > guard:
-        raise ValueError(f"Grassmannian size {total} exceeds guard {guard}")
+    if total > GRASSMANNIAN_GUARD:
+        raise ValueError(f"Grassmannian size {total} exceeds guard {GRASSMANNIAN_GUARD}")
     out = []
     for piv in itertools.combinations(range(n), r):
         pivot_set = set(piv)

@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import ff
 from .bounds import gaussian_binomial, sphere_volume
 from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode
 from .ff import Field, make_field
@@ -57,18 +58,13 @@ _CHUNK = 1 << 16
 
 
 def pack_word(vec: Sequence[int], order: int) -> int:
-    v = 0
-    for x in vec:
-        v = v * order + x
-    return v
+    """Big-endian index of a word: ``ff._undigits`` of the reversed word."""
+    return ff._undigits(reversed(vec), order)
 
 
 def unpack_word(index: int, order: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(index % order)
-        index //= order
-    return tuple(reversed(out))
+    """Inverse of ``pack_word`` for words of length n."""
+    return tuple(reversed(ff._digits(index, order, n)))
 
 
 def code_field(code, field: Field | None = None) -> Field:
@@ -128,10 +124,16 @@ class ListResult:
         return len(self.codewords)
 
 
-def _check_received(code, r: tuple[int, ...]) -> None:
+def _enumerable_size(code) -> int:
+    """code_size(code), refused above ENUMERATION_GUARD."""
     size = code_size(code)
     if size > ENUMERATION_GUARD:
         raise ValueError(f"code too large to enumerate ({size} > {ENUMERATION_GUARD})")
+    return size
+
+
+def _check_received(code, r: tuple[int, ...]) -> None:
+    _enumerable_size(code)
     n = _code_length(code)
     if n is not None and len(r) != n:
         raise ValueError(f"received word has length {len(r)}, the code has length {n}")
@@ -370,7 +372,8 @@ def max_list_size(
     ``guard`` (default EXHAUSTIVE_GUARD) steps; any other code is scanned
     word by word, refused when received words times codewords exceed
     ``guard``.  mode "random" samples ``trials`` words seeded by ``seed``
-    and returns a lower estimate.  ``scanned`` is the number of received
+    and returns a lower estimate, refused like the scan when trials times
+    codewords exceed ``guard``.  ``scanned`` is the number of received
     words the maximum covers.
     """
     if mode not in ("exhaustive", "random"):
@@ -387,22 +390,19 @@ def max_list_size(
             if acc[best] // (fld.order - 1) > ell:
                 ell, key = int(acc[best]) // (fld.order - 1), best
         return MaxListResult(ell, unpack_word(key, fld.order, code.n), fld.order**code.n, True)
-    words = list(iter_codewords(code))  # a GabidulinCode refuses more than ENUMERATION_GUARD words
-    n = len(words[0]) if words else 0
+    n, size = _code_length(code) or 0, _enumerable_size(code)
     total = fld.order**n
+    if mode == "random" and (trials is None or trials < 1):
+        raise ValueError("random mode requires trials >= 1")
+    scanned = trials if mode == "random" else total
+    if scanned * size > guard:
+        raise ValueError(f"scan of {scanned} words against {size} codewords exceeds exhaustive guard {guard}")
+    words = list(iter_codewords(code))
     if mode == "random":
-        if trials is None or trials < 1:
-            raise ValueError("random mode requires trials >= 1")
         rng = random.Random(seed)
-        indices = [rng.randrange(total) for _ in range(trials)]
-        scanned = trials
+        indices = (rng.randrange(total) for _ in range(trials))
     else:
-        if total * len(words) > guard:
-            raise ValueError(
-                f"scan of {total} words against {len(words)} codewords exceeds exhaustive guard {guard}"
-            )
         indices = range(total)
-        scanned = total
     best_count, best_index = -1, -1
     for index in indices:
         count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau)

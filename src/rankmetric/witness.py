@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, gaussian_binomial, mrd_weight_tau
 from .codes import GabidulinCode, crc_theorem8
-from .ff import Field, make_field
+from .ff import Field, _undigits, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import (
     _MEMBER_WORK,
@@ -139,11 +139,6 @@ def _cap_words(words: Sequence[tuple[int, ...]], cap: int) -> tuple[tuple, bool]
     return tuple(words[::stride][:cap]), True
 
 
-def _pack(digits: Sequence[int], Q: int) -> int:
-    """sum_j digits[j] Q^j, the message index of a coefficient tuple."""
-    return sum(f * Q**j for j, f in enumerate(digits))
-
-
 def _subspace_poly_buckets(fld: Field, n: int, tau: int, k: int) -> dict[tuple[int, ...], list[LinearizedPoly]]:
     """The monic subspace polynomials P_U, U in Gr(n, n-tau) over F_{q^n},
     bucketed by their coefficients of q-degree k..n-tau-1, in Grassmannian order.
@@ -240,10 +235,10 @@ def bound1_alt_witness(
     code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
     buckets = _subspace_poly_buckets(fld, n, tau, code_c.k)
     max_size = max(len(v) for v in buckets.values())
-    best_key = min((key for key, v in buckets.items() if len(v) == max_size), key=lambda key: _pack(key, Q))
-    best_index = _pack(best_key + (1,), Q)
+    best_key = min((key for key, v in buckets.items() if len(v) == max_size), key=lambda key: _undigits(key, Q))
+    best_index = _undigits(best_key + (1,), Q)
     bucket = buckets[best_key]
-    messages = sorted(_pack([fld.neg(c) for c in P.coeffs[: code_c.k]], Q) for P in bucket)
+    messages = sorted(_undigits([fld.neg(c) for c in P.coeffs[: code_c.k]], Q) for P in bucket)
     codewords = [code_c.codeword(i) for i in messages]
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
     stored, truncated = _cap_words(codewords, word_cap)

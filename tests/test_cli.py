@@ -250,6 +250,25 @@ def test_oracle_list_rejects_malformed_received_word(capsys, tmp_path, received,
 
 
 @pytest.mark.parametrize(
+    "received, entry",
+    [("[[1],[0,1],[],[0,0,1]]", "entry 0 has 1"), ("[[1,0,0,0],[0,1,0,0],[],[0,0,1,0]]", "entry 2 has 0"),
+     ("[[1,0,0,0],[0,1,0,0,0],[0,0,0,0],[0,0,1,0]]", "entry 1 has 5")],
+)
+@pytest.mark.parametrize("source", ["--received", "--received-file"])
+def test_oracle_list_rejects_received_entries_of_the_wrong_length(capsys, tmp_path, received, entry, source):
+    # a short entry was zero-padded and echoed back as a different word
+    if source == "--received-file":
+        path = tmp_path / "received.json"
+        path.write_text(received)
+        received = str(path)
+    code, out, err = run_cli(
+        capsys, "oracle", "list", "--q", "2", "--m", "4", "--n", "4", "--k", "2", "--tau", "2", source, received
+    )
+    assert code == 2 and out == ""
+    assert f"received word {entry} coordinates, need m=4" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "doc, field",
     [
         ({"q": 2, "ambient": 4, "dim": 2, "min_subspace_distance": 4}, "words"),

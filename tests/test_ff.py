@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from rankmetric.ff import (
     SUPPORTED_Q,
+    base_field,
     default_modulus,
     expand_to_matrix,
     is_irreducible,
@@ -50,7 +51,29 @@ def test_primitive_is_the_smallest_generator(q, m):
 
     orders = [multiplicative_order(x) for x in range(1, F.primitive + 1)]
     assert orders[-1] == F.order - 1 and max(orders[:-1], default=0) < F.order - 1
-    assert F._exp == [F._pow_nolog(F.primitive, i) for i in range(F.order - 1)]
+    powers = [1]  # primitive^i by repeated _mul_poly products
+    for _ in range(F.order - 2):
+        powers.append(F._mul_poly(powers[-1], F.primitive))
+    assert F._exp == powers
+
+
+@pytest.mark.parametrize("q, p, e, modulus", [(4, 2, 2, (1, 1, 1)), (8, 2, 3, (1, 1, 0, 1)), (9, 3, 2, (1, 0, 1))])
+def test_base_field_tabulates_the_extension_of_its_prime_field(q, p, e, modulus):
+    F, ext = base_field(q), make_field(p, e)
+    assert (F.p, F.e) == (p, e) and F.modulus == ext.modulus == modulus
+    # of degree 2 or 3, so irreducible iff it has no root in F_p
+    assert all(sum(c * x**i for i, c in enumerate(modulus)) % p for x in range(p))
+    elems = range(q)
+    assert F._add == tuple(tuple(ext.add(a, b) for b in elems) for a in elems)
+    assert F._mul == tuple(tuple(ext.mul(a, b) for b in elems) for a in elems)
+    digits = lambda a: [a // p**i % p for i in range(e)]  # noqa: E731
+    for a, b in itertools.product(elems, repeat=2):
+        assert digits(F.add(a, b)) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+        assert F.mul(a, b) == F.mul(b, a) and F.add(a, F.neg(a)) == 0 and F.mul(a, 1) == a
+    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, q))
+    for a, b, c in itertools.product(elems, repeat=3):
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
 def test_primitive_without_log_tables():

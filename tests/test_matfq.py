@@ -237,6 +237,71 @@ def test_subspace_contains():
     assert s.contains((0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_matches_rref_pivot_count(q, data):
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    entries = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    if rows and data.draw(st.booleans()):  # a dependent row, else q > 2 is nearly always full rank
+        c, i = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, nrows - 1))
+        rows.append([base_field(q).mul(c, x) for x in rows[i]])
+    mat = MatrixFq(q, tuple(map(tuple, rows)), ncols=ncols)
+    assert rank(mat) == len(rref(mat)[1])
+    assert rank(MatrixFq(q, (), ncols=ncols)) == 0 and rank(MatrixFq(q, ((),) * nrows, ncols=0)) == 0
+
+
+def _random_subspace(rng, q, n):
+    return Subspace.from_vectors(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n))])
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_subspace_contains_matches_span_enumeration(q):
+    F, n, rng = base_field(q), 3, random.Random(q)
+    for _ in range(6):
+        U = _random_subspace(rng, q, n)
+        span = set()
+        for coefs in itertools.product(range(q), repeat=U.dim):
+            acc = [0] * n
+            for c, row in zip(coefs, U.basis):
+                acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, row)]
+            span.add(tuple(acc))
+        assert {v for v in itertools.product(range(q), repeat=n) if U.contains(v)} == span
+        # entries outside 0..q-1 used to index past (or, negative, from the end of) the field tables
+        for bad in ((q, 0, 0), (0, -1, 0), (0, 0, -q)):
+            with pytest.raises(ValueError, match="entries"):
+                U.contains(bad)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_subspace_distance_matches_the_canonical_sum(q):
+    rng = random.Random(100 + q)
+    for _ in range(30):
+        n = rng.randint(0, 4)
+        U, V = _random_subspace(rng, q, n), _random_subspace(rng, q, n)
+        assert subspace_distance(U, V) == 2 * U.sum(V).dim - U.dim - V.dim
+
+
+def test_rank_questions_take_the_rank_kernel_not_rref(monkeypatch):
+    U = Subspace.from_vectors(3, 3, [(1, 2, 0)])
+    V = Subspace.from_vectors(3, 3, [(0, 1, 1), (1, 0, 2)])
+    mat = MatrixFq(3, ((1, 2, 0), (2, 1, 0)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _column_rank(*args)
+
+    def refuse(*args):
+        raise AssertionError("a rank question built an RREF")
+
+    monkeypatch.setattr(matfq, "_column_rank", counted)
+    monkeypatch.setattr(matfq, "_gauss_jordan", refuse)
+    assert (rank(mat), subspace_distance(U, V), V.contains((1, 1, 0)), V.contains((1, 0, 0))) == (1, 3, True, False)
+    assert len(calls) == 4
+
+
 def test_subspace_distance_examples():
     u = Subspace.from_vectors(2, 2, [(1, 0)])
     v = Subspace.from_vectors(2, 2, [(0, 1)])

@@ -218,6 +218,26 @@ def test_max_list_size_random_mode():
         max_list_size(code, 2, mode="greedy")
 
 
+def test_random_mode_obeys_the_guard(monkeypatch, capsys):
+    code = GabidulinCode(F16, n=4, k=2)  # 256 codewords: 5 trials are 1280 steps
+    with pytest.raises(ValueError, match="scan of 5 words against 256 codewords exceeds exhaustive guard 1279"):
+        max_list_size(code, 2, mode="random", seed=4, trials=5, guard=1279)
+    answered = max_list_size(code, 2, mode="random", seed=4, trials=5, guard=1280)
+    assert answered == max_list_size(code, 2, mode="random", seed=4, trials=5) and answered.scanned == 5
+    # README's example is answered; 10^9 trials are refused before any word is drawn or counted
+    base = ["oracle", "max", "--q", "2", "--m", "4", "--n", "4", "--k", "2", "--tau", "2", "--mode", "random"]
+    assert main([*base, "--trials", "1000", "--seed", "7"]) == 0
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("sampled before the guard")
+
+    monkeypatch.setattr(oracle, "_count_ball", refuse)
+    monkeypatch.setattr(oracle.random.Random, "randrange", refuse)
+    assert main([*base, "--trials", "1000000000"]) == 2
+    assert "exceeds exhaustive guard" in capsys.readouterr().err
+
+
 def test_max_list_size_translation_invariance():
     code = GabidulinCode(F4, n=2, k=1)
     shift = (3, 1)
