@@ -43,6 +43,9 @@ class BaseField:
 
     Elements are integers 0..q-1; for q = p^e they are the elements of
     ``make_field(p, e)``, base-p digit vectors over its default modulus.
+    Besides the add/mul/neg/inv tables there is one row-operation table,
+    ``_axpy[c][x][y] = x - c y``, which every F_q elimination and matrix
+    sum or product reads.
     """
 
     def __init__(self, q: int):
@@ -68,6 +71,9 @@ class BaseField:
         for a in range(1, q):
             inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
         self._inv = tuple(inv)
+        self._axpy = tuple(
+            tuple(tuple(self._add[x][self._neg[cy]] for cy in self._mul[c]) for x in range(q)) for c in range(q)
+        )
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -85,6 +91,16 @@ class BaseField:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         return self._inv[a]
+
+    def scale_row(self, c: int, xs: Sequence[int]) -> tuple[int, ...]:
+        """(c x for x in xs)."""
+        table = self._mul[c]
+        return tuple([table[x] for x in xs])
+
+    def axpy_row(self, c: int, xs: Sequence[int], ys: Sequence[int]) -> tuple[int, ...]:
+        """(x - c y for x, y in zip(xs, ys)), one ``_axpy`` lookup per entry."""
+        table = self._axpy[c]
+        return tuple([table[x][y] for x, y in zip(xs, ys)])
 
     def elements(self) -> range:
         return range(self.q)
@@ -327,6 +343,14 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def scale_row(self, c: int, xs: Sequence[int]) -> list[int]:
+        """[c x for x in xs], the row operation ``BaseField.scale_row`` tabulates."""
+        return [self.mul(c, x) for x in xs]
+
+    def axpy_row(self, c: int, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """[x - c y for x, y in zip(xs, ys)], the row operation ``BaseField.axpy_row`` tabulates."""
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(xs, ys)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

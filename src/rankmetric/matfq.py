@@ -6,22 +6,40 @@ echelon form, so equal subspaces compare equal and enumeration is canonical.
 
 Every rank question (``rank``, ``subspace_distance``, ``Subspace.contains``
 and the rank of a vector over F_{q^m}) goes through the one kernel
-``_column_rank``; the Gauss-Jordan loop runs only where the RREF itself is
-the result.
+``_column_rank``; the one Gauss-Jordan loop, ``_gauss_jordan``, runs only
+where the RREF itself is the result.  Over F_q that loop, both rank kernels
+(scalar and numpy) and the matrix sums and products read one row-operation
+table per base field, ``BaseField._axpy[c][x][y] = x - c y``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from . import ff
 from .bounds import gaussian_binomial
 from .ff import Field, base_field
 
 GRASSMANNIAN_GUARD = 1 << 24
+
+
+def _entries(row: Iterable) -> tuple[int, ...]:
+    """``row`` as a tuple of ints, read with ``operator.index``: numpy
+    integers pass, floats, strings and None raise ValueError rather than
+    being truncated or parsed by ``int``."""
+    row = tuple(row)
+    try:
+        return tuple(map(operator.index, row))
+    except TypeError:
+        for x in row:
+            try:
+                operator.index(x)
+            except TypeError:
+                raise ValueError(f"entries must be integers, got {x!r}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -33,7 +51,7 @@ class MatrixFq:
     ncols: int = field(default=-1)
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(map(_entries, self.rows))
         object.__setattr__(self, "rows", rows)
         ncols = self.ncols
         if ncols < 0:
@@ -44,7 +62,7 @@ class MatrixFq:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-            if any(not 0 <= x < self.q for x in r):
+            if r and (min(r) < 0 or max(r) >= self.q):
                 raise ValueError(f"entries must lie in 0..{self.q - 1}")
 
     @classmethod
@@ -74,26 +92,22 @@ class MatrixFq:
         return cls(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def add(self, other: "MatrixFq") -> "MatrixFq":
-        self._check_compatible(other)
-        F = base_field(self.q)
-        return MatrixFq._unchecked(
-            self.q,
-            tuple(tuple(F.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        return self._minus_multiple(base_field(self.q).neg(1), other)
 
     def sub(self, other: "MatrixFq") -> "MatrixFq":
+        return self._minus_multiple(1, other)
+
+    def _minus_multiple(self, c: int, other: "MatrixFq") -> "MatrixFq":
+        """self - c other."""
         self._check_compatible(other)
         F = base_field(self.q)
         return MatrixFq._unchecked(
-            self.q,
-            tuple(tuple(F.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-            self.ncols,
+            self.q, tuple(F.axpy_row(c, ra, rb) for ra, rb in zip(self.rows, other.rows)), self.ncols
         )
 
     def scale(self, c: int) -> "MatrixFq":
         F = base_field(self.q)
-        return MatrixFq._unchecked(self.q, tuple(tuple(F.mul(c, a) for a in r) for r in self.rows), self.ncols)
+        return MatrixFq._unchecked(self.q, tuple(F.scale_row(c, r) for r in self.rows), self.ncols)
 
     def mul(self, other: "MatrixFq") -> "MatrixFq":
         if self.q != other.q:
@@ -101,24 +115,19 @@ class MatrixFq:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} x {other.shape}")
         F = base_field(self.q)
+        zero = (0,) * other.ncols
         out = []
         for ra in self.rows:
-            row = [0] * other.ncols
-            for k, a in enumerate(ra):
+            row = zero
+            for a, rb in zip(ra, other.rows):
                 if a:
-                    rb = other.rows[k]
-                    for j in range(other.ncols):
-                        if rb[j]:
-                            row[j] = F.add(row[j], F.mul(a, rb[j]))
-            out.append(tuple(row))
+                    row = F.axpy_row(F.neg(a), row, rb)  # row + a rb
+            out.append(row)
         return MatrixFq._unchecked(self.q, tuple(out), other.ncols)
 
     def transpose(self) -> "MatrixFq":
-        return MatrixFq._unchecked(
-            self.q,
-            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-            self.nrows,
-        )
+        columns = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return MatrixFq._unchecked(self.q, columns, self.nrows)
 
     def hstack(self, other: "MatrixFq") -> "MatrixFq":
         if self.nrows != other.nrows or self.q != other.q:
@@ -140,38 +149,52 @@ class MatrixFq:
 
 def rref(mat: MatrixFq) -> tuple[MatrixFq, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in mat.rows]
+    rows = list(mat.rows)
     pivots = _gauss_jordan(rows, mat.ncols, base_field(mat.q))
-    return MatrixFq._unchecked(mat.q, tuple(tuple(row) for row in rows), mat.ncols), pivots
+    return MatrixFq._unchecked(mat.q, tuple(rows), mat.ncols), pivots
 
 
-def _gauss_jordan(rows: list[list[int]], ncols: int, F) -> tuple[int, ...]:
-    """Reduce ``rows``, lists of elements of F (F_q or F_{q^m}), in place to
-    RREF; returns the pivot columns."""
+def _gauss_jordan(rows: list[Sequence[int]], ncols: int, F) -> tuple[int, ...]:
+    """Reduce the list ``rows`` of rows of elements of F (F_q or F_{q^m}) in
+    place to RREF; returns the pivot columns.
+
+    Rows are swapped and replaced by ``F.scale_row`` and ``F.axpy_row``
+    (table lookups for a ``BaseField``), never mutated, so they may be tuples.
+    """
     pivots = []
-    r = 0
+    nrows, r = len(rows), 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        lead = rows[r][c]
+        if lead != 1:
+            rows[r] = F.scale_row(F.inv(lead), rows[r])
+        pivot_row = rows[r]
+        for i in range(nrows):
+            coef = rows[i][c]
+            if coef and i != r:
+                rows[i] = F.axpy_row(coef, rows[i], pivot_row)
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return tuple(pivots)
 
 
 def rank(mat: MatrixFq) -> int:
-    """Rank over F_q: ``_column_rank`` of the rows read as base-q digits."""
-    return _column_rank([ff._undigits(row, mat.q) for row in mat.rows], mat.q, mat.ncols, mat.nrows)
+    """Rank over F_q: ``_column_rank`` of the rows read as base-q digits,
+    entry j of a row being digit j."""
+    q, packed = mat.q, []
+    for row in mat.rows:
+        v = 0
+        for x in reversed(row):
+            v = v * q + x
+        packed.append(v)
+    return _column_rank(packed, q, mat.ncols, mat.nrows)
 
 
 def rank_of_vector(vec: Sequence[int], fld: Field) -> int:
@@ -202,7 +225,7 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
                 v ^= b
         return len(basis)
     F = base_field(q)
-    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    axpy, mul, inv = F._axpy, F._mul, F._inv
     rows: list[tuple[int, list[int]]] = []
     for a in cols:
         v = []
@@ -212,8 +235,8 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
         for piv, row in rows:
             c = v[piv]
             if c:
-                minus_c = mul[neg[c]]
-                v = [add[x][minus_c[y]] for x, y in zip(v, row)]
+                minus_c = axpy[c]
+                v = [minus_c[x][y] for x, y in zip(v, row)]
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             continue
@@ -330,9 +353,7 @@ def _column_ranks(words, q: int, m: int):
                 basis[b] |= new
         return (basis != 0).sum(axis=0)
     F = base_field(q)
-    add, mul, neg, inv = (np.array(t, dtype=np.uint8) for t in (F._add, F._mul, F._neg, F._inv))
-    e = np.arange(q)
-    axpy = add[e[None, :, None], neg[mul[e[:, None, None], e[None, None, :]]]]  # [c, x, y] = x - c y
+    axpy, mul, inv = (np.array(t, dtype=np.uint8) for t in (F._axpy, F._mul, F._inv))
     digits = _digits(words, q, m)
     basis = np.zeros((m, rows, m), dtype=np.uint8)
     ranks = np.zeros(rows, dtype=np.int64)
@@ -434,9 +455,9 @@ class Subspace:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.basis)
+        mat = MatrixFq(self.q, self.basis, ncols=self.ambient_dim)
+        rows = mat.rows
         object.__setattr__(self, "basis", rows)
-        mat = MatrixFq(self.q, rows, ncols=self.ambient_dim)
         reduced, pivots = rref(mat)
         if len(pivots) != len(rows) or reduced.rows[: len(rows)] != rows:
             raise ValueError("basis is not a full-rank RREF matrix; use Subspace.from_vectors")
@@ -534,13 +555,9 @@ def rank_decompose(X: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
     Rank 0 yields empty factors whose product is the zero matrix.
     """
     reduced, pivots = rref(X)
-    r = len(pivots)
-    H = MatrixFq(X.q, reduced.rows[:r], ncols=X.ncols)
-    G = MatrixFq(
-        X.q,
-        tuple(tuple(X.rows[i][p] for i in range(X.nrows)) for p in pivots),
-        ncols=X.nrows,
-    )
+    columns = X.transpose().rows
+    H = MatrixFq._unchecked(X.q, reduced.rows[: len(pivots)], X.ncols)
+    G = MatrixFq._unchecked(X.q, tuple(columns[p] for p in pivots), X.nrows)
     return G, H
 
 
@@ -550,12 +567,15 @@ def distance_sandwich_check(X: MatrixFq, Y: MatrixFq) -> tuple[int, int, int]:
     lower  = d_S(rowspaces)/2 + d_S(colspaces)/2
     middle = rank(X - Y)
     upper  = min(d_S(rowspaces), d_S(colspaces))/2 + rank(X)
+
+    rank(X) and rank(Y) are read as the dimensions of the row spaces.
     """
     X._check_compatible(Y)
-    rx, ry = rank(X), rank(Y)
+    row_x, row_y = row_space(X), row_space(Y)
+    rx, ry = row_x.dim, row_y.dim
     if rx != ry:
         raise ValueError(f"unequal ranks: {rx} != {ry}")
-    ds_row = subspace_distance(row_space(X), row_space(Y))
+    ds_row = subspace_distance(row_x, row_y)
     ds_col = subspace_distance(column_space(X), column_space(Y))
     lower = ds_row // 2 + ds_col // 2
     middle = rank(X.sub(Y))
@@ -566,11 +586,11 @@ def distance_sandwich_check(X: MatrixFq, Y: MatrixFq) -> tuple[int, int, int]:
 
 
 def matrix_from_jsonable(q: int, data: Sequence[Sequence[int]], ncols: int | None = None) -> MatrixFq:
-    rows = tuple(tuple(int(x) for x in r) for r in data)
+    rows = tuple(data)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     return MatrixFq(q, rows, ncols=ncols)
 
 
 def subspace_from_jsonable(q: int, data: dict) -> Subspace:
-    return Subspace(q, int(data["ambient"]), tuple(tuple(int(x) for x in r) for r in data["basis"]))
+    return Subspace(q, int(data["ambient"]), tuple(data["basis"]))

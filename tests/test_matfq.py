@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import re
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankmetric import matfq
+from rankmetric import codes, matfq
 from rankmetric.bounds import gaussian_binomial
 from rankmetric.ff import SUPPORTED_Q, base_field, expand_to_matrix, make_field
 from rankmetric.matfq import (
@@ -237,19 +238,126 @@ def test_subspace_contains():
     assert s.contains((0, 0, 0, 0))
 
 
+def _draw_matrix(data, q, nrows, ncols):
+    """An nrows x ncols matrix, or half the time one with a last row that is
+    a combination of two others (else q > 2 is nearly always full rank)."""
+    F = base_field(q)
+    entries = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    if nrows >= 2 and data.draw(st.booleans()):
+        (a, i), (b, j) = (data.draw(st.tuples(st.integers(0, q - 1), st.integers(0, nrows - 2))) for _ in range(2))
+        rows[-1] = [F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(rows[i], rows[j])]
+    return MatrixFq(q, tuple(map(tuple, rows)), ncols=ncols)
+
+
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_rank_matches_rref_pivot_count(q, data):
-    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
-    entries = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
-    rows = data.draw(st.lists(entries, min_size=nrows, max_size=nrows))
-    if rows and data.draw(st.booleans()):  # a dependent row, else q > 2 is nearly always full rank
-        c, i = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, nrows - 1))
-        rows.append([base_field(q).mul(c, x) for x in rows[i]])
-    mat = MatrixFq(q, tuple(map(tuple, rows)), ncols=ncols)
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5))
+    mat = _draw_matrix(data, q, nrows, ncols)
     assert rank(mat) == len(rref(mat)[1])
     assert rank(MatrixFq(q, (), ncols=ncols)) == 0 and rank(MatrixFq(q, ((),) * nrows, ncols=0)) == 0
+
+
+def _reference_rref(mat):
+    """RREF by the element-by-element Gauss-Jordan loop, calling only
+    BaseField.add/sub/mul/inv: the reference for the table-driven rref."""
+    F = base_field(mat.q)
+    rows = [list(r) for r in mat.rows]
+    pivots, r = [], 0
+    for c in range(mat.ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                coef = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(coef, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def _reference_product(a, b):
+    F = base_field(a.q)
+    out = []
+    for ra in a.rows:
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for x, rb in zip(ra, b.rows):
+                acc = F.add(acc, F.mul(x, rb[j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_axpy_table_is_x_minus_c_y(q):
+    F = base_field(q)
+    for c, x, y in itertools.product(range(q), repeat=3):
+        assert F._axpy[c][x][y] == F.sub(x, F.mul(c, y))
+    xs, ys = tuple(range(q)), tuple(reversed(range(q)))
+    for c in range(q):
+        assert F.axpy_row(c, xs, ys) == tuple(F.sub(x, F.mul(c, y)) for x, y in zip(xs, ys))
+        assert F.scale_row(c, xs) == tuple(F.mul(c, x) for x in xs)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrix_layer_matches_scalar_reference(q, data):
+    F = base_field(q)
+    nrows, ncols, width = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+    x, y = _draw_matrix(data, q, nrows, ncols), _draw_matrix(data, q, nrows, ncols)
+    b = _draw_matrix(data, q, ncols, width)
+    reduced, pivots = rref(x)
+    assert (reduced.rows, pivots) == _reference_rref(x)
+    assert x.add(y).rows == tuple(tuple(F.add(s, t) for s, t in zip(r, u)) for r, u in zip(x.rows, y.rows))
+    assert x.sub(y).rows == tuple(tuple(F.sub(s, t) for s, t in zip(r, u)) for r, u in zip(x.rows, y.rows))
+    assert x.mul(b).rows == _reference_product(x, b) and x.mul(b).shape == (nrows, width)
+    xt = x.transpose()
+    assert xt.shape == (ncols, nrows)
+    assert xt.rows == tuple(tuple(x.rows[i][j] for i in range(nrows)) for j in range(ncols))
+    G, H = rank_decompose(x)
+    for factor in (G, H):
+        assert factor == MatrixFq(q, factor.rows, ncols=factor.ncols)
+        assert all(type(r) is tuple for r in factor.rows)
+    assert (G.nrows, G.ncols, H.nrows, H.ncols) == (len(pivots), nrows, len(pivots), ncols)
+    assert _reference_product(G.transpose(), H) == x.rows
+
+
+def test_every_rref_runs_the_one_gauss_jordan_loop(monkeypatch):
+    assert codes._gauss_jordan is matfq._gauss_jordan
+    gauss_jordan, fields = matfq._gauss_jordan, []
+
+    def counted(rows, ncols, F):
+        fields.append(F)
+        return gauss_jordan(rows, ncols, F)
+
+    monkeypatch.setattr(matfq, "_gauss_jordan", counted)
+    monkeypatch.setattr(codes, "_gauss_jordan", counted)
+    x2, x3 = MatrixFq(2, ((1, 1, 0), (0, 1, 1))), MatrixFq(3, ((1, 2, 0), (2, 1, 1)))
+    code = codes.GabidulinCode(make_field(2, 4), n=4, k=2)
+    for run in (
+        lambda: rref(x2),
+        lambda: rref(x3),
+        lambda: row_space(x3),
+        lambda: column_space(x2),
+        lambda: rank_decompose(x3),
+        lambda: code._unit_keys,
+    ):
+        before = len(fields)
+        run()
+        assert len(fields) == before + 1
+    assert fields[:5] == [base_field(2), base_field(3), base_field(3), base_field(2), base_field(3)]
+    assert fields[5] is code.field
 
 
 def _random_subspace(rng, q, n):
@@ -447,6 +555,17 @@ def test_matrix_serialization_roundtrip():
 def test_matrix_validation():
     with pytest.raises(ValueError, match="entries"):
         MatrixFq(2, ((0, 2),))
+    # non-integral entries used to be truncated by int(): (0.5, 1.9) read as (0, 1)
+    for bad in (0.5, 1.9, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"entries must be integers, got {re.escape(repr(bad))}"):
+            MatrixFq(2, ((0, 1), (1, bad)))
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Subspace(2, 2, ((1, bad),))
+        with pytest.raises(ValueError, match="entries must be integers"):
+            matrix_from_jsonable(2, [[bad, 0]])
+    mat = MatrixFq(3, ((np.int64(2), np.uint8(1)), (True, 0)))
+    assert mat.rows == ((2, 1), (1, 0)) and all(type(x) is int for r in mat.rows for x in r)
+    assert Subspace(3, 2, ((np.int32(1), np.int64(2)),)).basis == ((1, 2),)
     with pytest.raises(ValueError, match="ragged"):
         MatrixFq(2, ((0, 1), (1,)))
     with pytest.raises(ValueError, match="ncols"):
