@@ -3,6 +3,10 @@
 Matrices are immutable value types with entries 0..q-1 (integer encoding of
 F_q, see :mod:`rankmetric.ff`).  Subspaces of F_q^n are kept in reduced row
 echelon form, so equal subspaces compare equal and enumeration is canonical.
+``grassmannian_order_key`` places a subspace in that enumeration order, and
+``_singer_orbits`` lists one subspace of F_{q^m} per orbit of Gr(m, t) under
+multiplication by F_{q^m}^*, for the oracle's coset histogram and the
+Gabidulin witnesses.
 
 Every rank question (``rank``, ``subspace_distance``, ``Subspace.contains``
 and the rank of a vector over F_{q^m}) goes through the one kernel
@@ -548,6 +552,42 @@ def grassmannian_enumerate(n: int, r: int, q: int) -> list[Subspace]:
     return out
 
 
+def grassmannian_order_key(U: Subspace) -> tuple:
+    """Sort key of U in the order of ``grassmannian_enumerate``: its pivot
+    columns, then its RREF basis row-major.  For given pivots the entries
+    outside the free positions are fixed, so the basis compares as the free
+    entries do."""
+    return tuple(row.index(1) for row in U.basis), U.basis
+
+
+def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
+    """One (span, size) per orbit of Gr(m, t) under multiplication by F_{q^m}^*.
+
+    ``span`` lists the elements of the orbit's representative U, span[a] =
+    sum_i a_i b_i over the base-q digits a_i of a and the RREF basis b_i of
+    U; ``size`` is the number of subspaces xU.  The orbit members that hold
+    1 are the u^{-1} U, u in U nonzero, and are the U = <1> + (0 | W), W in
+    Gr(m - 1, t - 1), with basis [e_0; 0 | W].  U represents its orbit when
+    its sorted span is the smallest of theirs; the (q^m - 1)/size u with
+    u^{-1} U = U are its stabilizer.
+    """
+    orbits = []
+    for W in grassmannian_enumerate(fld.m - 1, t - 1, fld.q):
+        span = [0]
+        for b in [1] + [fld.from_coeffs((0,) + row) for row in W.basis]:
+            span = [fld.add(x, fld.mul(c, b)) for c in range(fld.q) for x in span]
+        smallest, stabilizer = sorted(span), 0
+        for u in span[1:]:
+            inv = fld.inv(u)
+            moved = sorted(fld.mul(inv, x) for x in span)
+            if moved < smallest:
+                break
+            stabilizer += moved == smallest
+        else:
+            orbits.append((span, (fld.order - 1) // stabilizer))
+    return orbits
+
+
 def rank_decompose(X: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
     """Full-rank G (r x m), H (r x n) with X = G^T H.
 
@@ -593,4 +633,11 @@ def matrix_from_jsonable(q: int, data: Sequence[Sequence[int]], ncols: int | Non
 
 
 def subspace_from_jsonable(q: int, data: dict) -> Subspace:
-    return Subspace(q, int(data["ambient"]), tuple(data["basis"]))
+    """The subspace of ``Subspace.to_jsonable``; ``ambient`` is read with
+    ``operator.index``, so a float or a string raises ValueError."""
+    ambient = data["ambient"]
+    try:
+        ambient = operator.index(ambient)
+    except TypeError:
+        raise ValueError(f"ambient dimension must be an integer, got {ambient!r}") from None
+    return Subspace(q, ambient, tuple(data["basis"]))

@@ -44,10 +44,10 @@ from .matfq import (
     _column_ranks,
     _digits,
     _multiples,
+    _singer_orbits,
     _sub_words,
     _table_sums,
     _undigits,
-    grassmannian_enumerate,
     iter_rank_distances,
     min_pairwise_rank_distance,
 )
@@ -217,34 +217,6 @@ def _orbit_count(m: int, t: int, q: int) -> int:
     for s in sorted((s for s in range(1, g + 1) if g % s == 0), reverse=True):
         exact[s] = gaussian_binomial(m // s, t // s, q**s) - sum(c for r, c in exact.items() if r % s == 0)
     return sum(c * (q**s - 1) for s, c in exact.items()) // (q**m - 1)
-
-
-def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
-    """One (span, size) per orbit of Gr(m, t) under multiplication by F_{q^m}^*.
-
-    ``span`` lists the elements of the orbit's representative U, span[a] =
-    sum_i a_i b_i over the base-q digits a_i of a and the RREF basis b_i of
-    U; ``size`` is the number of subspaces xU.  The orbit members that hold
-    1 are the u^{-1} U, u in U nonzero, and are the U = <1> + (0 | W), W in
-    Gr(m - 1, t - 1), with basis [e_0; 0 | W].  U represents its orbit when
-    its sorted span is the smallest of theirs; the (q^m - 1)/size u with
-    u^{-1} U = U are its stabilizer.
-    """
-    orbits = []
-    for W in grassmannian_enumerate(fld.m - 1, t - 1, fld.q):
-        span = [0]
-        for b in [1] + [fld.from_coeffs((0,) + row) for row in W.basis]:
-            span = [fld.add(x, fld.mul(c, b)) for c in range(fld.q) for x in span]
-        smallest, stabilizer = sorted(span), 0
-        for u in span[1:]:
-            inv = fld.inv(u)
-            moved = sorted(fld.mul(inv, x) for x in span)
-            if moved < smallest:
-                break
-            stabilizer += moved == smallest
-        else:
-            orbits.append((span, (fld.order - 1) // stabilizer))
-    return orbits
 
 
 def _coset_work(code: GabidulinCode, tau: int) -> int:

@@ -5,10 +5,12 @@ of codewords, every one at rank distance exactly tau from the received word,
 pairwise at distance >= d.  Certificates are deterministic (fixed
 tie-breaking), so identical inputs serialize to identical JSON.
 
-* bound1: enumerate the monic subspace polynomials of q-degree n - tau over
-  F_{q^n} (n = m), bucket them by their coefficients of q-degree >= k, take
-  a maximum bucket P; differences of members of P encode to codewords at
-  distance exactly tau from the evaluation of a representative of P.
+* bound1: bucket the monic subspace polynomials of q-degree n - tau over
+  F_{q^n} (n = m) by their coefficients of q-degree >= k, take a maximum
+  bucket P; differences of members of P encode to codewords at distance
+  exactly tau from the evaluation of a representative of P.  Multiplying a
+  subspace by x in F_{q^n}^* rescales the coefficients of its polynomial, so
+  one polynomial per orbit gives every key, and only P is built.
 * bound1_alt: the coset C + b, b in a complementary code B, holding the most
   rank-tau words of the MRD direct sum C + B = Gab[n, n - tau + 1].  Those
   words are the x P_V(alpha), x in F_{q^m}^*, so every coset count is the
@@ -17,9 +19,10 @@ tie-breaking), so identical inputs serialize to identical JSON.
   (or from one of its own words, the ``translate`` variant).
 
 Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``.  Distances to
-the received word and pairwise distances are computed by
-``matfq.rank_distances`` and ``matfq.min_pairwise_rank_distance``, which
-batch the ranks in numpy once there are enough of them.
+the received word are computed by ``matfq.rank_distances``, and the pairwise
+distances of bound3 by ``matfq.min_pairwise_rank_distance``; both batch the
+ranks in numpy once there are enough of them.  Gabidulin codes are MRD, so
+the pairwise distances of bound1 and alt follow from membership.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, gaussian_binomial, mrd_weight_tau
 from .codes import GabidulinCode, crc_theorem8
@@ -36,10 +40,14 @@ from .ff import Field, _undigits, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import (
     _MEMBER_WORK,
+    MatrixFq,
     _batched,
-    grassmannian_enumerate,
+    _entries,
+    _singer_orbits,
+    grassmannian_order_key,
     min_pairwise_rank_distance,
     rank_distances,
+    row_space,
 )
 
 CERTIFICATE_WORD_CAP = 1 << 16
@@ -106,27 +114,71 @@ class WitnessCertificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _field(doc: dict, name: str, where: str = ""):
+    """doc[name]; a missing field raises ValueError naming it."""
+    try:
+        return doc[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"certificate has no field {where + name!r}") from None
+
+
+def _integer(doc: dict, name: str, where: str = "") -> int:
+    """doc[name] read with ``operator.index``: numpy integers pass, floats,
+    strings and None raise ValueError rather than being truncated."""
+    value = _field(doc, name, where)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"certificate field {where + name!r} must be an integer, got {value!r}") from None
+
+
+def _size(doc: dict, name: str) -> int:
+    """A size, written as a decimal string by ``to_jsonable`` (or an integer)."""
+    value = _field(doc, name)
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    return _integer(doc, name)
+
+
+def _elements(fld: Field, vectors, name: str) -> tuple[int, ...]:
+    """Field elements from their coefficient vectors, integers checked by ``_entries``."""
+    try:
+        return tuple(fld.from_coeffs(_entries(c)) for c in vectors)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"certificate field {name!r}: {exc}") from None
+
+
 def certificate_from_jsonable(data: dict) -> WitnessCertificate:
-    p = data["params"]
-    fld = make_field(int(p["q"]), int(p["m"]), p["modulus"])
-    alphas = None
-    if "alphas" in p:
-        alphas = tuple(fld.from_coeffs(c) for c in p["alphas"])
+    """The certificate of ``WitnessCertificate.to_jsonable``.
+
+    Every integer is read with ``operator.index``; a missing or non-integral
+    field raises ValueError naming it.  ``k`` may be null only for bound3.
+    """
+    kind = _field(data, "kind")
+    p = _field(data, "params")
+    q, m = _integer(p, "q", "params."), _integer(p, "m", "params.")
+    try:
+        modulus = _entries(_field(p, "modulus", "params."))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"certificate field 'params.modulus': {exc}") from None
+    k = None if kind == KIND_BOUND3 and p.get("k") is None else _integer(p, "k", "params.")
+    fld = make_field(q, m, modulus)
+    alphas = _elements(fld, p["alphas"], "params.alphas") if "alphas" in p else None
     return WitnessCertificate(
-        kind=data["kind"],
-        q=int(p["q"]),
-        m=int(p["m"]),
-        n=int(p["n"]),
-        k=None if p.get("k") is None else int(p["k"]),
-        d=int(p["d"]),
-        tau=int(p["tau"]),
-        modulus=tuple(int(c) for c in p["modulus"]),
+        kind=kind,
+        q=q,
+        m=m,
+        n=_integer(p, "n", "params."),
+        k=k,
+        d=_integer(p, "d", "params."),
+        tau=_integer(p, "tau", "params."),
+        modulus=modulus,
         alphas=alphas,
-        received_word=tuple(fld.from_coeffs(c) for c in data["received_word"]),
-        codewords=tuple(tuple(fld.from_coeffs(c) for c in w) for w in data["codewords"]),
-        claimed_size=int(data["claimed_size"]),
-        total_size=int(data["total_size"]),
-        truncated=bool(data["truncated"]),
+        received_word=_elements(fld, _field(data, "received_word"), "received_word"),
+        codewords=tuple(_elements(fld, w, "codewords") for w in _field(data, "codewords")),
+        claimed_size=_size(data, "claimed_size"),
+        total_size=_size(data, "total_size"),
+        truncated=bool(_field(data, "truncated")),
         meta=dict(data.get("meta", {})),
     )
 
@@ -139,20 +191,54 @@ def _cap_words(words: Sequence[tuple[int, ...]], cap: int) -> tuple[tuple, bool]
     return tuple(words[::stride][:cap]), True
 
 
-def _subspace_poly_buckets(fld: Field, n: int, tau: int, k: int) -> dict[tuple[int, ...], list[LinearizedPoly]]:
-    """The monic subspace polynomials P_U, U in Gr(n, n-tau) over F_{q^n},
-    bucketed by their coefficients of q-degree k..n-tau-1, in Grassmannian order.
+def _subspace_poly_buckets(
+    fld: Field, n: int, tau: int, k: int, order: Callable[[tuple[int, ...]], Any] | None = None
+) -> tuple[dict[tuple[int, ...], int], tuple[int, ...], list[LinearizedPoly]]:
+    """The monic subspace polynomials P_U, U in Gr(n, t) over F_{q^n},
+    t = n - tau, bucketed by their coefficients of q-degree k..t-1.
+
+    Returns the size of every bucket by key; the best key, that of a largest
+    bucket, the smallest under ``order`` on ties; and the best bucket's
+    polynomials, listed as ``grassmannian_enumerate`` lists their subspaces
+    (``grassmannian_order_key``).
+
+    P_U is computed for one U per orbit of Gr(n, t) under multiplication by
+    F_{q^n}^* (``_singer_orbits``).  P_{xU}(z) = x^{q^t} P_U(z / x), so
+    coefficient i of P_{xU} is a_i x^{q^t - q^i}.  The orbit is the g^j U,
+    g = ``fld.primitive`` and j below the orbit size, so each key coefficient
+    follows from the one before by a multiplication.  Only the best bucket's
+    subspaces and polynomials are built.
 
     Refuses, before any work, more than WITNESS_GUARD subspaces.
     """
-    count = gaussian_binomial(n, tau, fld.q)
+    q, t = fld.q, n - tau
+    count = gaussian_binomial(n, tau, q)
     if count > WITNESS_GUARD:
-        raise ValueError(f"{count} subspaces of Gr({n}, {n - tau}) exceed the witness guard {WITNESS_GUARD}")
-    buckets: dict[tuple[int, ...], list[LinearizedPoly]] = {}
-    for U in grassmannian_enumerate(n, n - tau, fld.q):
-        poly = min_subspace_poly(U, fld)  # monic of q-degree n - tau
-        buckets.setdefault(poly.coeffs[k : n - tau], []).append(poly)
-    return buckets
+        raise ValueError(f"{count} subspaces of Gr({n}, {t}) exceed the witness guard {WITNESS_GUARD}")
+    g = fld.primitive
+    orbits = []  # (span, coefficients of P_U) per orbit representative U
+    members: dict[tuple[int, ...], list[int]] = {}  # key -> packed (orbit, j) of each g^j U
+    for o, (span, size) in enumerate(_singer_orbits(fld, t)):
+        coeffs = min_subspace_poly([span[q**i] for i in range(t)], fld).coeffs
+        orbits.append((span, coeffs))
+        steps = [fld.pow(g, q**t - q**i) for i in range(k, t)]
+        key = coeffs[k:t]
+        for j in range(size):
+            members.setdefault(key, []).append(o * fld.order + j)
+            key = tuple(fld.mul(c, s) for c, s in zip(key, steps))
+    sizes = {key: len(v) for key, v in members.items()}
+    top = max(sizes.values())
+    best = min((key for key, size in sizes.items() if size == top), key=order)
+    bucket = []
+    for packed in members[best]:
+        o, j = divmod(packed, fld.order)
+        span, coeffs = orbits[o]
+        x = fld.pow(g, j)
+        U = row_space(MatrixFq._unchecked(q, tuple(fld.coeffs(fld.mul(x, span[q**i])) for i in range(t)), n))
+        poly = LinearizedPoly(fld, tuple(fld.mul(a, fld.pow(x, q**t - q**i)) for i, a in enumerate(coeffs)))
+        bucket.append((grassmannian_order_key(U), poly))
+    bucket.sort(key=lambda entry: entry[0])
+    return sizes, best, [poly for _, poly in bucket]
 
 
 def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WORD_CAP) -> WitnessCertificate:
@@ -174,10 +260,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     d = code.d
     if not 0 <= tau < d:
         raise ValueError(f"need 0 <= tau < d, got tau={tau}, d={d}")
-    buckets = _subspace_poly_buckets(fld, n, tau, k)
-    max_size = max(len(v) for v in buckets.values())
-    best_key = min(key for key, v in buckets.items() if len(v) == max_size)
-    bucket = buckets[best_key]
+    sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, k)
     rep = min(bucket, key=lambda f: f.coeffs)
     rep_evals = tuple(evaluate(rep, a) for a in code.alphas)
     codewords = []
@@ -203,8 +286,8 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
         total_size=len(codewords),
         truncated=truncated,
         meta={
-            "bucket_count": max_size,
-            "bucket_total": len(buckets),
+            "bucket_count": sizes[best_key],
+            "bucket_total": len(sizes),
             "bucket_key": [list(fld.coeffs(c)) for c in best_key],
         },
     )
@@ -233,11 +316,8 @@ def bound1_alt_witness(
     code_c = GabidulinCode(fld, n=n, k=n - d + 1)
     alphas_b = tuple(fld.frobenius(a, code_c.k) for a in code_c.alphas)
     code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
-    buckets = _subspace_poly_buckets(fld, n, tau, code_c.k)
-    max_size = max(len(v) for v in buckets.values())
-    best_key = min((key for key, v in buckets.items() if len(v) == max_size), key=lambda key: _undigits(key, Q))
+    sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, code_c.k, order=lambda key: _undigits(key, Q))
     best_index = _undigits(best_key + (1,), Q)
-    bucket = buckets[best_key]
     messages = sorted(_undigits([fld.neg(c) for c in P.coeffs[: code_c.k]], Q) for P in bucket)
     codewords = [code_c.codeword(i) for i in messages]
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
@@ -245,7 +325,7 @@ def bound1_alt_witness(
     meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": best_index}
     if code_b.cardinality <= 4096:  # b's message digits, f_{d-tau-1} = x first, in message-index order
         meta["coset_counts"] = [
-            len(buckets.get(tuple(fld.mul(fld.inv(x), f) for f in reversed(low)), ())) if x else 0
+            sizes.get(tuple(fld.mul(fld.inv(x), f) for f in reversed(low)), 0) if x else 0
             for x, *low in itertools.product(range(Q), repeat=d - tau)
         ]
     return WitnessCertificate(
@@ -323,15 +403,22 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     Checks: claimed size equals the bound formula; the list is at least that
     large; every stored codeword belongs to the declared code; every stored
     codeword has rank distance exactly tau from the received word; pairwise
-    rank distances are >= d (exhaustive up to PAIRWISE_CHECK_CAP words, a
-    deterministic prefix beyond).  Whether the checks run in numpy is decided
-    once, from their scalar work together.
+    rank distances are >= d.  Gab[n, k] is MRD (Gabidulin 1985): distinct
+    codewords lie at rank distance >= n - k + 1.  So for bound1 and alt the
+    pairwise check is decided in full, at any size, by membership, no
+    repeated word and d = n - k + 1.  bound3 words are ranked pair by pair,
+    exhaustively up to PAIRWISE_CHECK_CAP words and on a deterministic prefix
+    beyond.  Whether the checks run in numpy is decided once, from their
+    scalar work together.
     """
     fld = cert.field
     checks: dict[str, bool] = {}
     params = CodeParams(q=cert.q, m=cert.m, n=cert.n, d=cert.d)
+    mrd = cert.k is not None and cert.d == cert.n - cert.k + 1  # Gab[n, k] has d = n - k + 1
     if cert.kind == KIND_BOUND1:
-        formula = bound1_lower(CodeParams(q=cert.q, m=cert.m, n=cert.n, d=cert.d, k=cert.k), cert.tau).guarantee
+        formula = None  # bound1_lower refuses a k that does not match d
+        if mrd:
+            formula = bound1_lower(CodeParams(q=cert.q, m=cert.m, n=cert.n, d=cert.d, k=cert.k), cert.tau).guarantee
     elif cert.kind == KIND_BOUND1_ALT:
         formula = max(1, math.ceil(bound1_alt_lower(params, cert.tau)))
     elif cert.kind == KIND_BOUND3:
@@ -342,16 +429,19 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     checks["size_at_least_claimed"] = cert.total_size >= cert.claimed_size
     if not cert.truncated:
         checks["stored_matches_total"] = len(cert.codewords) == cert.total_size
-    sample = cert.codewords[:PAIRWISE_CHECK_CAP]
+    gabidulin = cert.kind in (KIND_BOUND1, KIND_BOUND1_ALT)
+    sample = () if gabidulin else cert.codewords[:PAIRWISE_CHECK_CAP]
     words = len(cert.codewords)
     if _batched(words * (1 + _MEMBER_WORK) + len(sample) * (len(sample) - 1) // 2, fld.order):
         import numpy  # noqa: F401  (loaded first, each check below takes its batched path)
     checks["sphere_distance_exact"] = all(
         dist == cert.tau for dist in rank_distances(cert.received_word, cert.codewords, fld)
     )
-    if cert.kind in (KIND_BOUND1, KIND_BOUND1_ALT):
+    if gabidulin:
         code = GabidulinCode(fld, n=cert.n, k=cert.k, alphas=cert.alphas)
         checks["membership"] = code.contains_all(cert.codewords)
+        checks["pairwise_distance"] = checks["membership"] and len(set(cert.codewords)) == words and mrd
+        checks["pairwise_exhaustive"] = True
     else:
         crc = crc_theorem8(cert.n, cert.m, cert.tau, cert.d, cert.q)
         translate = cert.meta.get("translate")
@@ -364,8 +454,8 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
             }
         checks["membership"] = set(cert.codewords) <= expected
         checks["size_exact"] = cert.total_size == crc.cardinality == cert.claimed_size
-    min_dist = min_pairwise_rank_distance(sample, fld)
-    checks["pairwise_distance"] = min_dist is None or min_dist >= cert.d
-    checks["pairwise_exhaustive"] = len(sample) == len(cert.codewords)
+        min_dist = min_pairwise_rank_distance(sample, fld)
+        checks["pairwise_distance"] = min_dist is None or min_dist >= cert.d
+        checks["pairwise_exhaustive"] = len(sample) == words
     ok = all(v for key, v in checks.items() if key != "pairwise_exhaustive")
     return ok, checks

@@ -400,31 +400,40 @@ def test_small_cli_runs_do_not_import_numpy():
     assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
 
 
-_LARGE_CERTIFICATE = """
+_LARGE_CERTIFICATES = """
 import sys
 from rankmetric import GabidulinCode, make_field, witness
-cert = witness.bound1_witness(GabidulinCode(make_field(2, 6), n=6, k=4), 2)
-loaded = "numpy" in sys.modules
-def scalar_membership(self, vec):
-    raise AssertionError("scalar membership test")
-GabidulinCode.contains = scalar_membership
-ok, checks = witness.verify_certificate(cert)
-print(loaded, ok, len(cert.codewords))
+gab = witness.bound1_witness(GabidulinCode(make_field(2, 6), n=6, k=4), 2)
+ok, checks = witness.verify_certificate(gab)
+print("numpy" in sys.modules, ok, checks["pairwise_exhaustive"], len(gab.codewords))
+crc = witness.bound3_witness(8, 8, 3, 4, 2)
+loaded = []
+def recorded(check):
+    def call(*args):
+        loaded.append("numpy" in sys.modules)
+        return check(*args)
+    return call
+witness.rank_distances = recorded(witness.rank_distances)
+witness.min_pairwise_rank_distance = recorded(witness.min_pairwise_rank_distance)
+before = "numpy" in sys.modules
+ok, checks = witness.verify_certificate(crc)
+print(before, loaded, ok, len(crc.codewords))
 """
 
 
 def test_certificate_checks_decide_numpy_together():
-    # the 651-word certificate's checks together are worth numpy's import, so
-    # membership is batched too, not tested word by word before the pairwise
-    # check loads numpy
+    # the 651-word Gabidulin certificate ranks no pairs (its pairwise check is
+    # the MRD property), so its checks stay scalar; the 1024-word bound3
+    # certificate's 700-word pair scan makes its checks worth numpy's import,
+    # so numpy is loaded before its first check, not by the pair scan
     env = dict(os.environ)
     src = str(Path(rankmetric.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _LARGE_CERTIFICATE], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", _LARGE_CERTIFICATES], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "651"]
+    assert proc.stdout.splitlines() == ["False True True 651", "False [True, True] True 1024"]
 
 
 _SETUP_CODES = """

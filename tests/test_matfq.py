@@ -21,6 +21,7 @@ from rankmetric.matfq import (
     column_space,
     distance_sandwich_check,
     grassmannian_enumerate,
+    grassmannian_order_key,
     matrix_from_jsonable,
     min_pairwise_rank_distance,
     rank,
@@ -483,6 +484,22 @@ def test_grassmannian_deterministic_order():
     assert [s.basis for s in lines] == [((1, 0),), ((1, 1),), ((0, 1),)]
 
 
+def test_grassmannian_order_key_sorts_the_enumeration_to_itself():
+    # every [n; r]_q <= 5000, n >= 1; r = 0 and r = n up to the largest such n
+    checked = 0
+    for q in SUPPORTED_Q:
+        n = 1
+        while gaussian_binomial(n, 1, q) <= 5000:
+            for r in range(n + 1):
+                if gaussian_binomial(n, r, q) <= 5000:
+                    subspaces = grassmannian_enumerate(n, r, q)
+                    shuffled = random.Random(n * 10 + r).sample(subspaces, len(subspaces))
+                    assert sorted(shuffled, key=grassmannian_order_key) == subspaces, (n, r, q)
+                    checked += 1
+            n += 1
+    assert checked > 100
+
+
 def test_rank_decompose_examples():
     ident = MatrixFq.identity(2, 2)
     G, H = rank_decompose(ident)
@@ -550,6 +567,14 @@ def test_matrix_serialization_roundtrip():
     doc = s.to_jsonable()
     assert set(doc) == {"ambient", "basis"}
     assert subspace_from_jsonable(2, doc) == s
+    assert subspace_from_jsonable(2, dict(doc, ambient=np.int64(4))) == s
+
+
+@pytest.mark.parametrize("ambient", [2.9, 2.0, "2", None])
+def test_subspace_from_jsonable_refuses_non_integral_ambient(ambient):
+    # a float ambient dimension used to be truncated by int(): 2.9 read as 2
+    with pytest.raises(ValueError, match="ambient dimension must be an integer"):
+        subspace_from_jsonable(2, {"ambient": ambient, "basis": [[1, 0]]})
 
 
 def test_matrix_validation():

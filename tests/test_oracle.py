@@ -22,7 +22,7 @@ from rankmetric.codes import GabidulinCode
 from rankmetric.ff import base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import grassmannian_enumerate, rank_of_vector
-from rankmetric import acceptance, oracle
+from rankmetric import acceptance, matfq, oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
     distance_counts,
@@ -358,7 +358,7 @@ def test_coset_histogram_totals(q, m, n, k):
 )
 def test_singer_orbits_partition_the_grassmannian(q, m, t):
     fld = make_field(q, m)
-    orbits = oracle._singer_orbits(fld, t)
+    orbits = matfq._singer_orbits(fld, t)
     sizes = [size for _, size in orbits]
     assert sum(sizes) == gaussian_binomial(m, t, q)
     assert len(orbits) == oracle._orbit_count(m, t, q)
@@ -388,7 +388,7 @@ def test_singer_orbits_cover_the_grassmannian_once(q, m, t):
     # independent cross-check: expand each representative by every x in F_{q^m}^*
     fld = make_field(q, m)
     covered = set()
-    for span, size in oracle._singer_orbits(fld, t):
+    for span, size in matfq._singer_orbits(fld, t):
         orbit = {frozenset(fld.mul(x, s) for s in span) for x in range(1, fld.order)}
         assert len(orbit) == size
         assert covered.isdisjoint(orbit)
@@ -404,10 +404,10 @@ def test_singer_orbits_walk_only_the_subspaces_through_one(monkeypatch):
         calls.append((n, r, q))
         return grassmannian_enumerate(n, r, q, *rest)
 
-    monkeypatch.setattr(oracle, "grassmannian_enumerate", recorded)
+    monkeypatch.setattr(matfq, "grassmannian_enumerate", recorded)
     for q, m, t in [(2, 6, 3), (3, 4, 2), (2, 5, 1), (2, 4, 4)]:
         calls.clear()
-        oracle._singer_orbits(make_field(q, m), t)
+        matfq._singer_orbits(make_field(q, m), t)
         assert calls == [(m - 1, t - 1, q)]
 
 

@@ -9,9 +9,10 @@ import pytest
 from rankmetric.bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, mrd_weight_tau
 from rankmetric.codes import GabidulinCode, crc_theorem8
 from rankmetric.ff import make_field
-from rankmetric.matfq import rank_of_vector
+from rankmetric.linpoly import min_subspace_poly
+from rankmetric.matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_of_vector
 from rankmetric.oracle import list_codewords
-from rankmetric import witness
+from rankmetric import matfq, witness
 from rankmetric.witness import (
     bound1_alt_witness,
     bound1_witness,
@@ -251,11 +252,13 @@ def test_alt_witness_coset_total_is_minimum_weight_count():
 
 def test_witness_guard_refuses_before_work(monkeypatch):
     # [10; 5]_2 = 109 221 651 subspaces: both Gabidulin witnesses refuse them
-    # before enumerating a single one
+    # before enumerating a single orbit or computing a single polynomial
     def refuse(*args):
         raise AssertionError("the Grassmannian was enumerated")
 
-    monkeypatch.setattr(witness, "grassmannian_enumerate", refuse)
+    monkeypatch.setattr(matfq, "grassmannian_enumerate", refuse)
+    monkeypatch.setattr(witness, "_singer_orbits", refuse)
+    monkeypatch.setattr(witness, "min_subspace_poly", refuse)
     with pytest.raises(ValueError, match="witness guard"):
         bound1_witness(GabidulinCode(make_field(2, 10), n=10, k=2), 5)
     with pytest.raises(ValueError, match="witness guard"):
@@ -268,6 +271,89 @@ def test_alt_witness_answers_sets_past_the_old_pair_guard():
     assert cert.meta["coset_total"] == mrd_weight_tau(6, 6, 2, 2) == 41013
     ok, checks = verify_certificate(cert)
     assert ok, checks
+
+
+# --- orbit-reduced buckets against the full walk -------------------------------------
+
+# (q, n, k, tau) of bound1 and (q, n, d, tau) of alt: q in {2, 3, 4, 5}, subspaces
+# stable under F_{q^s}, keys of k < t coefficients, and best buckets that are a
+# strict subset (Gab[6,2] at tau=3, Gab[6,3] and Gab[5,2] at tau=2)
+BOUND1_SETS = [
+    (2, 4, 2, 2), (2, 4, 1, 2), (2, 4, 2, 0), (2, 4, 3, 1), (2, 6, 4, 2), (2, 6, 2, 3), (2, 6, 3, 2),
+    (2, 5, 2, 2), (2, 6, 2, 2), (3, 4, 2, 2), (3, 3, 1, 2), (3, 4, 1, 2), (4, 3, 1, 1), (4, 2, 1, 1),
+    (5, 3, 1, 1),
+]
+ALT_SETS = [
+    (2, 4, 3, 1), (2, 4, 4, 2), (3, 3, 3, 1), (3, 3, 2, 1), (5, 2, 2, 1), (2, 4, 3, 2), (2, 5, 5, 4),
+    (3, 4, 4, 3), (2, 6, 6, 4), (2, 6, 6, 2), (2, 4, 4, 3),
+]
+GABIDULIN_SETS = [("bound1", s) for s in BOUND1_SETS] + [("alt", s) for s in ALT_SETS]
+
+
+def _gabidulin_certificate(kind, params):
+    if kind == "bound1":
+        q, n, k, tau = params
+        return bound1_witness(GabidulinCode(make_field(q, n), n=n, k=k), tau)
+    q, n, d, tau = params
+    return bound1_alt_witness(CodeParams(q=q, m=n, n=n, d=d), tau)
+
+
+def _full_walk_buckets(fld, n, tau, k, order=None):
+    """``witness._subspace_poly_buckets`` by the full walk: one
+    ``min_subspace_poly`` per U of Gr(n, n - tau), in ``grassmannian_enumerate``
+    order, bucketed by the coefficients of q-degree k..n-tau-1."""
+    buckets = {}
+    for U in grassmannian_enumerate(n, n - tau, fld.q):
+        poly = min_subspace_poly(U, fld)
+        buckets.setdefault(poly.coeffs[k : n - tau], []).append(poly)
+    sizes = {key: len(v) for key, v in buckets.items()}
+    top = max(sizes.values())
+    best = min((key for key, size in sizes.items() if size == top), key=order)
+    return sizes, best, buckets[best]
+
+
+@pytest.mark.parametrize("kind,params", GABIDULIN_SETS)
+def test_orbit_buckets_match_the_full_walk(kind, params, monkeypatch):
+    cert = _gabidulin_certificate(kind, params)
+    monkeypatch.setattr(witness, "_subspace_poly_buckets", _full_walk_buckets)
+    assert cert.to_json() == _gabidulin_certificate(kind, params).to_json()
+
+
+@pytest.mark.parametrize("kind,params", GABIDULIN_SETS)
+def test_mrd_pairwise_verdict_agrees_with_the_pair_scan(kind, params):
+    cert = _gabidulin_certificate(kind, params)
+    ok, checks = verify_certificate(cert)
+    assert ok and checks["pairwise_distance"] and checks["pairwise_exhaustive"], checks
+    low = min_pairwise_rank_distance(cert.codewords, cert.field)
+    assert low is None or low >= cert.d
+
+
+def test_orbit_buckets_compute_one_polynomial_per_orbit(monkeypatch):
+    # Gab[6,4]/F_64 at tau=2: the 651 subspaces of Gr(6, 4) fall into 11 orbits
+    calls = []
+
+    def counted(U, fld):
+        calls.append(U)
+        return min_subspace_poly(U, fld)
+
+    monkeypatch.setattr(witness, "min_subspace_poly", counted)
+    cert = bound1_witness(GabidulinCode(make_field(2, 6), n=6, k=4), 2)
+    assert cert.total_size == 651
+    assert len(calls) == 11
+
+
+def test_certify_certificates_round_trip():
+    certs = [
+        bound1_witness(GabidulinCode(make_field(2, 4), n=4, k=2), 2),
+        bound1_witness(GabidulinCode(make_field(2, 6), n=6, k=4), 2),
+        bound1_witness(GabidulinCode(make_field(3, 4), n=4, k=2), 2),
+        bound1_alt_witness(CodeParams(q=2, m=4, n=4, d=3), 2),
+        bound1_alt_witness(CodeParams(q=3, m=3, n=3, d=3), 1),
+        bound3_witness(6, 6, 2, 3, 2),
+        bound3_witness(6, 6, 2, 3, 2, translate=0),
+    ]
+    for cert in certs:
+        assert certificate_from_jsonable(json.loads(cert.to_json())).to_json() == cert.to_json()
 
 
 # --- bound 3 ---------------------------------------------------------------------------
@@ -399,6 +485,60 @@ def test_tampered_large_certificate_non_codeword(gab64_bound1_cert, force_batchi
     ok, checks = verify_certificate(bad)
     assert not ok
     assert not checks["membership"]
+
+
+@pytest.mark.parametrize("kind", ["bound1", "alt"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_tampered_certificate_wrong_k(gab64_bound1_cert, kind, shift):
+    # Gab[n, k+1] holds the words of Gab[n, k] on the same points, but its
+    # distance is one less; Gab[n, k-1] does not hold them
+    cert = gab64_bound1_cert if kind == "bound1" else bound1_alt_witness(CodeParams(q=2, m=4, n=4, d=3), 2)
+    bad = dataclasses.replace(cert, k=cert.k + shift)
+    ok, checks = verify_certificate(bad)
+    assert not ok
+    assert not checks["pairwise_distance"]
+    assert checks["membership"] == (shift == 1)
+
+
+@pytest.mark.parametrize("kind", ["bound1", "alt"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_tampered_certificate_wrong_d(gab64_bound1_cert, kind, shift):
+    cert = gab64_bound1_cert if kind == "bound1" else bound1_alt_witness(CodeParams(q=2, m=4, n=4, d=3), 2)
+    bad = dataclasses.replace(cert, d=cert.d + shift)
+    ok, checks = verify_certificate(bad)
+    assert not ok
+    assert not checks["pairwise_distance"]
+    assert checks["membership"]
+
+
+def _certificate_doc():
+    return json.loads(bound1_witness(GabidulinCode(F16, n=4, k=2), 2).to_json())
+
+
+def test_certificate_from_jsonable_refuses_missing_params():
+    doc = _certificate_doc()
+    del doc["params"]
+    with pytest.raises(ValueError, match="'params'"):
+        certificate_from_jsonable(doc)
+
+
+@pytest.mark.parametrize("name,value", [("k", 2.7), ("q", "2"), ("d", None)])
+def test_certificate_from_jsonable_refuses_non_integral_params(name, value):
+    doc = _certificate_doc()
+    doc["params"][name] = value
+    with pytest.raises(ValueError, match=f"'params.{name}' must be an integer"):
+        certificate_from_jsonable(doc)
+
+
+def test_certificate_from_jsonable_refuses_non_integral_words():
+    doc = _certificate_doc()
+    doc["codewords"][0][0][0] = 0.5
+    with pytest.raises(ValueError, match="'codewords'"):
+        certificate_from_jsonable(doc)
+    doc = _certificate_doc()
+    doc["claimed_size"] = "35.0"
+    with pytest.raises(ValueError, match="'claimed_size'"):
+        certificate_from_jsonable(doc)
 
 
 def test_word_cap_produces_sampled_certificate():
