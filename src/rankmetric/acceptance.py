@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import bounds, codes, matfq, oracle, witness
-from .ff import make_field
+from .ff import _digits, make_field
 from .linpoly import min_subspace_poly, root_space
 from .matfq import MatrixFq
 
@@ -56,10 +56,12 @@ def _check_ball_volumes() -> tuple[bool, str]:
 def _check_rank_decompose() -> tuple[bool, str]:
     rng = random.Random(0xDEC0)
     for q in (2, 3):
+        # one RNG call per row: a number below q^cols split into base-q digits
+        draw = rng.getrandbits if q == 2 else lambda cols: rng.randrange(q**cols)
         for _ in range(1000):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            X = MatrixFq(q, tuple(tuple(rng.randrange(q) for _ in range(cols)) for _ in range(rows)))
+            X = MatrixFq(q, tuple(_digits(draw(cols), q, cols) for _ in range(rows)))
             G, H = matfq.rank_decompose(X)
             if G.transpose().mul(H).rows != X.rows:
                 return False, f"G^T H != X for q={q}, shape {X.shape}"
@@ -74,8 +76,7 @@ def _check_distance_sandwich() -> tuple[bool, str]:
     rng = random.Random(0x5A17)
     done = 0
     while done < 1000:
-        X = MatrixFq(2, tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(4)))
-        Y = MatrixFq(2, tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(4)))
+        X, Y = (MatrixFq(2, tuple(_digits(rng.getrandbits(4), 2, 4) for _ in range(4))) for _ in range(2))
         if matfq.rank(X) != matfq.rank(Y):
             continue
         matfq.distance_sandwich_check(X, Y)  # raises on violation

@@ -25,6 +25,7 @@ from .ff import make_field
 
 CSV_SCHEMA_BOUNDS = "rankmetric-bounds-csv-v1"
 CSV_SCHEMA_REGIONS = "rankmetric-regions-csv-v1"
+REGIONS_GRID_LIMIT = 10**6  # grid points of ``regions``, counted as floor(1/step) before any row is built
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,12 +51,20 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _rational(text: str, option: str) -> Fraction:
+    """``text`` as a Fraction; a malformed one or a zero denominator raises ValueError naming ``option``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} must be a rational number such as 0.05 or 1/20, got {text!r}") from None
+
+
 # --- bounds -----------------------------------------------------------------
 
 
 def _cmd_bounds(args) -> int:
     params = bounds.CodeParams(q=args.q, m=args.m, n=args.n, d=args.d, k=args.k)
-    report = bounds.compute_report(params, args.tau, Fraction(args.epsilon))
+    report = bounds.compute_report(params, args.tau, _rational(args.epsilon, "--epsilon"))
     doc = bounds.report_to_jsonable(report)
     if args.format == "json":
         _emit(_json_text(doc), args.out)
@@ -118,18 +127,10 @@ def _cmd_witness(args) -> int:
 def _load_received(args, fld) -> tuple[int, ...]:
     if args.received_file:
         with open(args.received_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif args.received:
-        data = json.loads(args.received)
-    else:
-        raise ValueError("provide --received or --received-file")
-    # type(x) is int: JSON true must not read as 1
-    if not isinstance(data, list) or not all(isinstance(c, list) and all(type(x) is int for x in c) for c in data):
-        raise ValueError("the received word must be a JSON list of lists of integer coordinates")
-    bad = next((i for i, c in enumerate(data) if len(c) != fld.m), None)
-    if bad is not None:
-        raise ValueError(f"received word entry {bad} has {len(data[bad])} coordinates, need m={fld.m}")
-    return tuple(fld.from_coeffs(c) for c in data)
+            return fld.word_from_jsonable(json.load(fh), "received word")
+    if args.received:
+        return fld.word_from_jsonable(json.loads(args.received), "received word")
+    raise ValueError("provide --received or --received-file")
 
 
 def _cmd_oracle(args) -> int:
@@ -141,11 +142,11 @@ def _cmd_oracle(args) -> int:
         result = oracle.list_codewords(code, received, args.tau)
         elapsed = int((time.perf_counter() - start) * 1000)
         doc = {
-            "received_word": [list(fld.coeffs(x)) for x in result.received_word],
+            "received_word": fld.word_to_jsonable(result.received_word),
             "tau": result.tau,
             "size": result.size,
             "sphere_counts": list(result.sphere_counts),
-            "codewords": [[list(fld.coeffs(x)) for x in w] for w in result.codewords],
+            "codewords": [fld.word_to_jsonable(w) for w in result.codewords],
             "elapsed_ms": elapsed,
         }
     else:
@@ -155,7 +156,7 @@ def _cmd_oracle(args) -> int:
         elapsed = int((time.perf_counter() - start) * 1000)
         doc = {
             "ell": result.ell,
-            "argmax_word": [list(fld.coeffs(x)) for x in result.word],
+            "argmax_word": fld.word_to_jsonable(result.word),
             "mode": args.mode,
             "scanned": result.scanned,
             "exhaustive": result.exhaustive,
@@ -194,15 +195,13 @@ def _cmd_construct(args) -> int:
 def _cmd_regions(args) -> int:
     import csv
 
-    step = Fraction(args.grid)
+    step = _rational(args.grid, "--grid")
     if not 0 < step <= 1:
         raise ValueError(f"grid step must lie in (0, 1], got {step}")
-    grid = []
-    k = 1
-    while k * step <= 1:
-        grid.append(k * step)
-        k += 1
-    rows = bounds.regions_table(grid, n=args.n)
+    points = 1 // step
+    if points > REGIONS_GRID_LIMIT:
+        raise ValueError(f"grid step {step} gives {points} points, above the limit of {REGIONS_GRID_LIMIT}")
+    rows = bounds.regions_table([k * step for k in range(1, points + 1)], n=args.n)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([CSV_SCHEMA_REGIONS])

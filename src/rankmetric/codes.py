@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import ff
-from .ff import Field, expand_to_matrix, make_field, vector_from_matrix
+from .ff import Field, expand_to_matrix, json_bool, json_int, json_key, json_list, make_field, vector_from_matrix
 from .linpoly import LinearizedPoly, evaluate
 from .matfq import (
     _BATCH_ROWS,
@@ -31,6 +31,7 @@ from .matfq import (
     _multiples,
     _table_sums,
     rank_of_vector,
+    subspace_from_jsonable,
 )
 
 ENUMERATION_GUARD = 1 << 24
@@ -221,24 +222,13 @@ class ConstantDimensionCode:
     @classmethod
     def from_jsonable(cls, data: dict) -> "ConstantDimensionCode":
         """Inverse of to_jsonable; a missing or ill-typed field raises ValueError naming it."""
+        name = "constant-dimension code field {!r}".format
         q, ambient, dim, distance = (
-            _json_field(data, key, int) for key in ("q", "ambient", "dim", "min_subspace_distance")
+            json_key(data, key, name(key), json_int) for key in ("q", "ambient", "dim", "min_subspace_distance")
         )
-        words = []
-        for i, w in enumerate(_json_field(data, "words", list)):
-            where = f"words[{i}]"
-            basis = _json_field(w, "basis", list, where)
-            if not all(isinstance(r, list) and all(isinstance(x, int) for x in r) for r in basis):
-                raise ValueError(f"{where}: field 'basis' must be a list of integer lists")
-            words.append(Subspace(q, _json_field(w, "ambient", int, where), tuple(map(tuple, basis))))
-        return cls(q, ambient, dim, tuple(words), distance)
-
-
-def _json_field(data, key: str, kind: type, where: str = "constant-dimension code"):
-    value = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{where}: field {key!r} is missing or not of type {kind.__name__}")
-    return value
+        words = json_key(data, "words", name("words"), json_list)
+        subspaces = (subspace_from_jsonable(q, w, f"constant-dimension code word {i}") for i, w in enumerate(words))
+        return cls(q, ambient, dim, tuple(subspaces), distance)
 
 
 @dataclass(frozen=True)
@@ -280,21 +270,20 @@ class ConstantRankCode:
             "rank": self.rank,
             "min_rank_distance": self.min_rank_distance,
             "distance_exact": self.distance_exact,
-            "words": [[list(self.field.coeffs(x)) for x in w] for w in self.words],
+            "words": [self.field.word_to_jsonable(w) for w in self.words],
         }
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "ConstantRankCode":
-        fld = make_field(int(data["q"]), int(data["m"]), data["modulus"])
-        words = tuple(tuple(fld.from_coeffs(c) for c in w) for w in data["words"])
-        return cls(
-            fld,
-            int(data["n"]),
-            int(data["rank"]),
-            words,
-            int(data["min_rank_distance"]),
-            bool(data.get("distance_exact", False)),
+        """Inverse of to_jsonable; a missing or ill-typed field raises ValueError naming it."""
+        name = "constant-rank code field {!r}".format
+        q, m, n, rank, distance = (
+            json_key(data, key, name(key), json_int) for key in ("q", "m", "n", "rank", "min_rank_distance")
         )
+        modulus = [json_int(c, name("modulus")) for c in json_key(data, "modulus", name("modulus"), json_list)]
+        fld = make_field(q, m, modulus)
+        words = tuple(fld.word_from_jsonable(w, name("words")) for w in json_key(data, "words", name("words"), json_list))
+        return cls(fld, n, rank, words, distance, json_key(data, "distance_exact", name("distance_exact"), json_bool))
 
 
 def lift(X: MatrixFq) -> Subspace:
@@ -463,8 +452,8 @@ def gabidulin_to_jsonable(code: GabidulinCode, include_words: bool = False) -> d
         "modulus": list(code.field.modulus),
         "n": code.n,
         "k": code.k,
-        "alphas": [list(code.field.coeffs(a)) for a in code.alphas],
+        "alphas": code.field.word_to_jsonable(code.alphas),
     }
     if include_words:
-        out["words"] = [[list(code.field.coeffs(x)) for x in w] for w in code.iter_codewords()]
+        out["words"] = [code.field.word_to_jsonable(w) for w in code.iter_codewords()]
     return out

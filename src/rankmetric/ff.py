@@ -26,6 +26,7 @@ construction and all operations are pure.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -127,6 +128,33 @@ def _undigits(digits: Iterable[int], base: int) -> int:
     for d in reversed(list(digits)):
         v = v * base + d
     return v
+
+
+def json_int(value, name: str) -> int:
+    """The one rule for integers read from JSON: ``operator.index`` with booleans refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def json_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def json_key(doc, key: str, name: str, read=None):
+    """``doc[key]``, passed through ``read(value, name)`` when given; a missing
+    key, or a ``doc`` that is not a JSON object, raises ValueError naming ``name``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{name} is missing")
+    return doc[key] if read is None else read(doc[key], name)
 
 
 # --- polynomial helpers over a BaseField (coefficient lists, low-degree-first) ---
@@ -262,6 +290,23 @@ class Field:
         if any(not 0 <= c < self.q for c in coords):
             raise ValueError("coordinates must be F_q elements")
         return _undigits(coords + [0] * (self.m - len(coords)), self.q)
+
+    def word_to_jsonable(self, word: Iterable[int]) -> list[list[int]]:
+        """The JSON form of a word over F_{q^m}: one list of m coordinates per element."""
+        return [list(self.coeffs(x)) for x in word]
+
+    def word_from_jsonable(self, data, name: str) -> tuple[int, ...]:
+        """The word of ``word_to_jsonable``: a list of lists of exactly m
+        integer coordinates in 0..q-1; anything else raises ValueError naming ``name``."""
+        shape = f"{name} must be a list of lists of integer coordinates"
+        if not isinstance(data, list) or not all(isinstance(coords, list) for coords in data):
+            raise ValueError(f"{shape}, got {data!r}")
+        for i, coords in enumerate(data):
+            if len(coords) != self.m:
+                raise ValueError(f"{name} entry {i} has {len(coords)} coordinates, need m={self.m}")
+            if not all(0 <= json_int(c, f"{shape}; a coordinate of entry {i}") < self.q for c in coords):
+                raise ValueError(f"{name} entry {i} has a coordinate outside 0..{self.q - 1}: {coords}")
+        return tuple(_undigits(map(operator.index, coords), self.q) for coords in data)
 
     def basis_element(self, i: int) -> int:
         """The element x^i for 0 <= i < m."""

@@ -78,7 +78,7 @@ class LinearizedPoly:
         return evaluate(self, a)
 
     def to_jsonable(self) -> list[list[int]]:
-        return [list(self.field.coeffs(c)) for c in self.coeffs]
+        return self.field.word_to_jsonable(self.coeffs)
 
 
 def evaluate(f: LinearizedPoly, a: int) -> int:
@@ -152,4 +152,4 @@ def root_space(f: LinearizedPoly, field: Field) -> Subspace:
 
 
 def poly_from_jsonable(field: Field, data: Sequence[Sequence[int]]) -> LinearizedPoly:
-    return LinearizedPoly(field, tuple(field.from_coeffs(c) for c in data))
+    return LinearizedPoly(field, field.word_from_jsonable(data, "linearized polynomial coefficients"))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import gaussian_binomial
-from .ff import Field, base_field
+from .ff import Field, base_field, json_int, json_key, json_list
 
 GRASSMANNIAN_GUARD = 1 << 24
 
@@ -625,19 +625,18 @@ def distance_sandwich_check(X: MatrixFq, Y: MatrixFq) -> tuple[int, int, int]:
     return lower, middle, upper
 
 
-def matrix_from_jsonable(q: int, data: Sequence[Sequence[int]], ncols: int | None = None) -> MatrixFq:
-    rows = tuple(data)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return MatrixFq(q, rows, ncols=ncols)
+def matrix_from_jsonable(q: int, data, ncols: int | None = None, name: str = "matrix") -> MatrixFq:
+    """The matrix of ``MatrixFq.to_jsonable``, entries read with ``json_int``;
+    a malformed one raises ValueError naming ``name``."""
+    rows = tuple(
+        tuple(json_int(x, f"{name} entries must be integers; an entry of row {i}") for x in json_list(row, f"{name} row {i}"))
+        for i, row in enumerate(json_list(data, name))
+    )
+    return MatrixFq(q, rows, ncols=(len(rows[0]) if rows else 0) if ncols is None else ncols)
 
 
-def subspace_from_jsonable(q: int, data: dict) -> Subspace:
-    """The subspace of ``Subspace.to_jsonable``; ``ambient`` is read with
-    ``operator.index``, so a float or a string raises ValueError."""
-    ambient = data["ambient"]
-    try:
-        ambient = operator.index(ambient)
-    except TypeError:
-        raise ValueError(f"ambient dimension must be an integer, got {ambient!r}") from None
-    return Subspace(q, ambient, tuple(data["basis"]))
+def subspace_from_jsonable(q: int, data: dict, name: str = "subspace") -> Subspace:
+    """The subspace of ``Subspace.to_jsonable``; a missing or ill-typed field raises ValueError naming it."""
+    ambient = json_key(data, "ambient", f"{name} ambient dimension", json_int)
+    basis = matrix_from_jsonable(q, json_key(data, "basis", f"{name} field 'basis'"), ambient, f"{name} field 'basis'")
+    return Subspace(q, ambient, basis.rows)

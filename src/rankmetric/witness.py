@@ -30,19 +30,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Sequence
 
 from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, gaussian_binomial, mrd_weight_tau
 from .codes import GabidulinCode, crc_theorem8
-from .ff import Field, _undigits, make_field
+from .ff import Field, _undigits, json_bool, json_int, json_key, json_list, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import (
     _MEMBER_WORK,
     MatrixFq,
     _batched,
-    _entries,
     _singer_orbits,
     grassmannian_order_key,
     min_pairwise_rank_distance,
@@ -95,15 +93,15 @@ class WitnessCertificate:
             "modulus": list(self.modulus),
         }
         if self.alphas is not None:
-            params["alphas"] = [list(fld.coeffs(a)) for a in self.alphas]
+            params["alphas"] = fld.word_to_jsonable(self.alphas)
         return {
             "kind": self.kind,
             "params": params,
-            "received_word": [list(fld.coeffs(x)) for x in self.received_word],
+            "received_word": fld.word_to_jsonable(self.received_word),
             "claimed_size": str(self.claimed_size),
             "total_size": str(self.total_size),
             "truncated": self.truncated,
-            "codewords": [[list(fld.coeffs(x)) for x in w] for w in self.codewords],
+            "codewords": [fld.word_to_jsonable(w) for w in self.codewords],
             "meta": self.meta,
         }
 
@@ -114,72 +112,40 @@ class WitnessCertificate:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _field(doc: dict, name: str, where: str = ""):
-    """doc[name]; a missing field raises ValueError naming it."""
-    try:
-        return doc[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"certificate has no field {where + name!r}") from None
-
-
-def _integer(doc: dict, name: str, where: str = "") -> int:
-    """doc[name] read with ``operator.index``: numpy integers pass, floats,
-    strings and None raise ValueError rather than being truncated."""
-    value = _field(doc, name, where)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"certificate field {where + name!r} must be an integer, got {value!r}") from None
-
-
-def _size(doc: dict, name: str) -> int:
+def _size(value, name: str) -> int:
     """A size, written as a decimal string by ``to_jsonable`` (or an integer)."""
-    value = _field(doc, name)
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
-    return _integer(doc, name)
-
-
-def _elements(fld: Field, vectors, name: str) -> tuple[int, ...]:
-    """Field elements from their coefficient vectors, integers checked by ``_entries``."""
-    try:
-        return tuple(fld.from_coeffs(_entries(c)) for c in vectors)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"certificate field {name!r}: {exc}") from None
+    return json_int(value, name)
 
 
 def certificate_from_jsonable(data: dict) -> WitnessCertificate:
     """The certificate of ``WitnessCertificate.to_jsonable``.
 
-    Every integer is read with ``operator.index``; a missing or non-integral
+    Integers and words are read by the ``ff`` codec; a missing or ill-typed
     field raises ValueError naming it.  ``k`` may be null only for bound3.
     """
-    kind = _field(data, "kind")
-    p = _field(data, "params")
-    q, m = _integer(p, "q", "params."), _integer(p, "m", "params.")
-    try:
-        modulus = _entries(_field(p, "modulus", "params."))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"certificate field 'params.modulus': {exc}") from None
-    k = None if kind == KIND_BOUND3 and p.get("k") is None else _integer(p, "k", "params.")
-    fld = make_field(q, m, modulus)
-    alphas = _elements(fld, p["alphas"], "params.alphas") if "alphas" in p else None
+    name = "certificate field {!r}".format
+    kind, p = json_key(data, "kind", name("kind")), json_key(data, "params", name("params"))
+    ints = {key: json_key(p, key, name(f"params.{key}"), json_int) for key in ("q", "m", "n", "d", "tau")}
+    k = None if kind == KIND_BOUND3 and p.get("k") is None else json_key(p, "k", name("params.k"), json_int)
+    modulus = json_key(p, "modulus", name("params.modulus"), json_list)
+    fld = make_field(ints["q"], ints["m"], [json_int(c, name("params.modulus")) for c in modulus])
+    words, meta = json_key(data, "codewords", name("codewords"), json_list), json_key(data, "meta", name("meta"))
+    if kind == KIND_BOUND3 and json_key(meta, "translate", name("meta.translate")) is not None:
+        json_int(meta["translate"], name("meta.translate"))
     return WitnessCertificate(
         kind=kind,
-        q=q,
-        m=m,
-        n=_integer(p, "n", "params."),
+        **ints,
         k=k,
-        d=_integer(p, "d", "params."),
-        tau=_integer(p, "tau", "params."),
-        modulus=modulus,
-        alphas=alphas,
-        received_word=_elements(fld, _field(data, "received_word"), "received_word"),
-        codewords=tuple(_elements(fld, w, "codewords") for w in _field(data, "codewords")),
-        claimed_size=_size(data, "claimed_size"),
-        total_size=_size(data, "total_size"),
-        truncated=bool(_field(data, "truncated")),
-        meta=dict(data.get("meta", {})),
+        modulus=fld.modulus,
+        alphas=json_key(p, "alphas", name("params.alphas"), fld.word_from_jsonable) if "alphas" in p else None,
+        received_word=json_key(data, "received_word", name("received_word"), fld.word_from_jsonable),
+        codewords=tuple(fld.word_from_jsonable(w, name("codewords")) for w in words),
+        claimed_size=json_key(data, "claimed_size", name("claimed_size"), _size),
+        total_size=json_key(data, "total_size", name("total_size"), _size),
+        truncated=json_key(data, "truncated", name("truncated"), json_bool),
+        meta=meta,
     )
 
 
@@ -288,7 +254,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
         meta={
             "bucket_count": sizes[best_key],
             "bucket_total": len(sizes),
-            "bucket_key": [list(fld.coeffs(c)) for c in best_key],
+            "bucket_key": fld.word_to_jsonable(best_key),
         },
     )
 

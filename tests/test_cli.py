@@ -356,6 +356,37 @@ def test_regions_with_finite_columns(capsys):
     assert row["d"] == "2"  # delta = 1/4, n = 8
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("bounds", "--q", "2", "--m", "4", "--n", "4", "--d", "3", "--tau", "1", "--epsilon", "1/0"), "--epsilon"),
+        (("bounds", "--q", "2", "--m", "4", "--n", "4", "--d", "3", "--tau", "1", "--epsilon", "abc"), "--epsilon"),
+        (("regions", "--grid", "1/0"), "--grid"),
+        (("regions", "--grid", "x"), "--grid"),
+    ],
+)
+def test_malformed_rational_exits_2(capsys, argv, option):
+    # a zero denominator raised ZeroDivisionError, which main did not catch
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {option} must be a rational number" in err and "Traceback" not in err
+
+
+def test_regions_grid_limit_refuses_before_building_rows(capsys, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("regions_table called")
+
+    monkeypatch.setattr(cli.bounds, "regions_table", no_rows)
+    code, out, err = run_cli(capsys, "regions", "--grid", "1/1000000000")
+    assert code == 2 and out == ""
+    assert "1000000000 points" in err and str(cli.REGIONS_GRID_LIMIT) in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "REGIONS_GRID_LIMIT", 20)  # the boundary, on a grid small enough to build
+    assert run_cli(capsys, "regions", "--grid", "1/21")[0] == 2
+    code, out, _ = run_cli(capsys, "regions", "--grid", "0.0499")  # floor(1/0.0499) = 20 points
+    assert code == 0 and len(out.splitlines()) == 22
+
+
 def test_verify_selected_criteria(capsys):
     code, out, _ = run_cli(capsys, "verify", "--criteria", "1,2,12")
     assert code == 0
