@@ -4,8 +4,10 @@ Subcommands: ``bounds``, ``witness bound1|alt|bound3``, ``oracle list|max``,
 ``construct cdc|cdc-odd|crc|crc-theorem8``, ``regions``, ``verify``.
 
 Exit codes: 0 success, 1 usage error, 2 precondition violation,
-3 verification failure.  Reports are UTF-8 JSON (sorted keys) or RFC-4180
-CSV with a versioned header; big integers are serialized as decimal strings.
+3 verification failure.  Reports are UTF-8 JSON or RFC-4180 CSV with a
+versioned header; big integers are serialized as decimal strings.  JSON is
+written by ``ff.json_text``, byte for byte the layout of ``json.dumps`` with
+sorted keys and an indent of 2.
 Identical arguments (and seed) produce byte-identical reports, except for
 the ``elapsed_ms`` field of ``oracle``.
 """
@@ -21,7 +23,7 @@ import time
 from fractions import Fraction
 
 from . import acceptance, bounds, codes, oracle, witness
-from .ff import make_field
+from .ff import json_text, make_field
 
 CSV_SCHEMA_BOUNDS = "rankmetric-bounds-csv-v1"
 CSV_SCHEMA_REGIONS = "rankmetric-regions-csv-v1"
@@ -47,10 +49,6 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def _rational(text: str, option: str) -> Fraction:
     """``text`` as a Fraction; a malformed one or a zero denominator raises ValueError naming ``option``."""
     try:
@@ -67,7 +65,7 @@ def _cmd_bounds(args) -> int:
     report = bounds.compute_report(params, args.tau, _rational(args.epsilon, "--epsilon"))
     doc = bounds.report_to_jsonable(report)
     if args.format == "json":
-        _emit(_json_text(doc), args.out)
+        _emit(json_text(doc), args.out)
     else:
         _emit(_bounds_csv(doc), args.out)
     return 0
@@ -117,7 +115,7 @@ def _cmd_witness(args) -> int:
     doc = cert.to_jsonable()
     doc["verified"] = ok
     doc["checks"] = checks
-    _emit(_json_text(doc), args.out)
+    _emit(json_text(doc), args.out)
     return 0 if ok else 3
 
 
@@ -162,7 +160,7 @@ def _cmd_oracle(args) -> int:
             "exhaustive": result.exhaustive,
             "elapsed_ms": elapsed,
         }
-    _emit(_json_text(doc), args.out)
+    _emit(json_text(doc), args.out)
     return 0
 
 
@@ -185,7 +183,7 @@ def _cmd_construct(args) -> int:
         doc = codes.crc_from_cdc_pair(M, N, fld).to_jsonable()
     else:
         doc = codes.crc_theorem8(args.n, args.m, args.tau, args.d, args.q).to_jsonable()
-    _emit(_json_text(doc), args.out)
+    _emit(json_text(doc), args.out)
     return 0
 
 

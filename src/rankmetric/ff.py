@@ -26,6 +26,7 @@ construction and all operations are pure.
 
 from __future__ import annotations
 
+import json
 import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -33,6 +34,11 @@ from typing import Iterable, Sequence
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
 _LOG_TABLE_LIMIT = 1 << 16
+# Largest extension degree m a Field accepts, checked before q**m or the
+# modulus search.  On a 2-vCPU VM the slowest default modulus up to it,
+# q = 8 and m = 32, takes about 4 s; q = 8, m = 58 takes 17 s, and m = 1000
+# does not finish.
+MAX_DEGREE = 32
 
 
 # q -> (p, e) with q = p^e, for q in SUPPORTED_Q
@@ -157,6 +163,57 @@ def json_key(doc, key: str, name: str, read=None):
     return doc[key] if read is None else read(doc[key], name)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode  # no indent, so the C encoder
+_INT_ONLY = {int}  # item types of a list written with one join
+
+
+def json_text(doc) -> str:
+    """The text ``json.dumps`` writes for ``doc`` with sorted keys and an
+    indent of 2, byte for byte.
+
+    With an indent, ``json.dumps`` runs CPython's pure-Python encoder (the C
+    encoder serves only unindented output); this writer builds the same text
+    with one join per container, and writes a list of exact ints with a
+    single join.  Unsupported types raise the same TypeError; a document
+    that contains itself ends in RecursionError, not json's ValueError.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_value(value, newline: str) -> str:
+    """The JSON text of ``value``, whose nested lines start with ``newline`` plus two spaces."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == _INT_ONLY:
+            return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]"
+        return f"[{inner}{(',' + inner).join([_json_value(x, inner) for x in value])}{newline}]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_json_key(k)}: {_json_value(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if type(value) is int:  # exact ints and None skip the encoder's per-call set-up
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return _encode_scalar(value)  # raises json's TypeError on an unsupported type
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a quoted int, float, bool or None."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _encode_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 # --- polynomial helpers over a BaseField (coefficient lists, low-degree-first) ---
 
 
@@ -251,6 +308,8 @@ class Field:
             raise ValueError(f"unsupported base field size q={q}; supported: {SUPPORTED_Q}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
+        if m > MAX_DEGREE:
+            raise ValueError(f"extension degree {m} is above the limit of {MAX_DEGREE}")
         self.base = base_field(q)
         self.q = q
         self.m = m
@@ -291,9 +350,12 @@ class Field:
             raise ValueError("coordinates must be F_q elements")
         return _undigits(coords + [0] * (self.m - len(coords)), self.q)
 
-    def word_to_jsonable(self, word: Iterable[int]) -> list[list[int]]:
+    def word_to_jsonable(self, word: Sequence[int]) -> list[list[int]]:
         """The JSON form of a word over F_{q^m}: one list of m coordinates per element."""
-        return [list(self.coeffs(x)) for x in word]
+        if word and not (0 <= min(word) and max(word) < self.order):
+            self.coeffs(next(x for x in word if not 0 <= x < self.order))  # raises, naming it
+        q, m = self.q, self.m
+        return [_digits(x, q, m) for x in word]
 
     def word_from_jsonable(self, data, name: str) -> tuple[int, ...]:
         """The word of ``word_to_jsonable``: a list of lists of exactly m

@@ -28,14 +28,13 @@ the pairwise distances of bound1 and alt follow from membership.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Sequence
 
 from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, gaussian_binomial, mrd_weight_tau
 from .codes import GabidulinCode, crc_theorem8
-from .ff import Field, _undigits, json_bool, json_int, json_key, json_list, make_field
+from .ff import Field, _undigits, json_bool, json_int, json_key, json_list, json_text, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import (
     _MEMBER_WORK,
@@ -109,7 +108,7 @@ class WitnessCertificate:
         doc = self.to_jsonable()
         if verified is not None:
             doc["verified"] = verified
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_text(doc)
 
 
 def _size(value, name: str) -> int:
@@ -313,6 +312,13 @@ def bound1_alt_witness(
     )
 
 
+def _translate_word(crc, translate: int) -> tuple[int, ...]:
+    """The word a_j, j = ``translate``, of a crc_theorem8 code; j outside 0..|C|-1 raises ValueError."""
+    if not 0 <= translate < crc.cardinality:
+        raise ValueError(f"translate index {translate} out of range")
+    return crc.words[translate]
+
+
 def bound3_witness(
     n: int,
     m: int,
@@ -335,9 +341,7 @@ def bound3_witness(
         received = (0,) * n
         codewords = list(crc.words)
     else:
-        if not 0 <= translate < crc.cardinality:
-            raise ValueError(f"translate index {translate} out of range")
-        a_j = crc.words[translate]
+        a_j = _translate_word(crc, translate)
         received = tuple(a_j)
         codewords = [
             tuple(fld.sub(a_j[i], a[i]) for i in range(n)) for a in crc.words
@@ -375,7 +379,8 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     repeated word and d = n - k + 1.  bound3 words are ranked pair by pair,
     exhaustively up to PAIRWISE_CHECK_CAP words and on a deterministic prefix
     beyond.  Whether the checks run in numpy is decided once, from their
-    scalar work together.
+    scalar work together.  A bound3 ``meta.translate`` outside 0..|C|-1
+    raises ValueError.
     """
     fld = cert.field
     checks: dict[str, bool] = {}
@@ -414,7 +419,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
         if translate is None:
             expected = set(crc.words)
         else:
-            a_j = crc.words[int(translate)]
+            a_j = _translate_word(crc, json_int(translate, "meta.translate"))
             expected = {
                 tuple(fld.sub(a_j[i], a[i]) for i in range(cert.n)) for a in crc.words
             }

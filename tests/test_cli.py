@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,35 @@ def test_construct_precondition_exit_2(capsys):
     assert code == 2
 
 
+def test_construct_crc_refuses_a_huge_ambient_at_once(capsys, tmp_path):
+    # the field degree limit comes before the search for a degree-1000 modulus
+    cdc = tmp_path / "cdc.json"
+    cdc.write_text(json.dumps({"q": 2, "ambient": 1000, "dim": 1, "min_subspace_distance": 2, "words": []}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "crc", "--m-file", str(cdc), "--n-file", str(cdc))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "extension degree 1000 is above the limit" in err and "Traceback" not in err
+
+
+_JSON_COMMANDS = [
+    "bounds --q 2 --m 4 --n 4 --d 3 --tau 2 --epsilon 1/10",
+    "oracle list --q 2 --m 4 --n 4 --k 2 --tau 2 --received [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+    "oracle max --q 2 --m 3 --n 3 --k 2 --tau 1",
+    "witness bound1 --q 2 --n 4 --k 2 --tau 2",
+    "witness alt --q 2 --n 4 --d 3 --tau 2",
+    "witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2 --translate 1",
+    "construct cdc --q 2 --n 4 --tau 2 --d 4",
+]
+
+
+@pytest.mark.parametrize("command", _JSON_COMMANDS, ids=[" ".join(c.split()[:2]) for c in _JSON_COMMANDS])
+def test_json_reports_are_json_dumps_layout(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_regions_csv(capsys):
     code, out, _ = run_cli(capsys, "regions", "--grid", "0.25")
     assert code == 0
@@ -405,16 +435,21 @@ def test_verify_rejects_unknown_criteria_before_running(capsys, monkeypatch, cri
 
 
 _SMALL_RUNS = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from rankmetric import cli
 received = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        cli.main("witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2".split()),
-        cli.main(f"oracle list --q 2 --m 4 --n 4 --k 2 --tau 2 --received {received}".split()),
-        cli.main("witness alt --q 2 --n 4 --d 3 --tau 2".split()),
-    ]
-print(codes, "numpy" in sys.modules)
+codes, layouts = [], []
+for argv in (
+    "witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2",
+    f"oracle list --q 2 --m 4 --n 4 --k 2 --tau 2 --received {received}",
+    "witness alt --q 2 --n 4 --d 3 --tau 2",
+    "bounds --q 2 --m 4 --n 4 --d 3 --tau 2",
+):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(cli.main(argv.split()))
+    text = out.getvalue()
+    layouts.append(text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\\n")
+print(codes, layouts, "numpy" in sys.modules)
 """
 
 
@@ -428,7 +463,7 @@ def test_small_cli_runs_do_not_import_numpy():
         [sys.executable, "-c", _SMALL_RUNS], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0]", "[True,", "True,", "True,", "True]", "False"]
 
 
 _LARGE_CERTIFICATES = """

@@ -1,6 +1,7 @@
-"""Field arithmetic: construction, axioms, Frobenius, matrix expansion."""
+"""Field arithmetic: construction, axioms, Frobenius, matrix expansion; the JSON writer."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from rankmetric.ff import (
     default_modulus,
     expand_to_matrix,
     is_irreducible,
+    json_text,
     make_field,
     vector_from_matrix,
 )
@@ -272,3 +274,92 @@ def test_field_equality_and_cache():
     assert make_field(2, 4) is make_field(2, 4)
     assert make_field(2, 4) == make_field(2, 4, [1, 1, 0, 0, 1])
     assert make_field(2, 4) != make_field(2, 4, [1, 1, 1, 1, 1])
+
+
+def test_word_to_jsonable_names_the_first_element_outside_the_field():
+    F = make_field(3, 2)
+    assert F.word_to_jsonable((0, 5, 8)) == [[0, 0], [2, 1], [2, 2]]
+    assert F.word_to_jsonable(()) == []
+    for word, bad in (((1, 9, -1), 9), ((1, -1, 9), -1)):
+        with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order 9$"):
+            F.word_to_jsonable(word)
+
+
+def test_field_degree_limit_refuses_before_the_modulus_search(monkeypatch):
+    import rankmetric.ff as ff
+
+    monkeypatch.setattr(ff, "default_modulus", lambda q, m: pytest.fail("modulus search ran"))
+    monkeypatch.setattr(ff, "is_irreducible", lambda f, q: pytest.fail("irreducibility test ran"))
+    m = ff.MAX_DEGREE + 1
+    for q, modulus in ((2, None), (9, None), (2, [1] + [0] * (m - 1) + [1])):
+        with pytest.raises(ValueError, match=f"^extension degree {m} is above the limit of {ff.MAX_DEGREE}$"):
+            make_field(q, m, modulus)
+    with pytest.raises(ValueError, match="extension degree 1000000000 is above the limit"):
+        make_field(2, 10**9)
+
+
+# --- the JSON writer -------------------------------------------------------------
+
+_TRICKY_TEXT = st.text(st.sampled_from('ab"\\[]{},: /\n\t\x00\x1f\x7fé \U0001f600') | st.characters(), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    _TRICKY_TEXT,
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(min_value=-(2**70), max_value=2**70) | st.booleans(), max_size=5),
+        st.lists(st.integers(min_value=0, max_value=8), max_size=5).map(tuple),
+        st.dictionaries(_TRICKY_TEXT, children, max_size=4),
+        # int, float and bool keys sort together; None sorts only alone
+        st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=30,
+)
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@given(_JSON_TREES)
+def test_json_text_is_json_dumps_with_sorted_keys_and_indent_2(doc):
+    assert json_text(doc) == _dumps(doc)
+
+
+def test_json_text_layout():
+    doc = {"b": [[0, -1], (), True], "a": {}, "c": {2.5: "é\"", 1: None}}
+    assert json_text(doc) == _dumps(doc) == (
+        '{\n  "a": {},\n  "b": [\n    [\n      0,\n      -1\n    ],\n    [],\n    true\n  ],\n'
+        '  "c": {\n    "1": null,\n    "2.5": "\\u00e9\\""\n  }\n}'
+    )
+    assert json_text([]) == "[]" and json_text("x") == '"x"' and json_text(float("nan")) == "NaN"
+
+
+def _type_error(write, doc) -> str:
+    with pytest.raises(TypeError) as exc:
+        write(doc)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1, 2}, {"a": [1, {3}]}, {"a": frozenset()}, {(1, 2): 0}, {"k": object}, [1, "x", b"y"], {1: 0, "1": 0}],
+    ids=["set", "nested set", "frozenset", "tuple key", "class", "bytes", "mixed keys"],
+)
+def test_json_text_raises_the_type_error_of_json_dumps(doc):
+    assert _type_error(json_text, doc) == _type_error(_dumps, doc)
+
+
+def test_json_text_refuses_numpy_integers_as_json_dumps_does():
+    np = pytest.importorskip("numpy")
+    for doc in ([np.int64(3)], [1, np.int64(3)], {"a": np.int64(3)}, np.int64(3)):
+        assert _type_error(json_text, doc) == _type_error(_dumps, doc)
+        assert "int64" in _type_error(json_text, doc)

@@ -427,6 +427,24 @@ def test_certificate_schema_fields():
     assert all(len(w) == 4 and len(w[0]) == 4 for w in doc["codewords"])
 
 
+@pytest.mark.parametrize("translate", [100, -1, 16])
+def test_certificate_translate_outside_the_code_refused(translate):
+    # the code has 16 words; -1 must not wrap round to the last one
+    doc = json.loads(bound3_witness(6, 6, 2, 3, 2, translate=0).to_json())
+    doc["meta"]["translate"] = translate
+    cert = certificate_from_jsonable(doc)
+    with pytest.raises(ValueError, match=f"translate index {translate} out of range"):
+        verify_certificate(cert)
+
+
+def test_certificate_json_refuses_what_json_cannot_write():
+    np = pytest.importorskip("numpy")
+    cert = bound3_witness(6, 6, 2, 3, 2)
+    for meta, name in (({"translate": np.int64(0)}, "int64"), ({"translate": {0}}, "set")):
+        with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
+            dataclasses.replace(cert, meta=meta).to_json()
+
+
 def test_tampered_certificate_fails_verification():
     cert = bound3_witness(6, 6, 2, 3, 2)
     bad = certificate_from_jsonable(json.loads(cert.to_json()))
