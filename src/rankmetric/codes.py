@@ -8,6 +8,10 @@ Three families:
   pairwise subspace distance >= d_S, here built by lifting rank-metric codes.
 * Constant-rank codes: rank-metric codes whose words all have the same rank,
   built from pairs of constant-dimension codes.
+
+A Gabidulin codeword sum_i f_i g_i and a coset key sum_j w_j key(u_j) are one
+F_{q^m} row combination: ``matfq._combine`` for one word, ``matfq._row_tables``
+for numpy blocks.
 """
 
 from __future__ import annotations
@@ -18,17 +22,17 @@ from typing import Iterator, Sequence
 
 from . import ff
 from .ff import Field, expand_to_matrix, json_bool, json_int, json_key, json_list, make_field, vector_from_matrix
-from .linpoly import LinearizedPoly, evaluate
+from .linpoly import LinearizedPoly
 from .matfq import (
     _BATCH_ROWS,
-    _MEMBER_WORK,
+    _CODEWORD_WORK,
     MatrixFq,
     Subspace,
-    _addends,
     _batched,
+    _combine,
     _digits,
     _gauss_jordan,
-    _multiples,
+    _row_tables,
     _table_sums,
     rank_of_vector,
     subspace_from_jsonable,
@@ -56,7 +60,7 @@ class GabidulinCode:
         if self.n > self.field.m:
             raise ValueError(f"length n={self.n} exceeds extension degree m={self.field.m}")
         alphas = self.alphas or self.field.polynomial_basis(self.n)
-        alphas = tuple(int(a) for a in alphas)
+        alphas = tuple(json_int(a, f"evaluation point {i}") for i, a in enumerate(alphas))
         if len(alphas) != self.n:
             raise ValueError(f"need {self.n} evaluation points, got {len(alphas)}")
         if any(not 0 <= a < self.field.order for a in alphas):
@@ -87,67 +91,57 @@ class GabidulinCode:
         F = self.field
         return [tuple(F.frobenius(a, i) for a in self.alphas) for i in range(self.k)]
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """``generator_rows``, computed once per code."""
+        return tuple(self.generator_rows())
+
     def encode(self, message: LinearizedPoly) -> tuple[int, ...]:
+        """The evaluations f(alpha_j) of f = ``message``: sum_i f_i g_i."""
         if message.field != self.field:
             raise ValueError("message polynomial lives in a different field")
         if message.q_degree >= self.k:
             raise ValueError(f"message q-degree {message.q_degree} >= k={self.k}")
-        return tuple(evaluate(message, a) for a in self.alphas)
+        return _combine(self.field, message.coeffs, self._rows, self.n)
 
     def codeword(self, index: int) -> tuple[int, ...]:
         """Codeword for message index sum_i f_i Q^i (digit i = coefficient f_i)."""
         if not 0 <= index < self.cardinality:
             raise ValueError("message index out of range")
-        return self.encode(LinearizedPoly(self.field, ff._digits(index, self.field.order, self.k)))
+        return _combine(self.field, ff._digits(index, self.field.order, self.k), self._rows, self.n)
 
     def iter_codewords(self) -> Iterator[tuple[int, ...]]:
         """All codewords in message-index order."""
         if self.cardinality > ENUMERATION_GUARD:
             raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
-        F = self.field
-        Q = F.order
-        rows = self.generator_rows()
-        # per-row scalar multiple cache: scaled[i][f] = f * g_i
-        scaled = [[tuple(F.mul(f, x) for x in row) for f in range(Q)] for row in rows]
-        zero = (0,) * self.n
+        F, rows = self.field, self._rows
         for index in range(self.cardinality):
-            word = zero
-            idx = index
-            for i in range(self.k):
-                f = idx % Q
-                idx //= Q
-                if f:
-                    word = tuple(F.add(a, b) for a, b in zip(word, scaled[i][f]))
-            yield word
+            yield _combine(F, ff._digits(index, F.order, self.k), rows, self.n)
 
     def codeword_blocks(self, size: int = _BATCH_ROWS):
         """All codewords in the order of ``iter_codewords``, as int64 numpy
         arrays of at most ``size`` rows, one codeword per row.
 
         Row i of a block is the sum over generator rows g_j of f_j g_j, with
-        f_j digit j of the message index, read from one table of the
-        multiples f g_j per row.
+        f_j digit j of the message index, read from ``matfq._row_tables``.
         """
         import numpy as np
 
         if self.cardinality > ENUMERATION_GUARD:
             raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
         F = self.field
-        Q, p = F.order, F.char
-        tables = [_addends(_multiples(F, range(Q), g), p, F.m * F.base.e) for g in self.generator_rows()]
+        tables = _row_tables(F, self._rows)
         for lo in range(0, self.cardinality, size):
-            messages = _digits(np.arange(lo, min(lo + size, self.cardinality)), Q, self.k)
-            yield _table_sums(tables, messages, p)
+            messages = _digits(np.arange(lo, min(lo + size, self.cardinality)), F.order, self.k)
+            yield _table_sums(tables, messages, F.char)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        """Membership test: the coset key sum_j w_j key(u_j) is 0 (``_unit_keys``)."""
+        """Membership test: the coset key sum_j w_j key(u_j) is 0 (``_unit_keys``);
+        False for a wrong length or an entry that is not an integer (``__index__``) in 0..q^m-1."""
         F = self.field
-        if len(vec) != self.n or any(not 0 <= int(w) < F.order for w in vec):
+        if len(vec) != self.n or not all(hasattr(type(w), "__index__") and 0 <= w < F.order for w in vec):
             return False
-        key = [0] * (self.n - self.k)
-        for w, unit in zip(vec, self._unit_keys):
-            key = [F.add(x, F.mul(int(w), y)) for x, y in zip(key, unit)]
-        return not any(key)
+        return not any(_combine(F, vec, self._unit_keys, self.n - self.k))
 
     @cached_property
     def _unit_keys(self) -> tuple[tuple[int, ...], ...]:
@@ -161,7 +155,7 @@ class GabidulinCode:
         is 0 exactly on the codewords.
         """
         F, k = self.field, self.k
-        rows = [list(r) for r in self.generator_rows()]
+        rows = list(self._rows)
         _gauss_jordan(rows, self.n, F)
         units = tuple(tuple(int(i == j) for i in range(self.n - k)) for j in range(self.n - k))
         return tuple(tuple(F.neg(x) for x in row[k:]) for row in rows) + units
@@ -171,21 +165,23 @@ class GabidulinCode:
 
         Enough words (see ``matfq._batched``) are checked in numpy blocks: a
         word is a codeword exactly when its coset key (``_unit_keys``) is 0,
-        and the key of w is the sum over j of w_j key(u_j), read from one
-        table of the multiples x key(u_j) per coordinate.  Fields with more
-        elements than there are words keep the scalar test, since their
-        tables would cost more than the scalar sums they replace.
+        and the key of w is the sum over j of w_j key(u_j), read from
+        ``matfq._row_tables``.  Fields with more elements than there are words
+        keep the scalar test, since their tables would cost more than the
+        scalar sums they replace.  Entries are refused as by ``contains``.
         """
         F = self.field
-        batched = _batched(len(words) * _MEMBER_WORK, F.order) and F.order <= len(words)
+        batched = _batched(len(words) * _CODEWORD_WORK, F.order) and F.order <= len(words)
         if not batched or any(len(w) != self.n for w in words):
             return all(self.contains(w) for w in words)
         import numpy as np
 
-        tables = [_addends(_multiples(F, range(F.order), key), F.char, F.m * F.base.e) for key in self._unit_keys]
+        tables = _row_tables(F, self._unit_keys)
         for lo in range(0, len(words), _BATCH_ROWS):
-            block = np.asarray(words[lo : lo + _BATCH_ROWS], dtype=np.int64)
-            if block.min() < 0 or block.max() >= F.order or _table_sums(tables, block, F.char).any():
+            block = np.asarray(words[lo : lo + _BATCH_ROWS])
+            if block.dtype.kind not in "biu" or block.min() < 0 or block.max() >= F.order:
+                return False
+            if _table_sums(tables, block.astype(np.int64), F.char).any():
                 return False
         return True
 
@@ -444,8 +440,8 @@ def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
     return crc
 
 
-def gabidulin_to_jsonable(code: GabidulinCode, include_words: bool = False) -> dict:
-    out = {
+def gabidulin_to_jsonable(code: GabidulinCode) -> dict:
+    return {
         "type": "gabidulin",
         "q": code.q,
         "m": code.m,
@@ -454,6 +450,3 @@ def gabidulin_to_jsonable(code: GabidulinCode, include_words: bool = False) -> d
         "k": code.k,
         "alphas": code.field.word_to_jsonable(code.alphas),
     }
-    if include_words:
-        out["words"] = [code.field.word_to_jsonable(w) for w in code.iter_codewords()]
-    return out

@@ -448,9 +448,6 @@ class Field:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def scale_row(self, c: int, xs: Sequence[int]) -> list[int]:
         """[c x for x in xs], the row operation ``BaseField.scale_row`` tabulates."""
         return [self.mul(c, x) for x in xs]

@@ -266,11 +266,9 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
 # 0.08-0.13 us (q=2) and 0.3-1.9 us (q>2).
 _BATCH_MIN = 1 << 17
 _BATCH_MIN_LOADED = 128
-# scalar work per item, in ranks: a Gabidulin codeword built as a tuple and
-# ranked costs 4-7 us at q=2, m=4; GabidulinCode.contains re-reduces the
-# generator rows, 20-60 us per word
+# scalar work per item, in ranks: one ``_combine`` call (a codeword from its
+# message, or a membership test from the unit keys), 5-23 us at q=2, m=4..8
 _CODEWORD_WORK = 4
-_MEMBER_WORK = 16
 _BATCH_ROWS = 1 << 12  # words ranked per numpy block
 _BATCH_ORDER = 1 << 32  # larger fields keep to the scalar loop
 
@@ -306,6 +304,23 @@ def _multiples(fld: Field, xs: Iterable[int], vec: Sequence[int]):
     import numpy as np
 
     return np.array([[fld.mul(x, v) for v in vec] for x in xs], dtype=np.int64)
+
+
+def _combine(fld: Field, coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """sum_i coeffs[i] rows[i] over F_{q^m}, a word of ``width`` entries: the
+    scalar form of the row combination whose numpy form sums ``_row_tables``."""
+    add, mul, total = fld.add, fld.mul, (0,) * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            total = [add(x, mul(c, y)) for x, y in zip(total, row)]
+    return tuple(total)
+
+
+def _row_tables(fld: Field, rows: Sequence[Sequence[int]]) -> list:
+    """Per row of ``rows``, the ``_table_sums`` table of its multiples x row,
+    x in F_{q^m}: ``_table_sums(_row_tables(fld, rows), c, p)`` is the
+    ``_combine`` of every coefficient row of the array c."""
+    return [_addends(_multiples(fld, range(fld.order), row), fld.char, fld.m * fld.base.e) for row in rows]
 
 
 def _addends(values, p: int, width: int):

@@ -15,9 +15,10 @@ word by word (``_count_ball``), the tests' ground truth.
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work: Gabidulin codewords come as
-blocks from ``GabidulinCode.codeword_blocks`` and matrices as blocks of
-base-q^m digits, ranked by ``matfq._column_ranks``.  Below that they build
-one tuple per word and rank it with the scalar ``matfq._column_rank``, as
+blocks from ``GabidulinCode.codeword_blocks`` (``matfq._row_tables``) and
+matrices as blocks of base-q^m digits, ranked by ``matfq._column_ranks``.
+Below that they build one tuple per word (``GabidulinCode.iter_codewords``,
+``matfq._combine``) and rank it with the scalar ``matfq._column_rank``, as
 ``rank_leq`` and ``_count_ball`` always do: the reference the batched paths
 are tested against.
 """

@@ -7,10 +7,10 @@ tie-breaking), so identical inputs serialize to identical JSON.
 
 * bound1: bucket the monic subspace polynomials of q-degree n - tau over
   F_{q^n} (n = m) by their coefficients of q-degree >= k, take a maximum
-  bucket P; differences of members of P encode to codewords at distance
-  exactly tau from the evaluation of a representative of P.  Multiplying a
-  subspace by x in F_{q^n}^* rescales the coefficients of its polynomial, so
-  one polynomial per orbit gives every key, and only P is built.
+  bucket P; differences of members of P are the messages of codewords at
+  distance exactly tau from the evaluation of a representative of P.  A
+  subspace times x in F_{q^n}^* rescales the coefficients of its polynomial,
+  so one polynomial per orbit gives every key, and only P is built.
 * bound1_alt: the coset C + b, b in a complementary code B, holding the most
   rank-tau words of the MRD direct sum C + B = Gab[n, n - tau + 1].  Those
   words are the x P_V(alpha), x in F_{q^m}^*, so every coset count is the
@@ -18,7 +18,8 @@ tie-breaking), so identical inputs serialize to identical JSON.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 
-Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``.  Distances to
+Both Gabidulin witnesses bucket in ``_subspace_poly_buckets`` and encode only
+the words they store, by ``GabidulinCode.encode`` or ``codeword``.  Distances to
 the received word are computed by ``matfq.rank_distances``, and the pairwise
 distances of bound3 by ``matfq.min_pairwise_rank_distance``; both batch the
 ranks in numpy once there are enough of them.  Gabidulin codes are MRD, so
@@ -37,7 +38,7 @@ from .codes import GabidulinCode, crc_theorem8
 from .ff import Field, _undigits, json_bool, json_int, json_key, json_list, json_text, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import (
-    _MEMBER_WORK,
+    _CODEWORD_WORK,
     MatrixFq,
     _batched,
     _singer_orbits,
@@ -148,8 +149,8 @@ def certificate_from_jsonable(data: dict) -> WitnessCertificate:
     )
 
 
-def _cap_words(words: Sequence[tuple[int, ...]], cap: int) -> tuple[tuple, bool]:
-    """Deterministic evenly-strided sample of at most cap words."""
+def _cap_words(words: Sequence, cap: int) -> tuple[tuple, bool]:
+    """Deterministic evenly-strided sample of at most cap words (or messages)."""
     if len(words) <= cap:
         return tuple(words), False
     stride = math.ceil(len(words) / cap)
@@ -209,10 +210,11 @@ def _subspace_poly_buckets(
 def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WORD_CAP) -> WitnessCertificate:
     """Pigeonhole witness for Gabidulin codes (requires n = m).
 
-    Enumerates Gr(n, n-tau), forms the monic subspace polynomial of each
-    subspace, buckets by the coefficient tuple (f_k, ..., f_{n-tau-1}), and
-    evaluates a maximum bucket.  Certificate size is at least
-    ceil([n; n-tau] / q^{m(n-tau-k)}).
+    Buckets the monic subspace polynomials of Gr(n, n-tau) by the coefficient
+    tuple (f_k, ..., f_{n-tau-1}), takes a maximum bucket P and evaluates its
+    least member rep as the received word.  Each sampled g in P gives the
+    codeword of the message rep - g, of q-degree < k as rep and g agree above
+    it.  Certificate size is at least ceil([n; n-tau] / q^{m(n-tau-k)}).
     """
     fld = code.field
     n, k = code.n, code.k
@@ -227,14 +229,9 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
         raise ValueError(f"need 0 <= tau < d, got tau={tau}, d={d}")
     sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, k)
     rep = min(bucket, key=lambda f: f.coeffs)
-    rep_evals = tuple(evaluate(rep, a) for a in code.alphas)
-    codewords = []
-    for g in bucket:
-        g_evals = tuple(evaluate(g, a) for a in code.alphas)
-        codewords.append(tuple(fld.sub(x, y) for x, y in zip(rep_evals, g_evals)))
     params = CodeParams(q=fld.q, m=fld.m, n=n, d=d, k=k)
     claimed = bound1_lower(params, tau).guarantee
-    stored, truncated = _cap_words(codewords, word_cap)
+    sample, truncated = _cap_words(bucket, word_cap)
     return WitnessCertificate(
         kind=KIND_BOUND1,
         q=fld.q,
@@ -245,10 +242,10 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
         tau=tau,
         modulus=fld.modulus,
         alphas=code.alphas,
-        received_word=rep_evals,
-        codewords=stored,
+        received_word=tuple(evaluate(rep, a) for a in code.alphas),
+        codewords=tuple(code.encode(rep - g) for g in sample),
         claimed_size=claimed,
-        total_size=len(codewords),
+        total_size=len(bucket),
         truncated=truncated,
         meta={
             "bucket_count": sizes[best_key],
@@ -284,9 +281,8 @@ def bound1_alt_witness(
     sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, code_c.k, order=lambda key: _undigits(key, Q))
     best_index = _undigits(best_key + (1,), Q)
     messages = sorted(_undigits([fld.neg(c) for c in P.coeffs[: code_c.k]], Q) for P in bucket)
-    codewords = [code_c.codeword(i) for i in messages]
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
-    stored, truncated = _cap_words(codewords, word_cap)
+    sample, truncated = _cap_words(messages, word_cap)
     meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": best_index}
     if code_b.cardinality <= 4096:  # b's message digits, f_{d-tau-1} = x first, in message-index order
         meta["coset_counts"] = [
@@ -304,19 +300,19 @@ def bound1_alt_witness(
         modulus=fld.modulus,
         alphas=code_c.alphas,
         received_word=code_b.codeword(best_index),
-        codewords=stored,
+        codewords=tuple(code_c.codeword(i) for i in sample),
         claimed_size=claimed,
-        total_size=len(codewords),
+        total_size=len(messages),
         truncated=truncated,
         meta=meta,
     )
 
 
-def _translate_word(crc, translate: int) -> tuple[int, ...]:
-    """The word a_j, j = ``translate``, of a crc_theorem8 code; j outside 0..|C|-1 raises ValueError."""
+def _translated_words(crc, translate: int) -> list[tuple[int, ...]]:
+    """The words a_j - a_i, a_i in the crc_theorem8 code C, j = ``translate``; j outside 0..|C|-1 raises ValueError."""
     if not 0 <= translate < crc.cardinality:
         raise ValueError(f"translate index {translate} out of range")
-    return crc.words[translate]
+    return [tuple(map(crc.field.sub, crc.words[translate], a)) for a in crc.words]
 
 
 def bound3_witness(
@@ -341,11 +337,8 @@ def bound3_witness(
         received = (0,) * n
         codewords = list(crc.words)
     else:
-        a_j = _translate_word(crc, translate)
-        received = tuple(a_j)
-        codewords = [
-            tuple(fld.sub(a_j[i], a[i]) for i in range(n)) for a in crc.words
-        ]
+        codewords = _translated_words(crc, translate)
+        received = crc.words[translate]
     claimed = bound3_lower(CodeParams(q=q, m=m, n=n, d=d), tau)
     stored, truncated = _cap_words(codewords, word_cap)
     return WitnessCertificate(
@@ -403,7 +396,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
     gabidulin = cert.kind in (KIND_BOUND1, KIND_BOUND1_ALT)
     sample = () if gabidulin else cert.codewords[:PAIRWISE_CHECK_CAP]
     words = len(cert.codewords)
-    if _batched(words * (1 + _MEMBER_WORK) + len(sample) * (len(sample) - 1) // 2, fld.order):
+    if _batched(words * (1 + _CODEWORD_WORK) + len(sample) * (len(sample) - 1) // 2, fld.order):
         import numpy  # noqa: F401  (loaded first, each check below takes its batched path)
     checks["sphere_distance_exact"] = all(
         dist == cert.tau for dist in rank_distances(cert.received_word, cert.codewords, fld)
@@ -419,10 +412,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, dict]:
         if translate is None:
             expected = set(crc.words)
         else:
-            a_j = _translate_word(crc, json_int(translate, "meta.translate"))
-            expected = {
-                tuple(fld.sub(a_j[i], a[i]) for i in range(cert.n)) for a in crc.words
-            }
+            expected = set(_translated_words(crc, json_int(translate, "meta.translate")))
         checks["membership"] = set(cert.codewords) <= expected
         checks["size_exact"] = cert.total_size == crc.cardinality == cert.claimed_size
         min_dist = min_pairwise_rank_distance(sample, fld)

@@ -443,6 +443,7 @@ for argv in (
     "witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2",
     f"oracle list --q 2 --m 4 --n 4 --k 2 --tau 2 --received {received}",
     "witness alt --q 2 --n 4 --d 3 --tau 2",
+    "witness bound1 --q 2 --n 4 --k 2 --tau 2",
     "bounds --q 2 --m 4 --n 4 --d 3 --tau 2",
 ):
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -463,7 +464,7 @@ def test_small_cli_runs_do_not_import_numpy():
         [sys.executable, "-c", _SMALL_RUNS], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0,", "0]", "[True,", "True,", "True,", "True]", "False"]
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "[True,", "True,", "True,", "True,", "True]", "False"]
 
 
 _LARGE_CERTIFICATES = """

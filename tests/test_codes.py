@@ -170,6 +170,22 @@ def test_contains_all_matches_contains(q, force_batching, monkeypatch):
     assert not code.contains_all(out_of_range)
 
 
+def test_gabidulin_non_integer_entries(force_batching):
+    # points are read by the JSON integer rule; a word entry that is not an
+    # integer makes a non-member, on the scalar and the batched path alike
+    with pytest.raises(ValueError, match="evaluation point 0 must be an integer, got 1.9"):
+        GabidulinCode(F16, 2, 1, alphas=(1.9, 2.2))
+    code = GabidulinCode(F16, n=4, k=2)
+    assert not code.contains((0.7, 0, 0, 0))
+    assert code.contains(tuple(np.int64(x) for x in code.codeword(77)))
+    words = [code.codeword(i) for i in range(F16.order)]  # as many words as field elements
+    for batched in (False, True):
+        force_batching(batched)
+        assert code.contains_all(words)
+        for bad in (0.7, 0.0, "0", None):
+            assert not code.contains_all(words[:-1] + [(bad, 0, 0, 0)])
+
+
 def test_gabidulin_custom_alphas():
     alphas = (3, 7, 9)
     code = GabidulinCode(F16, n=3, k=1, alphas=alphas)
@@ -458,6 +474,6 @@ def test_crc_serialization_roundtrip():
 
 def test_gabidulin_serialization():
     code = GabidulinCode(F16, n=3, k=2)
-    doc = gabidulin_to_jsonable(code, include_words=False)
+    doc = gabidulin_to_jsonable(code)
     assert doc["modulus"] == [1, 1, 0, 0, 1]
     assert doc["alphas"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]

@@ -19,7 +19,7 @@ from rankmetric.bounds import (
 )
 from rankmetric.cli import main
 from rankmetric.codes import GabidulinCode
-from rankmetric.ff import base_field, make_field
+from rankmetric.ff import SUPPORTED_Q, base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import grassmannian_enumerate, rank_of_vector
 from rankmetric import acceptance, matfq, oracle
@@ -108,8 +108,24 @@ def test_rank_leq_agrees_with_naive():
 
 
 def test_iter_codewords_matches_naive_enumeration():
-    code = GabidulinCode(F16, n=3, k=2)
-    assert list(iter_codewords(code)) == naive_codewords(code)
+    # every codeword path of the row-combination kernel, against polynomial
+    # evaluation at random independent points, for every q
+    rng = random.Random(5)
+    for q in SUPPORTED_Q:
+        fld = make_field(q, {2: 4, 3: 3, 4: 3}.get(q, 2))
+        n = fld.m
+        while True:
+            alphas = tuple(rng.randrange(1, fld.order) for _ in range(n))
+            if rank_of_vector(alphas, fld) == n:
+                break
+        k = max(k for k in range(1, n + 1) if fld.order**k <= 4096)
+        code = GabidulinCode(fld, n=n, k=k, alphas=alphas)
+        naive = naive_codewords(code)
+        assert list(iter_codewords(code)) == naive
+        assert [code.codeword(i) for i in range(code.cardinality)] == naive
+        messages = (LinearizedPoly(fld, tuple(reversed(rev))) for rev in itertools.product(range(fld.order), repeat=k))
+        assert [code.encode(f) for f in messages] == naive
+        assert [tuple(w) for block in code.codeword_blocks(rng.randint(1, 999)) for w in block.tolist()] == naive
 
 
 def test_list_codewords_examples():

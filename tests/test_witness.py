@@ -8,8 +8,8 @@ import pytest
 
 from rankmetric.bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, mrd_weight_tau
 from rankmetric.codes import GabidulinCode, crc_theorem8
-from rankmetric.ff import make_field
-from rankmetric.linpoly import min_subspace_poly
+from rankmetric.ff import _undigits, make_field
+from rankmetric.linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from rankmetric.matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_of_vector
 from rankmetric.oracle import list_codewords
 from rankmetric import matfq, witness
@@ -320,6 +320,33 @@ def test_orbit_buckets_match_the_full_walk(kind, params, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,params", GABIDULIN_SETS)
+def test_gabidulin_witness_words_match_polynomial_evaluation(kind, params):
+    # the witnesses encode messages by row combination; here every word is the
+    # evaluation of a polynomial at the points (linpoly.evaluate): for bound1
+    # rep(alpha) - g(alpha) over the bucket, for alt the C-message polynomials
+    # in message-index order, and b's message polynomial at the shifted points
+    cert = _gabidulin_certificate(kind, params)
+    fld, (q, n, k_or_d, tau) = cert.field, params
+    k = k_or_d if kind == "bound1" else n - k_or_d + 1
+
+    def at(poly, points):
+        return tuple(evaluate(poly, a) for a in points)
+
+    if kind == "bound1":
+        _, _, bucket = _full_walk_buckets(fld, n, tau, k)
+        received = at(min(bucket, key=lambda f: f.coeffs), cert.alphas)
+        words = [tuple(map(fld.sub, received, at(g, cert.alphas))) for g in bucket]
+    else:
+        _, best, bucket = _full_walk_buckets(fld, n, tau, k, order=lambda key: _undigits(key, fld.order))
+        received = at(LinearizedPoly(fld, best + (1,)), [fld.frobenius(a, k) for a in cert.alphas])
+        messages = sorted(([fld.neg(c) for c in P.coeffs[:k]] for P in bucket), key=lambda f: _undigits(f, fld.order))
+        words = [at(LinearizedPoly(fld, f), cert.alphas) for f in messages]
+    assert not cert.truncated
+    assert cert.received_word == received
+    assert cert.codewords == tuple(words)
+
+
+@pytest.mark.parametrize("kind,params", GABIDULIN_SETS)
 def test_mrd_pairwise_verdict_agrees_with_the_pair_scan(kind, params):
     cert = _gabidulin_certificate(kind, params)
     ok, checks = verify_certificate(cert)
@@ -559,10 +586,19 @@ def test_certificate_from_jsonable_refuses_non_integral_words():
         certificate_from_jsonable(doc)
 
 
-def test_word_cap_produces_sampled_certificate():
+def test_word_cap_produces_sampled_certificate(monkeypatch):
+    # of the 35 bucket members only the sampled ones are encoded, and only the
+    # received word is evaluated at the points
     code = GabidulinCode(F16, n=4, k=2)
+    full = bound1_witness(code, 2)
+    encoded, evaluated = [], []
+    encode = GabidulinCode.encode
+    monkeypatch.setattr(GabidulinCode, "encode", lambda self, f: encoded.append(f) or encode(self, f))
+    monkeypatch.setattr(witness, "evaluate", lambda f, a: evaluated.append(a) or evaluate(f, a))
     cert = bound1_witness(code, 2, word_cap=10)
     assert cert.truncated and 1 <= len(cert.codewords) <= 10
+    assert len(encoded) == len(cert.codewords) and len(evaluated) == code.n
+    assert cert.codewords == full.codewords[::4][:10]
     assert cert.total_size == 35
     ok, checks = verify_certificate(cert)
     assert ok, checks
