@@ -3,6 +3,12 @@
 Each check returns (passed, detail).  They are deterministic (fixed seeds)
 and sized to run on a laptop; the heaviest one is the exhaustive scan of all
 65536 received words of Gab[4,2] over F_16.
+
+Criteria 3 and 4 run batched in numpy: they draw their random matrices with
+the RNG calls of the scalar loop they replace, then reduce them as stacks
+with ``matfq._rrefs`` and rank them with ``matfq._column_ranks``.  The scalar
+``rank_decompose``, ``row_space``, ``column_space`` and
+``distance_sandwich_check`` stay their reference in the tests.
 """
 
 from __future__ import annotations
@@ -12,9 +18,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import bounds, codes, matfq, oracle, witness
-from .ff import _digits, make_field
+from .ff import base_field, make_field
 from .linpoly import min_subspace_poly, root_space
-from .matfq import MatrixFq
 
 
 def _check_gaussian_binomials() -> tuple[bool, str]:
@@ -53,44 +58,127 @@ def _check_ball_volumes() -> tuple[bool, str]:
     return True, "closed-form ball volumes match exhaustive counts for q=2, m,n <= 3 (incl. (2,2,2,1)=10)"
 
 
-def _check_rank_decompose() -> tuple[bool, str]:
+def _rank_decompose_samples():
+    """Criterion 3's matrices: per q in {2, 3}, (q, shapes, X) with the shapes
+    of 1000 random matrices of 1..6 rows and columns and their (1000, 6, 6)
+    digit stack, zero-padded, which leaves every RREF as it is."""
+    import numpy as np
+
     rng = random.Random(0xDEC0)
     for q in (2, 3):
         # one RNG call per row: a number below q^cols split into base-q digits
         draw = rng.getrandbits if q == 2 else lambda cols: rng.randrange(q**cols)
-        for _ in range(1000):
+        shapes, packed = [], np.zeros((1000, 6), dtype=np.int64)
+        for i in range(1000):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            X = MatrixFq(q, tuple(_digits(draw(cols), q, cols) for _ in range(rows)))
-            G, H = matfq.rank_decompose(X)
-            if G.transpose().mul(H).rows != X.rows:
-                return False, f"G^T H != X for q={q}, shape {X.shape}"
-            if matfq.row_space(G) != matfq.column_space(X):
-                return False, "Rowspace(G) != Colspace(X)"
-            if matfq.row_space(H) != matfq.row_space(X):
-                return False, "Rowspace(H) != Rowspace(X)"
+            shapes.append((rows, cols))
+            packed[i, :rows] = [draw(cols) for _ in range(rows)]
+        yield q, shapes, matfq._digits(packed, q, 6)
+
+
+def _rank_decompositions(X, q: int):
+    """``rank_decompose`` of each matrix of the stack X, zero-padded: (G, H)
+    with G^T H = X, G holding the pivot columns of X as rows and H the RREF of X."""
+    import numpy as np
+
+    H, ranks = matfq._rrefs(X, q)
+    pivots = (H != 0).argmax(axis=2)  # the lead of row i < rank is column pivots[:, i]
+    G = X.transpose(0, 2, 1)[np.arange(len(X))[:, None], pivots]
+    G *= (np.arange(X.shape[1]) < ranks[:, None])[:, :, None]
+    return G, H
+
+
+def _table_products(A, B, q: int):
+    """A^T B over F_q for stacks A (N, r, a) and B (N, r, b): the sum over i
+    of the outer products (row i of A)^T (row i of B), each entry g h added
+    as x - (-g) h with the ``_axpy`` table."""
+    import numpy as np
+
+    F = base_field(q)
+    axpy, neg = np.array(F._axpy, dtype=np.uint8), np.array(F._neg, dtype=np.uint8)
+    product = np.zeros((A.shape[0], A.shape[2], B.shape[2]), dtype=np.uint8)
+    for i in range(A.shape[1]):
+        product = axpy[neg[A[:, i, :, None]], product, B[:, i, None, :]]
+    return product
+
+
+def _check_rank_decompose() -> tuple[bool, str]:
+    import numpy as np
+
+    for q, shapes, X in _rank_decompose_samples():
+        G, H = _rank_decompositions(X, q)
+        checks = np.stack(
+            [
+                (_table_products(G, H, q) == X).all(axis=(1, 2)),
+                (matfq._rrefs(G, q)[0] == matfq._rrefs(X.transpose(0, 2, 1), q)[0]).all(axis=(1, 2)),
+                (matfq._rrefs(H, q)[0] == H).all(axis=(1, 2)),
+            ],
+            axis=1,
+        )
+        if not checks.all():
+            i, check = np.argwhere(~checks)[0]  # the first failing matrix, and its first failing check
+            return False, (
+                f"G^T H != X for q={q}, shape {shapes[i]}",
+                "Rowspace(G) != Colspace(X)",
+                "Rowspace(H) != Rowspace(X)",
+            )[check]
     return True, "rank decomposition round-trips exactly on 1000 random matrices per q in {2,3}"
 
 
-def _check_distance_sandwich() -> tuple[bool, str]:
+def _sandwich_samples():
+    """Criterion 4's pairs of matrices over F_2 as an (N, 8) array, X's rows
+    then Y's, each row packed into an int (entry j is bit j): the first 1000
+    random pairs of equal-rank 4x4 matrices, then every pair of rank-1 2x2
+    matrices, zero-padded to 4x4; and the number of rank-1 2x2 matrices."""
+    import numpy as np
+
     rng = random.Random(0x5A17)
-    done = 0
-    while done < 1000:
-        X, Y = (MatrixFq(2, tuple(_digits(rng.getrandbits(4), 2, 4) for _ in range(4))) for _ in range(2))
-        if matfq.rank(X) != matfq.rank(Y):
-            continue
-        matfq.distance_sandwich_check(X, Y)  # raises on violation
-        done += 1
-    rank1 = [
-        M
-        for bits in range(16)
-        for M in [MatrixFq(2, ((bits & 1, (bits >> 1) & 1), ((bits >> 2) & 1, (bits >> 3) & 1)))]
-        if matfq.rank(M) == 1
-    ]
-    for X in rank1:
-        for Y in rank1:
-            matfq.distance_sandwich_check(X, Y)
-    return True, f"sandwich holds on 1000 random equal-rank 4x4 pairs and all {len(rank1)}^2 rank-1 2x2 pairs"
+    pairs = np.zeros((0, 8), dtype=np.int64)
+    while len(pairs) < 1000:
+        drawn = np.array([[rng.getrandbits(4) for _ in range(8)] for _ in range(1000 - len(pairs))])
+        ranks = matfq._column_ranks(drawn.reshape(-1, 4), 2, 4).reshape(-1, 2)
+        pairs = np.concatenate([pairs, drawn[ranks[:, 0] == ranks[:, 1]]])
+    small = np.array([[bits & 3, bits >> 2, 0, 0] for bits in range(16)])
+    rank1 = small[matfq._column_ranks(small, 2, 4) == 1]
+    rank1_pairs = np.hstack([np.repeat(rank1, len(rank1), axis=0), np.tile(rank1, (len(rank1), 1))])
+    return np.concatenate([pairs, rank1_pairs]), len(rank1)
+
+
+def _sandwiches(pairs):
+    """For each pair of packed 4x4 matrices over F_2 (X's rows, then Y's):
+    whether rank X = rank Y, and the (lower, middle, upper) of
+    ``distance_sandwich_check``.  A subspace dimension is the rank of the
+    packed rows, or columns, spanning it; one ``_column_ranks`` call takes all."""
+    import numpy as np
+
+    X, Y, zeros = pairs[:, :4], pairs[:, 4:], np.zeros((len(pairs), 4), dtype=np.int64)
+    # the columns of X, then of Y, packed: bit i of column j is row i's entry j
+    columns = matfq._undigits(matfq._digits(pairs, 2, 4).reshape(-1, 2, 4, 4).transpose(0, 1, 3, 2), 2)
+    words = np.concatenate(
+        [
+            np.hstack([X, zeros]),
+            np.hstack([Y, zeros]),
+            pairs,  # rowspace X + rowspace Y
+            columns.reshape(-1, 8),  # colspace X + colspace Y
+            np.hstack([X ^ Y, zeros]),  # X - Y over F_2
+        ]
+    )
+    rx, ry, row_sum, column_sum, middle = matfq._column_ranks(words, 2, 4).reshape(5, -1)
+    ds_row, ds_col = 2 * row_sum - rx - ry, 2 * column_sum - rx - ry
+    return rx == ry, ds_row // 2 + ds_col // 2, middle, np.minimum(ds_row, ds_col) // 2 + rx
+
+
+def _check_distance_sandwich() -> tuple[bool, str]:
+    pairs, rank1 = _sandwich_samples()
+    equal, lower, middle, upper = _sandwiches(pairs)
+    if not equal.all():
+        return False, f"unequal ranks in pair {equal.argmin()}"
+    violated = (lower > middle) | (middle > upper)
+    if violated.any():
+        i = violated.argmax()
+        return False, f"distance sandwich violated: {lower[i]} <= {middle[i]} <= {upper[i]}"
+    return True, f"sandwich holds on 1000 random equal-rank 4x4 pairs and all {rank1}^2 rank-1 2x2 pairs"
 
 
 def _check_grassmannian_and_subspace_polys() -> tuple[bool, str]:

@@ -11,9 +11,11 @@ Gabidulin witnesses.
 Every rank question (``rank``, ``subspace_distance``, ``Subspace.contains``
 and the rank of a vector over F_{q^m}) goes through the one kernel
 ``_column_rank``; the one Gauss-Jordan loop, ``_gauss_jordan``, runs only
-where the RREF itself is the result.  Over F_q that loop, both rank kernels
-(scalar and numpy) and the matrix sums and products read one row-operation
-table per base field, ``BaseField._axpy[c][x][y] = x - c y``.
+where the RREF itself is the result, and its numpy twin ``_rrefs`` reduces a
+whole stack of F_q matrices at once, as ``_column_ranks`` ranks a stack of
+words.  Over F_q both elimination kernels, both rank kernels and the matrix
+sums and products read one row-operation table per base field,
+``BaseField._axpy[c][x][y] = x - c y``.
 """
 
 from __future__ import annotations
@@ -387,6 +389,43 @@ def _column_ranks(words, q: int, m: int):
             basis[i] += scaled * opens[:, None]
             ranks += opens
     return ranks
+
+
+def _rrefs(block, q: int):
+    """``rref`` of every matrix of the (N, r, c) uint8 stack ``block`` over
+    F_q: the reduced stack and the ranks, an int64 array.
+
+    The numpy twin of ``_gauss_jordan``: column by column, every matrix with
+    a nonzero entry at or below its next pivot row swaps the first such row
+    up, scales it by the inverse of its lead and clears the column from each
+    other row, through the base-field tables.  Zero rows and columns appended
+    to a matrix stay zero and leave the rest of its RREF as it is.
+    """
+    import numpy as np
+
+    F = base_field(q)
+    mul, inv = np.array(F._mul, dtype=np.uint8), np.array(F._inv, dtype=np.uint8)
+    axpy = np.array(F._axpy, dtype=np.uint8).reshape(-1)  # axpy[(a q + x) q + y] = x - a y
+    index = np.min_scalar_type(q**3 - 1)
+    block = np.array(block, dtype=np.uint8)
+    count, nrows, ncols = block.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    for c in range(ncols):
+        candidates = (block[:, :, c] != 0) & (np.arange(nrows) >= ranks[:, None])
+        found = np.flatnonzero(candidates.any(axis=1))
+        if not found.size:
+            continue
+        r, i = ranks[found], candidates[found].argmax(axis=1)
+        lead_rows = block[found, i]
+        block[found, i] = block[found, r]
+        block[found, r] = mul[inv[lead_rows[:, c]][:, None], lead_rows]
+        pivot_rows = np.zeros((count, ncols), dtype=index)
+        pivot_rows[found] = block[found, r]
+        coefs = block[:, :, c].astype(index) * q
+        coefs[found, r] = 0  # every row but the pivot row, i != r
+        block = axpy[(coefs[:, :, None] + block) * q + pivot_rows[:, None, :]]
+        ranks[found] += 1
+    return block, ranks
 
 
 def _batched(work: int, order: int) -> bool:

@@ -18,8 +18,9 @@ tie-breaking), so identical inputs serialize to identical JSON.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 
-Both Gabidulin witnesses bucket in ``_subspace_poly_buckets`` and encode only
-the words they store, by ``GabidulinCode.encode`` or ``codeword``.  Distances to
+Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``, which orders a
+best bucket worth numpy by one batched RREF (``matfq._rrefs``), and encode
+only the words they store, by ``GabidulinCode.codeword``.  Distances to
 the received word are computed by ``matfq.rank_distances``, and the pairwise
 distances of bound3 by ``matfq.min_pairwise_rank_distance``; both batch the
 ranks in numpy once there are enough of them.  Gabidulin codes are MRD, so
@@ -41,6 +42,8 @@ from .matfq import (
     _CODEWORD_WORK,
     MatrixFq,
     _batched,
+    _digits,
+    _rrefs,
     _singer_orbits,
     grassmannian_order_key,
     min_pairwise_rank_distance,
@@ -159,21 +162,22 @@ def _cap_words(words: Sequence, cap: int) -> tuple[tuple, bool]:
 
 def _subspace_poly_buckets(
     fld: Field, n: int, tau: int, k: int, order: Callable[[tuple[int, ...]], Any] | None = None
-) -> tuple[dict[tuple[int, ...], int], tuple[int, ...], list[LinearizedPoly]]:
+) -> tuple[dict[tuple[int, ...], int], tuple[int, ...], list[tuple[int, ...]]]:
     """The monic subspace polynomials P_U, U in Gr(n, t) over F_{q^n},
     t = n - tau, bucketed by their coefficients of q-degree k..t-1.
 
     Returns the size of every bucket by key; the best key, that of a largest
-    bucket, the smallest under ``order`` on ties; and the best bucket's
-    polynomials, listed as ``grassmannian_enumerate`` lists their subspaces
-    (``grassmannian_order_key``).
+    bucket, the smallest under ``order`` on ties; and the coefficient tuples
+    of the best bucket's polynomials, listed as ``grassmannian_enumerate``
+    lists their subspaces (``grassmannian_order_key``).
 
     P_U is computed for one U per orbit of Gr(n, t) under multiplication by
     F_{q^n}^* (``_singer_orbits``).  P_{xU}(z) = x^{q^t} P_U(z / x), so
     coefficient i of P_{xU} is a_i x^{q^t - q^i}.  The orbit is the g^j U,
     g = ``fld.primitive`` and j below the orbit size, so each key coefficient
     follows from the one before by a multiplication.  Only the best bucket's
-    subspaces and polynomials are built.
+    subspaces and polynomials are built: one ``row_space`` each, or, for a
+    bucket worth numpy (``_batched``), all of them at once by ``_orbit_members``.
 
     Refuses, before any work, more than WITNESS_GUARD subspaces.
     """
@@ -195,16 +199,44 @@ def _subspace_poly_buckets(
     sizes = {key: len(v) for key, v in members.items()}
     top = max(sizes.values())
     best = min((key for key, size in sizes.items() if size == top), key=order)
+    # each member costs the loop below one row_space, about one rank computation
+    if _batched(top, fld.order) and fld._exp is not None:
+        return sizes, best, _orbit_members(fld, t, orbits, members[best])
     bucket = []
     for packed in members[best]:
         o, j = divmod(packed, fld.order)
         span, coeffs = orbits[o]
         x = fld.pow(g, j)
         U = row_space(MatrixFq._unchecked(q, tuple(fld.coeffs(fld.mul(x, span[q**i])) for i in range(t)), n))
-        poly = LinearizedPoly(fld, tuple(fld.mul(a, fld.pow(x, q**t - q**i)) for i, a in enumerate(coeffs)))
-        bucket.append((grassmannian_order_key(U), poly))
+        scaled = tuple(fld.mul(a, fld.pow(x, q**t - q**i)) for i, a in enumerate(coeffs))
+        bucket.append((grassmannian_order_key(U), scaled))
     bucket.sort(key=lambda entry: entry[0])
-    return sizes, best, [poly for _, poly in bucket]
+    return sizes, best, [coeffs for _, coeffs in bucket]
+
+
+def _orbit_members(fld: Field, t: int, orbits: list, packed: list[int]) -> list[tuple[int, ...]]:
+    """The coefficient tuples of the P_{g^j U}, U the representative of orbit
+    o, for the packed (o, j) of ``_subspace_poly_buckets``, in the order of
+    ``grassmannian_order_key``: the scalar loop's work in numpy, with
+    multiplication by g^j read from the log tables.
+
+    The basis rows g^j u_i of all subspaces are reduced together by
+    ``_rrefs`` and sorted with ``lexsort`` on (pivot columns, RREF basis).
+    """
+    import numpy as np
+
+    q, n, cycle = fld.q, fld.m, fld.order - 1
+    exp, log = np.array(fld._exp, dtype=np.int64), np.array(fld._log, dtype=np.int64)
+    o, j = np.divmod(np.array(packed, dtype=np.int64), fld.order)
+    spans = np.array([[span[q**i] for i in range(t)] for span, _ in orbits], dtype=np.int64)
+    reduced, _ = _rrefs(_digits(exp[(log[spans[o]] + j[:, None]) % cycle], q, n), q)
+    pivots = (reduced != 0).argmax(axis=2)
+    ordered = np.lexsort(np.hstack([pivots, reduced.reshape(len(packed), -1)]).T[::-1])
+    # coefficient i of P_{xU} is a_i x^{q^t - q^i}, x = g^j, and 0 where a_i = 0
+    coeffs = np.array([c for _, c in orbits], dtype=np.int64)[o[ordered]]
+    shifts = np.array([(q**t - q**i) % cycle for i in range(t + 1)], dtype=np.int64)
+    scaled = exp[(log[coeffs] + j[ordered, None] * shifts) % cycle] * (coeffs != 0)
+    return list(map(tuple, scaled.tolist()))
 
 
 def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WORD_CAP) -> WitnessCertificate:
@@ -228,7 +260,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     if not 0 <= tau < d:
         raise ValueError(f"need 0 <= tau < d, got tau={tau}, d={d}")
     sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, k)
-    rep = min(bucket, key=lambda f: f.coeffs)
+    rep = min(bucket)
     params = CodeParams(q=fld.q, m=fld.m, n=n, d=d, k=k)
     claimed = bound1_lower(params, tau).guarantee
     sample, truncated = _cap_words(bucket, word_cap)
@@ -242,8 +274,8 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
         tau=tau,
         modulus=fld.modulus,
         alphas=code.alphas,
-        received_word=tuple(evaluate(rep, a) for a in code.alphas),
-        codewords=tuple(code.encode(rep - g) for g in sample),
+        received_word=tuple(evaluate(LinearizedPoly(fld, rep), a) for a in code.alphas),
+        codewords=tuple(code.codeword(_undigits(map(fld.sub, rep[:k], g), fld.order)) for g in sample),
         claimed_size=claimed,
         total_size=len(bucket),
         truncated=truncated,
@@ -280,7 +312,7 @@ def bound1_alt_witness(
     code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
     sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, code_c.k, order=lambda key: _undigits(key, Q))
     best_index = _undigits(best_key + (1,), Q)
-    messages = sorted(_undigits([fld.neg(c) for c in P.coeffs[: code_c.k]], Q) for P in bucket)
+    messages = sorted(_undigits(map(fld.neg, P[: code_c.k]), Q) for P in bucket)
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
     sample, truncated = _cap_words(messages, word_cap)
     meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": best_index}

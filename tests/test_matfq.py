@@ -17,6 +17,7 @@ from rankmetric.matfq import (
     Subspace,
     _column_rank,
     _column_ranks,
+    _rrefs,
     _sub_words,
     column_space,
     distance_sandwich_check,
@@ -259,6 +260,40 @@ def test_rank_matches_rref_pivot_count(q, data):
     mat = _draw_matrix(data, q, nrows, ncols)
     assert rank(mat) == len(rref(mat)[1])
     assert rank(MatrixFq(q, (), ncols=ncols)) == 0 and rank(MatrixFq(q, ((),) * nrows, ncols=0)) == 0
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rrefs_match_rref_matrix_by_matrix(q, data):
+    nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5))
+    mats = [_draw_matrix(data, q, nrows, ncols) for _ in range(data.draw(st.integers(0, 8)))]
+    block = np.array([m.rows for m in mats], dtype=np.uint8).reshape(len(mats), nrows, ncols)
+    given_block = block.copy()
+    reduced, ranks = _rrefs(block, q)
+    assert np.array_equal(block, given_block)  # the stack is not reduced in place
+    assert reduced.shape == block.shape and reduced.dtype == np.uint8 and ranks.dtype == np.int64
+    for mat, got, r in zip(mats, reduced.tolist(), ranks.tolist()):
+        expected, pivots = rref(mat)
+        assert tuple(map(tuple, got)) == expected.rows
+        assert r == len(pivots)
+    packed = (block.astype(np.int64) * q ** np.arange(ncols)).sum(axis=2)  # entry j of a row is digit j
+    assert ranks.tolist() == _column_ranks(packed, q, ncols).tolist()
+    # zero rows below and zero columns to the right stay zero and change nothing else
+    extra_rows, extra_cols = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    padded = np.zeros((len(mats), nrows + extra_rows, ncols + extra_cols), dtype=np.uint8)
+    padded[:, :nrows, :ncols] = block
+    padded_reduced, padded_ranks = _rrefs(padded, q)
+    assert np.array_equal(padded_reduced[:, :nrows, :ncols], reduced)
+    assert not padded_reduced[:, nrows:].any() and not padded_reduced[:, :, ncols:].any()
+    assert np.array_equal(padded_ranks, ranks)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0)])
+def test_rrefs_of_empty_stacks(shape):
+    for q in SUPPORTED_Q:
+        reduced, ranks = _rrefs(np.zeros(shape, dtype=np.uint8), q)
+        assert reduced.shape == shape and ranks.tolist() == [0] * shape[0]
 
 
 def _reference_rref(mat):

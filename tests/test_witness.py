@@ -304,8 +304,8 @@ def _full_walk_buckets(fld, n, tau, k, order=None):
     order, bucketed by the coefficients of q-degree k..n-tau-1."""
     buckets = {}
     for U in grassmannian_enumerate(n, n - tau, fld.q):
-        poly = min_subspace_poly(U, fld)
-        buckets.setdefault(poly.coeffs[k : n - tau], []).append(poly)
+        coeffs = min_subspace_poly(U, fld).coeffs
+        buckets.setdefault(coeffs[k : n - tau], []).append(coeffs)
     sizes = {key: len(v) for key, v in buckets.items()}
     top = max(sizes.values())
     best = min((key for key, size in sizes.items() if size == top), key=order)
@@ -317,6 +317,29 @@ def test_orbit_buckets_match_the_full_walk(kind, params, monkeypatch):
     cert = _gabidulin_certificate(kind, params)
     monkeypatch.setattr(witness, "_subspace_poly_buckets", _full_walk_buckets)
     assert cert.to_json() == _gabidulin_certificate(kind, params).to_json()
+
+
+@pytest.mark.parametrize("kind,params", GABIDULIN_SETS)
+def test_batched_buckets_match_the_scalar_loop(kind, params, force_batching, monkeypatch):
+    # the best bucket in numpy (_rrefs, then lexsort on pivots and basis) and by
+    # one row_space and grassmannian_order_key per member: the same sizes, best
+    # key and ordered bucket
+    q, n, k_or_d, tau = params
+    fld = make_field(q, n)
+    if kind == "bound1":
+        args, order = (fld, n, tau, k_or_d), None
+    else:
+        args, order = (fld, n, tau, n - k_or_d + 1), lambda key: _undigits(key, fld.order)
+    rrefs, stacks = witness._rrefs, []
+    monkeypatch.setattr(witness, "_rrefs", lambda block, q: stacks.append(block.shape) or rrefs(block, q))
+    results = []
+    for batched in (True, False):
+        force_batching(batched)
+        results.append(witness._subspace_poly_buckets(*args, order=order))
+    sizes, best, bucket = results[1]
+    assert results[0] == results[1]
+    assert stacks == [(len(bucket), n - tau, n)] and len(bucket) == sizes[best] == max(sizes.values())
+    assert all(type(coeffs) is tuple and len(coeffs) == n - tau + 1 and coeffs[-1] == 1 for coeffs in bucket)
 
 
 @pytest.mark.parametrize("kind,params", GABIDULIN_SETS)
@@ -334,12 +357,12 @@ def test_gabidulin_witness_words_match_polynomial_evaluation(kind, params):
 
     if kind == "bound1":
         _, _, bucket = _full_walk_buckets(fld, n, tau, k)
-        received = at(min(bucket, key=lambda f: f.coeffs), cert.alphas)
-        words = [tuple(map(fld.sub, received, at(g, cert.alphas))) for g in bucket]
+        received = at(LinearizedPoly(fld, min(bucket)), cert.alphas)
+        words = [tuple(map(fld.sub, received, at(LinearizedPoly(fld, g), cert.alphas))) for g in bucket]
     else:
         _, best, bucket = _full_walk_buckets(fld, n, tau, k, order=lambda key: _undigits(key, fld.order))
         received = at(LinearizedPoly(fld, best + (1,)), [fld.frobenius(a, k) for a in cert.alphas])
-        messages = sorted(([fld.neg(c) for c in P.coeffs[:k]] for P in bucket), key=lambda f: _undigits(f, fld.order))
+        messages = sorted(([fld.neg(c) for c in P[:k]] for P in bucket), key=lambda f: _undigits(f, fld.order))
         words = [at(LinearizedPoly(fld, f), cert.alphas) for f in messages]
     assert not cert.truncated
     assert cert.received_word == received
@@ -592,8 +615,8 @@ def test_word_cap_produces_sampled_certificate(monkeypatch):
     code = GabidulinCode(F16, n=4, k=2)
     full = bound1_witness(code, 2)
     encoded, evaluated = [], []
-    encode = GabidulinCode.encode
-    monkeypatch.setattr(GabidulinCode, "encode", lambda self, f: encoded.append(f) or encode(self, f))
+    codeword = GabidulinCode.codeword
+    monkeypatch.setattr(GabidulinCode, "codeword", lambda self, i: encoded.append(i) or codeword(self, i))
     monkeypatch.setattr(witness, "evaluate", lambda f, a: evaluated.append(a) or evaluate(f, a))
     cert = bound1_witness(code, 2, word_cap=10)
     assert cert.truncated and 1 <= len(cert.codewords) <= 10
