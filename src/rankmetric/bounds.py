@@ -442,6 +442,8 @@ def regions_table(
     integer d, exact finite-length columns floor((d-1)/2)/n and
     (n - sqrt(n(n-d)))/n are added.
     """
+    if n is not None and n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     rows = []
     for raw in delta_grid:
         delta = Fraction(raw)

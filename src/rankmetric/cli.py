@@ -228,7 +228,10 @@ def _cmd_regions(args) -> int:
 def _cmd_verify(args) -> int:
     selected = None
     if args.criteria:
-        selected = {int(x) for x in args.criteria.split(",")}
+        try:
+            selected = {int(x) for x in args.criteria.split(",")}
+        except ValueError:
+            raise ValueError(f"--criteria takes comma-separated ids such as 1,2,8, got {args.criteria!r}") from None
         known = [cid for cid, _, _ in acceptance.CRITERIA]
         if unknown := sorted(selected.difference(known)):
             raise ValueError(f"unknown criterion id {', '.join(map(str, unknown))}; valid ids are 1..{known[-1]}")

@@ -16,9 +16,11 @@ word by word (``_count_ball``), the tests' ground truth.
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work: Gabidulin codewords come as
 blocks from ``GabidulinCode.codeword_blocks`` (``matfq._row_tables``) and
-matrices as blocks of base-q^m digits, ranked by ``matfq._column_ranks``.
+matrices as blocks of base-q^m digits, ranked by ``matfq._column_ranks``
+(XOR bit planes at q = 2, pivot counts of ``matfq._rrefs`` at q > 2).
 Below that they build one tuple per word (``GabidulinCode.iter_codewords``,
-``matfq._combine``) and rank it with the scalar ``matfq._column_rank``, as
+``matfq._combine``) and rank it with the scalar ``matfq._column_rank`` (an
+XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
 ``rank_leq`` and ``_count_ball`` always do: the reference the batched paths
 are tested against.
 """
@@ -105,7 +107,7 @@ def _check_tau(tau: int, n: int | None) -> None:
 
 
 def rank_leq(diff: Sequence[int], fld: Field, tau: int) -> bool:
-    """rank(diff) <= tau, with early exit once tau is exceeded."""
+    """rank(diff) <= tau; at q = 2 the rank kernel exits early once tau is exceeded."""
     return _column_rank(diff, fld.q, fld.m, tau) <= tau
 
 

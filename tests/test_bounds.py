@@ -361,3 +361,6 @@ def test_regions_table_finite_columns():
 def test_regions_table_rejects_bad_delta():
     with pytest.raises(ValueError):
         regions_table([Fraction(3, 2)])
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            regions_table([Fraction(1, 2)], n=n)

@@ -417,6 +417,14 @@ def test_regions_grid_limit_refuses_before_building_rows(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 22
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_regions_rejects_nonpositive_n(capsys, n):
+    # n = 0 ended in a ZeroDivisionError traceback, n = -3 printed rows with n = d = -3
+    code, out, err = run_cli(capsys, "regions", "--grid", "0.5", "--n", n)
+    assert code == 2 and out == ""
+    assert f"error: n must be a positive integer, got {n}" in err and "Traceback" not in err
+
+
 def test_verify_selected_criteria(capsys):
     code, out, _ = run_cli(capsys, "verify", "--criteria", "1,2,12")
     assert code == 0
@@ -425,13 +433,22 @@ def test_verify_selected_criteria(capsys):
     assert all(ln.startswith("PASS") for ln in lines)
 
 
-@pytest.mark.parametrize("criteria, unknown", [("99", "99"), ("1,0,13", "0, 13")])
-def test_verify_rejects_unknown_criteria_before_running(capsys, monkeypatch, criteria, unknown):
+@pytest.mark.parametrize(
+    "criteria, messages",
+    [
+        ("99", ("unknown criterion id 99", "1..12")),
+        ("1,0,13", ("unknown criterion id 0, 13", "1..12")),
+        # ids that are not integers gave int()'s message, which names neither option nor format
+        ("abc", ("--criteria takes comma-separated ids", "'abc'")),
+        ("1,,2", ("--criteria takes comma-separated ids", "'1,,2'")),
+    ],
+)
+def test_verify_rejects_unknown_criteria_before_running(capsys, monkeypatch, criteria, messages):
     ran = []
     monkeypatch.setattr(cli.acceptance, "run_all", lambda selected: ran.append(selected) or [])
     code, out, err = run_cli(capsys, "verify", "--criteria", criteria)
     assert code == 2 and out == "" and ran == []
-    assert f"unknown criterion id {unknown}" in err and "1..12" in err
+    assert all(message in err for message in messages) and "int()" not in err
 
 
 _SMALL_RUNS = """

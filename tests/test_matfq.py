@@ -161,7 +161,7 @@ def test_batch_rule_charges_numpy_import_until_loaded(monkeypatch):
 def test_rank_of_vector_and_rank_leq_match_rref_rank(q, data):
     fld = make_field(q, data.draw(st.integers(1, 3)))
     vec = tuple(data.draw(st.lists(st.integers(0, fld.order - 1), min_size=1, max_size=4)))
-    expected = rank(expand_to_matrix(vec, fld))
+    expected = len(_reference_rref(expand_to_matrix(vec, fld))[1])
     assert rank_of_vector(vec, fld) == expected
     for tau in range(len(vec) + 1):
         assert rank_leq(vec, fld, tau) == (expected <= tau)
@@ -258,7 +258,7 @@ def _draw_matrix(data, q, nrows, ncols):
 def test_rank_matches_rref_pivot_count(q, data):
     nrows, ncols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 5))
     mat = _draw_matrix(data, q, nrows, ncols)
-    assert rank(mat) == len(rref(mat)[1])
+    assert rank(mat) == len(_reference_rref(mat)[1])
     assert rank(MatrixFq(q, (), ncols=ncols)) == 0 and rank(MatrixFq(q, ((),) * nrows, ncols=0)) == 0
 
 
@@ -273,12 +273,12 @@ def test_rrefs_match_rref_matrix_by_matrix(q, data):
     reduced, ranks = _rrefs(block, q)
     assert np.array_equal(block, given_block)  # the stack is not reduced in place
     assert reduced.shape == block.shape and reduced.dtype == np.uint8 and ranks.dtype == np.int64
-    for mat, got, r in zip(mats, reduced.tolist(), ranks.tolist()):
-        expected, pivots = rref(mat)
-        assert tuple(map(tuple, got)) == expected.rows
-        assert r == len(pivots)
+    for mat, got in zip(mats, reduced.tolist()):
+        assert tuple(map(tuple, got)) == rref(mat)[0].rows
+    expected_ranks = [len(_reference_rref(mat)[1]) for mat in mats]
+    assert ranks.tolist() == expected_ranks
     packed = (block.astype(np.int64) * q ** np.arange(ncols)).sum(axis=2)  # entry j of a row is digit j
-    assert ranks.tolist() == _column_ranks(packed, q, ncols).tolist()
+    assert _column_ranks(packed, q, ncols).tolist() == expected_ranks
     # zero rows below and zero columns to the right stay zero and change nothing else
     extra_rows, extra_cols = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     padded = np.zeros((len(mats), nrows + extra_rows, ncols + extra_cols), dtype=np.uint8)
@@ -428,22 +428,31 @@ def test_subspace_distance_matches_the_canonical_sum(q):
 
 
 def test_rank_questions_take_the_rank_kernel_not_rref(monkeypatch):
+    # one _column_rank call per rank question; at q > 2 its rank is the pivot
+    # count of _gauss_jordan, at q = 2 the XOR basis builds no RREF
     U = Subspace.from_vectors(3, 3, [(1, 2, 0)])
     V = Subspace.from_vectors(3, 3, [(0, 1, 1), (1, 0, 2)])
     mat = MatrixFq(3, ((1, 2, 0), (2, 1, 0)))
-    calls = []
+    U2 = Subspace.from_vectors(2, 3, [(1, 1, 0)])
+    V2 = Subspace.from_vectors(2, 3, [(0, 1, 1), (1, 0, 0)])
+    mat2 = MatrixFq(2, ((1, 1, 0), (1, 1, 0)))
+    calls, eliminations = [], []
+    gauss_jordan = matfq._gauss_jordan
 
     def counted(*args):
         calls.append(args)
         return _column_rank(*args)
 
     def refuse(*args):
-        raise AssertionError("a rank question built an RREF")
+        raise AssertionError("a q = 2 rank question built an RREF")
 
     monkeypatch.setattr(matfq, "_column_rank", counted)
-    monkeypatch.setattr(matfq, "_gauss_jordan", refuse)
+    monkeypatch.setattr(matfq, "_gauss_jordan", lambda *args: eliminations.append(args) or gauss_jordan(*args))
     assert (rank(mat), subspace_distance(U, V), V.contains((1, 1, 0)), V.contains((1, 0, 0))) == (1, 3, True, False)
-    assert len(calls) == 4
+    assert len(calls) == len(eliminations) == 4
+    monkeypatch.setattr(matfq, "_gauss_jordan", refuse)
+    assert (rank(mat2), subspace_distance(U2, V2), V2.contains((1, 1, 1)), V2.contains((1, 1, 0))) == (1, 3, True, False)
+    assert len(calls) == 8
 
 
 def test_subspace_distance_examples():
