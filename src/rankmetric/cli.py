@@ -57,6 +57,19 @@ def _rational(text: str, option: str) -> Fraction:
         raise ValueError(f"{option} must be a rational number such as 0.05 or 1/20, got {text!r}") from None
 
 
+def _json_input(option: str, text: str | None = None, path: str | None = None):
+    """The JSON document ``text``, or the UTF-8 file at ``path``; a syntax or
+    encoding error raises ValueError naming ``option`` and the path."""
+    source = option if path is None else f"{option} {path!r}"
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
 # --- bounds -----------------------------------------------------------------
 
 
@@ -124,11 +137,12 @@ def _cmd_witness(args) -> int:
 
 def _load_received(args, fld) -> tuple[int, ...]:
     if args.received_file:
-        with open(args.received_file, "r", encoding="utf-8") as fh:
-            return fld.word_from_jsonable(json.load(fh), "received word")
-    if args.received:
-        return fld.word_from_jsonable(json.loads(args.received), "received word")
-    raise ValueError("provide --received or --received-file")
+        doc = _json_input("--received-file", path=args.received_file)
+    elif args.received:
+        doc = _json_input("--received", text=args.received)
+    else:
+        raise ValueError("provide --received or --received-file")
+    return fld.word_from_jsonable(doc, "received word")
 
 
 def _cmd_oracle(args) -> int:
@@ -175,10 +189,8 @@ def _cmd_construct(args) -> int:
         code = codes.lifted_mrd_cdc_odd(args.ambient, args.tau, args.d, args.variant, args.q)
         doc = code.to_jsonable()
     elif args.family == "crc":
-        with open(args.m_file, "r", encoding="utf-8") as fh:
-            M = codes.ConstantDimensionCode.from_jsonable(json.load(fh))
-        with open(args.n_file, "r", encoding="utf-8") as fh:
-            N = codes.ConstantDimensionCode.from_jsonable(json.load(fh))
+        M = codes.ConstantDimensionCode.from_jsonable(_json_input("--m-file", path=args.m_file))
+        N = codes.ConstantDimensionCode.from_jsonable(_json_input("--n-file", path=args.n_file))
         fld = make_field(M.q, M.ambient)
         doc = codes.crc_from_cdc_pair(M, N, fld).to_jsonable()
     else:

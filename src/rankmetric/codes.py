@@ -9,9 +9,10 @@ Three families:
 * Constant-rank codes: rank-metric codes whose words all have the same rank,
   built from pairs of constant-dimension codes.
 
-A Gabidulin codeword sum_i f_i g_i and a coset key sum_j w_j key(u_j) are one
-F_{q^m} row combination: ``matfq._combine`` for one word, ``matfq._row_tables``
-for numpy blocks.
+A Gabidulin codeword sum_i f_i g_i, a coset key sum_j w_j key(u_j) and a
+constant-rank word G^T H (entry j is sum_i H_ij g_i) are one F_{q^m} row
+combination: ``matfq._combine`` for one word, ``matfq._row_tables`` for numpy
+blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import ff
-from .ff import Field, expand_to_matrix, json_bool, json_int, json_key, json_list, make_field, vector_from_matrix
+from .ff import Field, json_bool, json_int, json_key, json_list, make_field
 from .linpoly import LinearizedPoly
 from .matfq import (
     _BATCH_ROWS,
@@ -285,10 +286,26 @@ class ConstantRankCode:
 def lift(X: MatrixFq) -> Subspace:
     """Rowspace([I_r | X]) for an r x (n-r) matrix X; injective in X."""
     r = X.nrows
-    identity = MatrixFq.identity(X.q, r)
-    stacked = identity.hstack(X) if r else MatrixFq(X.q, (), ncols=X.ncols)
-    # [I | X] is already in RREF
-    return Subspace._canonical(X.q, r + X.ncols, stacked.rows)
+    # the rows e_i || X_i are already in full-rank RREF
+    basis = tuple((0,) * i + (1,) + (0,) * (r - 1 - i) + row for i, row in enumerate(X.rows))
+    return Subspace._canonical(X.q, r + X.ncols, basis)
+
+
+def _lifts(q: int, ambient: int, dim: int, k: int, transpose: bool) -> Iterator[Subspace]:
+    """Lift each word of a dimension-k Gabidulin code into Gr(ambient, dim), in message order.
+
+    transpose=True: the code has length dim over F_{q^(ambient-dim)}, and
+    row i of X holds the coordinates of entry i.
+    transpose=False: the code has length ambient-dim over F_{q^dim}, and
+    row i of X holds coordinate i of every entry.
+    """
+    if transpose:
+        subfield, length = make_field(q, ambient - dim), dim
+    else:
+        subfield, length = make_field(q, dim), ambient - dim
+    for cw in GabidulinCode(subfield, n=length, k=k).iter_codewords():
+        coords = tuple(map(subfield.coeffs, cw))
+        yield lift(MatrixFq._unchecked(q, coords if transpose else tuple(zip(*coords)), ambient - dim))
 
 
 def lifted_mrd_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
@@ -302,7 +319,7 @@ def lifted_mrd_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
         raise ValueError(f"subspace-distance parameter d={d} must be a positive even integer")
     if not d // 2 <= tau <= n - tau:
         raise ValueError(f"need n/2 >= tau >= d/2, got n={n}, tau={tau}, d={d}")
-    return _lifted_cdc(q, n, tau, tau - d // 2 + 1, d, transpose=True)
+    return ConstantDimensionCode(q, n, tau, tuple(_lifts(q, n, tau, tau - d // 2 + 1, transpose=True)), d)
 
 
 def lifted_mrd_cdc_odd(
@@ -310,13 +327,16 @@ def lifted_mrd_cdc_odd(
 ) -> ConstantDimensionCode:
     """Lifted-MRD constant-dimension codes for odd target distance d.
 
-    variant "minus": distance d-1, cardinality q^{(ambient-tau)(tau-(d-1)/2+1)}.
-    variant "plus":  distance d+1, cardinality q^{(ambient-tau)(tau-(d-1)/2)}.
+    variant "minus": distance d-1, cardinality q^{(ambient-tau)(tau-(d-1)/2+1)}; needs d >= 3.
+    variant "plus":  distance d+1, cardinality q^{(ambient-tau)(tau-(d-1)/2)}; needs d >= 1.
     """
     if d % 2 != 1:
         raise ValueError(f"d={d} must be odd; use lifted_mrd_cdc for even distances")
     if variant not in ("minus", "plus"):
         raise ValueError(f"variant must be 'minus' or 'plus', got {variant!r}")
+    least = 3 if variant == "minus" else 1
+    if d < least:
+        raise ValueError(f"variant {variant!r} needs d >= {least}, got d={d}")
     if tau < (d - 1) // 2 + 1:
         raise ValueError(f"need tau >= (d-1)/2 + 1, got tau={tau}, d={d}")
     if tau > ambient - tau:
@@ -326,7 +346,7 @@ def lifted_mrd_cdc_odd(
         k, ds = tau - half + 1, d - 1
     else:
         k, ds = tau - half, d + 1
-    return _lifted_cdc(q, ambient, tau, k, ds, transpose=True)
+    return ConstantDimensionCode(q, ambient, tau, tuple(_lifts(q, ambient, tau, k, transpose=True)), ds)
 
 
 def lift_untransposed_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
@@ -346,29 +366,14 @@ def lift_untransposed_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimension
             f"untransposed lifting needs tau >= n - tau (got tau={tau}, n={n}); "
             "use lifted_mrd_cdc for tau <= n - tau"
         )
-    return _lifted_cdc(q, n, tau, n - tau - d // 2 + 1, d, transpose=False)
+    words = _lifts(q, n, tau, n - tau - d // 2 + 1, transpose=False)
+    return ConstantDimensionCode(q, n, tau, tuple(words), d)
 
 
-def _lifted_cdc(
-    q: int, ambient: int, dim: int, k: int, distance: int, transpose: bool
-) -> ConstantDimensionCode:
-    """Lift every word of a dimension-k Gabidulin code into Gr(ambient, dim).
-
-    transpose=True: the code has length dim over F_{q^(ambient-dim)} and each
-    (ambient-dim) x dim expansion is transposed before lifting.
-    transpose=False: the code has length ambient-dim over F_{q^dim} and each
-    dim x (ambient-dim) expansion is lifted as it is.
-    """
-    if transpose:
-        subfield, length = make_field(q, ambient - dim), dim
-    else:
-        subfield, length = make_field(q, dim), ambient - dim
-    gab = GabidulinCode(subfield, n=length, k=k)
-    words = []
-    for cw in gab.iter_codewords():
-        mat = expand_to_matrix(cw, subfield)
-        words.append(lift(mat.transpose() if transpose else mat))
-    return ConstantDimensionCode(q, ambient, dim, tuple(words), distance)
+def _pair_word(fld: Field, U: Subspace, V: Subspace) -> tuple[int, ...]:
+    """G^T H for the bases G of U and H of V as a word over fld: entry j is
+    sum_i H_ij g_i, where row i of G holds the coordinates of g_i."""
+    return _combine(fld, [fld.from_coeffs(row) for row in U.basis], V.basis, V.ambient_dim)
 
 
 def crc_from_cdc_pair(
@@ -382,9 +387,10 @@ def crc_from_cdc_pair(
 
     Pairs the first min(|M|, |N|) words of each (canonical order) as
     full-rank matrices G_i, H_i and emits A_i = G_i^T H_i, reinterpreted as
-    vectors of length N.ambient over fld = F_{q^{M.ambient}}.  The minimum
-    rank distance is at least d_S(M)/2 + d_S(N)/2; when |M| = |N| some pair
-    also satisfies the upper bound min(d_S)/2 + r.
+    vectors of length N.ambient over fld = F_{q^{M.ambient}}; only those
+    pairs are read.  The minimum rank distance is at least d_S(M)/2 +
+    d_S(N)/2; when |M| = |N| some pair also satisfies the upper bound
+    min(d_S)/2 + r.
     """
     if M.q != N.q or M.q != fld.q:
         raise ValueError("field size mismatch between the codes and the field")
@@ -397,17 +403,11 @@ def crc_from_cdc_pair(
         raise ValueError(f"field degree {fld.m} must equal the first code's ambient {M.ambient}")
     if N.ambient > M.ambient:
         raise ValueError("need N.ambient <= M.ambient so the result has length n <= m")
-    count = min(M.cardinality, N.cardinality)
-    words = []
-    for i in range(count):
-        G = M.words[i].to_matrix()  # r x m, full rank (RREF basis)
-        H = N.words[i].to_matrix()  # r x n
-        A = G.transpose().mul(H) if r else MatrixFq.zeros(fld.q, M.ambient, N.ambient)
-        words.append(vector_from_matrix(A, fld))
+    words = tuple(_pair_word(fld, U, V) for U, V in zip(M.words, N.words))
     guaranteed = M.min_subspace_distance // 2 + N.min_subspace_distance // 2
     if min_rank_distance is None:
         min_rank_distance = guaranteed
-    return ConstantRankCode(fld, N.ambient, r, tuple(words), min_rank_distance, distance_exact)
+    return ConstantRankCode(fld, N.ambient, r, words, min_rank_distance, distance_exact)
 
 
 def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
@@ -416,7 +416,8 @@ def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
     All words have rank tau and pairwise rank distance >= d.  Even d pairs
     two lifted-MRD constant-dimension codes of distance d over ambients m
     and n; odd d pairs a distance-(d-1) code over ambient m with a
-    distance-(d+1) code over ambient n.
+    distance-(d+1) code over ambient n.  The ambient-n code is the smaller
+    one, and only the pairs it forms are lifted: 2|C| subspaces.
     """
     half = (d - 1) // 2
     if not half + 1 <= tau < d <= n <= m:
@@ -425,15 +426,13 @@ def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
         )
     if tau > n - tau:
         raise ValueError(f"need tau <= n - tau, got tau={tau}, n={n}")
-    if d % 2 == 0:
-        M = lifted_mrd_cdc(m, tau, d, q)
-        N = lifted_mrd_cdc(n, tau, d, q)
-    else:
-        M = lifted_mrd_cdc_odd(m, tau, d, "minus", q)
-        N = lifted_mrd_cdc_odd(n, tau, d, "plus", q)
-    fld = make_field(q, m)
+    fld, k = make_field(q, m), tau - half
+    N = _lifts(q, n, tau, k, transpose=True)
+    M = _lifts(q, m, tau, k + d % 2, transpose=True)
+    # zip ends with its first argument, the smaller stream N, before lifting one more word of M
+    words = tuple(_pair_word(fld, U, V) for V, U in zip(N, M))
     exact = d % 2 == 0 and n == m and tau == d // 2
-    crc = crc_from_cdc_pair(M, N, fld, min_rank_distance=d, distance_exact=exact)
+    crc = ConstantRankCode(fld, n, tau, words, d, exact)
     expected = q ** ((n - tau) * (tau - half))
     if crc.cardinality != expected:
         raise AssertionError(f"cardinality {crc.cardinality} != q^((n-tau)(tau-floor((d-1)/2))) = {expected}")

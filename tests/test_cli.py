@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, report formats, reproducibility."""
 
+import hashlib
 import json
 import os
 import re
@@ -235,19 +236,26 @@ def test_oracle_rejects_bad_input_exit_2(capsys, extra):
 
 
 @pytest.mark.parametrize(
-    "received", ["5", "null", "[5,6]", '{"a": 1}', '[["1",0],[0,0]]', "[[0.5,0],[0,0]]", "[[true,0],[0,0]]"]
+    "received",
+    ["5", "null", "[5,6]", '{"a": 1}', '[["1",0],[0,0]]', "[[0.5,0],[0,0]]", "[[true,0],[0,0]]", "xx", b"[[\xff]]"],
 )
 @pytest.mark.parametrize("source", ["--received", "--received-file"])
 def test_oracle_list_rejects_malformed_received_word(capsys, tmp_path, received, source):
+    # a JSON syntax or UTF-8 error names the option and the file; the rest name the received word
+    syntax = received in ("xx", b"[[\xff]]")
     if source == "--received-file":
         path = tmp_path / "received.json"
-        path.write_text(received)
-        received = str(path)
+        path.write_bytes(received if isinstance(received, bytes) else received.encode())
+        received, named = str(path), f"error: --received-file {str(path)!r}: "
+    else:
+        # a non-UTF-8 argument reaches sys.argv with surrogate escapes
+        received = os.fsdecode(received) if isinstance(received, bytes) else received
+        named = "error: --received: "
     code, out, err = run_cli(
         capsys, "oracle", "list", "--q", "2", "--m", "2", "--n", "2", "--k", "1", "--tau", "1", source, received
     )
-    assert code == 2 and out == ""
-    assert "list of lists of integer" in err and "Traceback" not in err
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert (err.startswith(named) if syntax else "list of lists of integer" in err)
 
 
 @pytest.mark.parametrize(
@@ -278,6 +286,8 @@ def test_oracle_list_rejects_received_entries_of_the_wrong_length(capsys, tmp_pa
         ({"q": 2, "ambient": 4, "dim": 1, "min_subspace_distance": 2,
           "words": [{"ambient": 4, "basis": [[1, 0, "x", 0]]}]}, "basis"),
         ([1, 2, 3], "q"),
+        (b"xx", None),  # a JSON syntax error or an invalid UTF-8 file names the option and the path
+        (b'{"q": 2, "ambient": \xff}', None),
     ],
 )
 def test_construct_crc_malformed_file_exit_2(capsys, tmp_path, doc, field):
@@ -285,13 +295,13 @@ def test_construct_crc_malformed_file_exit_2(capsys, tmp_path, doc, field):
     assert run_cli(capsys, "construct", "cdc", "--q", "2", "--n", "4", "--tau", "2", "--d", "4",
                    "--out", str(good))[0] == 0
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    for m_file, n_file in ((bad, good), (good, bad)):
+    bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    for option, (m_file, n_file) in (("--m-file", (bad, good)), ("--n-file", (good, bad))):
         code, out, err = run_cli(
             capsys, "construct", "crc", "--m-file", str(m_file), "--n-file", str(n_file)
         )
-        assert code == 2 and out == ""
-        assert repr(field) in err and "Traceback" not in err
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert (repr(field) in err if field else err.startswith(f"error: {option} {str(bad)!r}: "))
 
 
 def test_construct_cdc_and_crc_pipeline(capsys, tmp_path):
@@ -329,6 +339,36 @@ def test_construct_cdc_odd_and_theorem8(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["words"]) == 16 and doc["rank"] == 2
+
+
+# SHA-256 of stdout, recorded at commit 1fe3a5b, before constant-rank words were built by ``matfq._combine``
+_CONSTRUCTION_SHA256 = {
+    "construct crc-theorem8 --q 2 --m 6 --n 6 --d 3 --tau 2":
+        "3235a60321f73cabd96ce0628caa074d33467fce27c97dcf473308af8850976c",
+    "construct crc-theorem8 --q 2 --m 6 --n 6 --d 4 --tau 2":
+        "6055e6a5a4c65a50f24c389b9884e60cb65457b5254fa9502c9c830afd17eb35",
+    "construct crc-theorem8 --q 2 --m 8 --n 6 --d 3 --tau 2":
+        "1af6115f3ccdbcce55828c83ff3ec1569ea6320e8a4936e3a0e15edfaee8937c",
+    "construct crc-theorem8 --q 3 --m 6 --n 5 --d 3 --tau 2":
+        "81b647714fe80d17e0ba41d927c6cb0180f5b59e27bd131f329834b83e389661",
+    "construct crc-theorem8 --q 3 --m 4 --n 4 --d 4 --tau 2":
+        "cae48e9d348eec486fc73fb79bd991dec85f3c091baf37cceeefb5bb3aff7743",
+    "construct cdc-odd --q 2 --ambient 6 --tau 2 --d 3 --variant minus":
+        "bbe30a415f1053b728633936f035df98fdb5fe23499900cd9f2f194e7fdad315",
+    "construct cdc --q 3 --n 4 --tau 2 --d 4":
+        "6b06226b84d833576c454bf6958d459c8c59cfa51e01f427a7a3083b581206ac",
+    "witness bound3 --q 2 --m 6 --n 6 --d 3 --tau 2 --translate 1":
+        "8a5293703781527d601ff22a96fa18664ebce2464bdcbb1c700fc715089ffdfc",
+    "witness bound3 --q 3 --m 5 --n 5 --d 3 --tau 2":
+        "c8424417cd57473ec2cb77d3e681b852457a99095ed2f05b45874b6adaf4d112",
+}
+
+
+@pytest.mark.parametrize("command", list(_CONSTRUCTION_SHA256))
+def test_construction_bytes_are_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _CONSTRUCTION_SHA256[command]
 
 
 def test_construct_precondition_exit_2(capsys):

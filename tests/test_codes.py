@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankmetric import codes
 from rankmetric.bounds import singleton_max, CodeParams
 from rankmetric.codes import (
     ConstantDimensionCode,
@@ -20,7 +21,7 @@ from rankmetric.codes import (
     lifted_mrd_cdc,
     lifted_mrd_cdc_odd,
 )
-from rankmetric.ff import SUPPORTED_Q, make_field
+from rankmetric.ff import SUPPORTED_Q, make_field, vector_from_matrix
 from rankmetric.linpoly import LinearizedPoly
 from rankmetric.matfq import MatrixFq, Subspace, rank_of_vector, subspace_distance
 
@@ -35,6 +36,16 @@ def pairwise_rank_distances(code):
         for i, u in enumerate(words)
         for v in words[i + 1 :]
     ]
+
+
+def slow_pair_words(M, N, fld):
+    """crc_from_cdc_pair's words by F_q matrix algebra: A_i = G_i^T H_i, column j read as an element of fld."""
+    words = []
+    for U, V in zip(M.words, N.words):
+        G, H = U.to_matrix(), V.to_matrix()
+        A = G.transpose().mul(H) if U.dim else MatrixFq.zeros(fld.q, M.ambient, N.ambient)
+        words.append(vector_from_matrix(A, fld))
+    return tuple(words)
 
 
 def min_weight(code):
@@ -211,6 +222,7 @@ def test_lifted_mrd_cdc_odd_characteristic():
     assert min(dists) == 4
     crc = crc_theorem8(4, 4, 2, 4, 3)
     assert crc.cardinality == 9
+    assert crc.words == crc_from_cdc_pair(cdc, cdc, crc.field).words == slow_pair_words(cdc, cdc, crc.field)
     assert all(rank_of_vector(w, crc.field) == 2 for w in crc.words)
     assert min(pairwise_rank_distances(crc)) == 4
 
@@ -224,6 +236,8 @@ def test_lift_examples():
     assert s.basis == ((1, 0, 0, 0), (0, 1, 0, 0))
     one = MatrixFq(2, ((1,),))
     assert lift(one) == Subspace.from_vectors(2, 2, [(1, 1)])
+    empty = lift(MatrixFq(2, (), ncols=3))
+    assert empty == Subspace.zero(2, 3) and empty.dim == 0
 
 
 def test_lift_builds_canonical_subspaces():
@@ -315,6 +329,14 @@ def test_lifted_mrd_cdc_odd_preconditions():
         lifted_mrd_cdc_odd(6, 2, 4, "plus", 2)
     with pytest.raises(ValueError, match="variant"):
         lifted_mrd_cdc_odd(6, 2, 3, "both", 2)
+    # the Gabidulin code behind these would have k > n; the refusal names d instead
+    with pytest.raises(ValueError, match=r"'minus' needs d >= 3, got d=1"):
+        lifted_mrd_cdc_odd(6, 2, 1, "minus", 2)
+    with pytest.raises(ValueError, match=r"'minus' needs d >= 3, got d=-1"):
+        lifted_mrd_cdc_odd(6, 2, -1, "minus", 2)
+    with pytest.raises(ValueError, match=r"'plus' needs d >= 1, got d=-1"):
+        lifted_mrd_cdc_odd(6, 2, -1, "plus", 2)
+    assert lifted_mrd_cdc_odd(6, 2, 1, "plus", 2) == lifted_mrd_cdc_odd(6, 2, 3, "minus", 2)
 
 
 def test_lift_untransposed_cdc():
@@ -337,6 +359,7 @@ def test_crc_from_cdc_pair_square_case():
     M = lifted_mrd_cdc(4, 2, 4, 2)
     crc = crc_from_cdc_pair(M, M, F16)
     assert crc.cardinality == 4
+    assert crc.words == slow_pair_words(M, M, F16)
     assert all(rank_of_vector(w, F16) == 2 for w in crc.words)
     dists = pairwise_rank_distances(crc)
     lower = M.min_subspace_distance // 2 * 2
@@ -351,6 +374,7 @@ def test_crc_from_cdc_pair_min_rule():
     N = lifted_mrd_cdc_odd(6, 2, 3, "plus", 2)  # 16 words
     crc = crc_from_cdc_pair(M, N, make_field(2, 6))
     assert crc.cardinality == 16
+    assert crc.words == slow_pair_words(M, N, crc.field)
     assert crc.min_rank_distance == (2 + 4) // 2
 
 
@@ -360,7 +384,7 @@ def test_crc_from_cdc_pair_degenerate_rank_zero():
     N = ConstantDimensionCode(q, 3, 0, (Subspace.zero(q, 3),), 0)
     crc = crc_from_cdc_pair(M, N, F16)
     assert crc.cardinality == 1
-    assert crc.words == ((0, 0, 0),)
+    assert crc.words == ((0, 0, 0),) == slow_pair_words(M, N, F16)
 
 
 def test_crc_from_cdc_pair_validation():
@@ -410,6 +434,11 @@ def test_crc_theorem8_sweep_all_desk_parameters():
                             continue
                         crc = crc_theorem8(n, m, tau, d, q)
                         assert crc.cardinality == q ** ((n - tau) * (tau - half))
+                        if d % 2 == 0:
+                            M, N = lifted_mrd_cdc(m, tau, d, q), lifted_mrd_cdc(n, tau, d, q)
+                        else:
+                            M, N = lifted_mrd_cdc_odd(m, tau, d, "minus", q), lifted_mrd_cdc_odd(n, tau, d, "plus", q)
+                        assert crc.words == crc_from_cdc_pair(M, N, crc.field).words
                         fld = crc.field
                         assert all(rank_of_vector(w, fld) == tau for w in crc.words)
                         words = crc.words
@@ -442,6 +471,19 @@ def test_lifted_mrd_cdc_exact_distance_sweep():
                         ]
                         if dists:
                             assert min(dists) == d
+
+
+@pytest.mark.parametrize("args, size", [((6, 6, 2, 3, 2), 16), ((5, 6, 2, 3, 3), 27)])
+def test_crc_theorem8_lifts_only_the_kept_pairs(monkeypatch, args, size):
+    calls = []
+
+    def counting_lift(X):
+        calls.append(X)
+        return lift(X)
+
+    monkeypatch.setattr(codes, "lift", counting_lift)
+    assert crc_theorem8(*args).cardinality == size
+    assert len(calls) == 2 * size
 
 
 def test_crc_theorem8_preconditions():
