@@ -59,7 +59,8 @@ def _rational(text: str, option: str) -> Fraction:
 
 def _json_input(option: str, text: str | None = None, path: str | None = None):
     """The JSON document ``text``, or the UTF-8 file at ``path``; a syntax or
-    encoding error raises ValueError naming ``option`` and the path."""
+    encoding error raises ValueError, a file that cannot be read OSError,
+    each naming ``option`` and the path."""
     source = option if path is None else f"{option} {path!r}"
     try:
         if path is not None:
@@ -68,6 +69,8 @@ def _json_input(option: str, text: str | None = None, path: str | None = None):
         return json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{source}: {exc}") from None
+    except OSError as exc:
+        raise OSError(f"{source}: {exc}") from None
 
 
 # --- bounds -----------------------------------------------------------------
@@ -158,7 +161,7 @@ def _cmd_oracle(args) -> int:
             "tau": result.tau,
             "size": result.size,
             "sphere_counts": list(result.sphere_counts),
-            "codewords": [fld.word_to_jsonable(w) for w in result.codewords],
+            "codewords": fld.words_to_jsonable(result.codewords),
             "elapsed_ms": elapsed,
         }
     else:

@@ -111,6 +111,26 @@ class GabidulinCode:
             raise ValueError("message index out of range")
         return _combine(self.field, ff._digits(index, self.field.order, self.k), self._rows, self.n)
 
+    def codewords(self, indices: Sequence[int]) -> list[tuple[int, ...]]:
+        """[self.codeword(i) for i in indices].
+
+        Enough indices (see ``matfq._batched``) are encoded in one pass, as
+        ``codeword_blocks`` encodes them (``_encode``).  Fields with more
+        elements than there are indices keep the scalar loop, since their
+        tables would cost more than the scalar sums they replace, and so do
+        codes whose message indices do not fit in int64.
+        """
+        F = self.field
+        batched = _batched(len(indices) * _CODEWORD_WORK, F.order) and F.order <= len(indices)
+        if not batched or self.cardinality > 1 << 63:
+            return [self.codeword(i) for i in indices]
+        import numpy as np
+
+        index = np.asarray(indices, dtype=np.int64)
+        if index.min() < 0 or index.max() >= self.cardinality:
+            raise ValueError("message index out of range")
+        return list(map(tuple, self._encode(_row_tables(F, self._rows), index).tolist()))
+
     def iter_codewords(self) -> Iterator[tuple[int, ...]]:
         """All codewords in message-index order."""
         if self.cardinality > ENUMERATION_GUARD:
@@ -121,20 +141,21 @@ class GabidulinCode:
 
     def codeword_blocks(self, size: int = _BATCH_ROWS):
         """All codewords in the order of ``iter_codewords``, as int64 numpy
-        arrays of at most ``size`` rows, one codeword per row.
-
-        Row i of a block is the sum over generator rows g_j of f_j g_j, with
-        f_j digit j of the message index, read from ``matfq._row_tables``.
-        """
+        arrays of at most ``size`` rows, one codeword per row (``_encode``)."""
         import numpy as np
 
         if self.cardinality > ENUMERATION_GUARD:
             raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
-        F = self.field
-        tables = _row_tables(F, self._rows)
+        tables = _row_tables(self.field, self._rows)
         for lo in range(0, self.cardinality, size):
-            messages = _digits(np.arange(lo, min(lo + size, self.cardinality)), F.order, self.k)
-            yield _table_sums(tables, messages, F.char)
+            yield self._encode(tables, np.arange(lo, min(lo + size, self.cardinality)))
+
+    def _encode(self, tables, indices):
+        """The codewords of the int64 array of message ``indices``, one per
+        row: the sum over generator rows g_j of f_j g_j, f_j digit j of the
+        index, read from ``tables = matfq._row_tables(field, _rows)``."""
+        F = self.field
+        return _table_sums(tables, _digits(indices, F.order, self.k), F.char)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Membership test: the coset key sum_j w_j key(u_j) is 0 (``_unit_keys``);
@@ -267,7 +288,7 @@ class ConstantRankCode:
             "rank": self.rank,
             "min_rank_distance": self.min_rank_distance,
             "distance_exact": self.distance_exact,
-            "words": [self.field.word_to_jsonable(w) for w in self.words],
+            "words": self.field.words_to_jsonable(self.words),
         }
 
     @classmethod
@@ -291,8 +312,12 @@ def lift(X: MatrixFq) -> Subspace:
     return Subspace._canonical(X.q, r + X.ncols, basis)
 
 
-def _lifts(q: int, ambient: int, dim: int, k: int, transpose: bool) -> Iterator[Subspace]:
-    """Lift each word of a dimension-k Gabidulin code into Gr(ambient, dim), in message order.
+def _lifts(
+    q: int, ambient: int, dim: int, k: int, transpose: bool, count: int | None = None
+) -> Iterator[Subspace]:
+    """Lift the first ``count`` words (all when None) of a dimension-k
+    Gabidulin code into Gr(ambient, dim), in message order; more than
+    ENUMERATION_GUARD words are refused.
 
     transpose=True: the code has length dim over F_{q^(ambient-dim)}, and
     row i of X holds the coordinates of entry i.
@@ -303,7 +328,11 @@ def _lifts(q: int, ambient: int, dim: int, k: int, transpose: bool) -> Iterator[
         subfield, length = make_field(q, ambient - dim), dim
     else:
         subfield, length = make_field(q, dim), ambient - dim
-    for cw in GabidulinCode(subfield, n=length, k=k).iter_codewords():
+    code = GabidulinCode(subfield, n=length, k=k)
+    count = code.cardinality if count is None else count
+    if count > ENUMERATION_GUARD:
+        raise ValueError(f"code too large to enumerate ({count} words)")
+    for cw in code.codewords(range(count)):
         coords = tuple(map(subfield.coeffs, cw))
         yield lift(MatrixFq._unchecked(q, coords if transpose else tuple(zip(*coords)), ambient - dim))
 
@@ -417,7 +446,8 @@ def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
     two lifted-MRD constant-dimension codes of distance d over ambients m
     and n; odd d pairs a distance-(d-1) code over ambient m with a
     distance-(d+1) code over ambient n.  The ambient-n code is the smaller
-    one, and only the pairs it forms are lifted: 2|C| subspaces.
+    one, and only the pairs it forms are lifted: 2|C| subspaces, so the
+    enumeration guard weighs the |C| words kept.
     """
     half = (d - 1) // 2
     if not half + 1 <= tau < d <= n <= m:
@@ -427,13 +457,12 @@ def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
     if tau > n - tau:
         raise ValueError(f"need tau <= n - tau, got tau={tau}, n={n}")
     fld, k = make_field(q, m), tau - half
-    N = _lifts(q, n, tau, k, transpose=True)
-    M = _lifts(q, m, tau, k + d % 2, transpose=True)
-    # zip ends with its first argument, the smaller stream N, before lifting one more word of M
-    words = tuple(_pair_word(fld, U, V) for V, U in zip(N, M))
+    expected = q ** ((n - tau) * (tau - half))
+    N = _lifts(q, n, tau, k, transpose=True, count=expected)
+    M = _lifts(q, m, tau, k + d % 2, transpose=True, count=expected)
+    words = tuple(_pair_word(fld, U, V) for U, V in zip(M, N))
     exact = d % 2 == 0 and n == m and tau == d // 2
     crc = ConstantRankCode(fld, n, tau, words, d, exact)
-    expected = q ** ((n - tau) * (tau - half))
     if crc.cardinality != expected:
         raise AssertionError(f"cardinality {crc.cardinality} != q^((n-tau)(tau-floor((d-1)/2))) = {expected}")
     return crc

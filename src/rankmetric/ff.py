@@ -352,10 +352,32 @@ class Field:
 
     def word_to_jsonable(self, word: Sequence[int]) -> list[list[int]]:
         """The JSON form of a word over F_{q^m}: one list of m coordinates per element."""
-        if word and not (0 <= min(word) and max(word) < self.order):
-            self.coeffs(next(x for x in word if not 0 <= x < self.order))  # raises, naming it
-        q, m = self.q, self.m
-        return [_digits(x, q, m) for x in word]
+        return self.words_to_jsonable([word])[0]
+
+    def words_to_jsonable(self, words: Sequence[Sequence[int]]) -> list[list[list[int]]]:
+        """[self.word_to_jsonable(w) for w in words].
+
+        Enough words of one length (see ``matfq._batched``; the digits of an
+        element cost the scalar loop about one rank computation) take their
+        digits from one ``matfq._digits`` call; no table is kept.  An element
+        outside 0..q^m - 1 raises the ValueError of ``coeffs``, naming the
+        first one.
+        """
+        from .matfq import _batched, _digits as digit_array
+
+        lengths = set(map(len, words))
+        if len(lengths) == 1 and _batched(len(words) * min(lengths), self.order):
+            import numpy as np
+
+            block = np.asarray(words)
+            if block.dtype.kind in "iu" and block.min() >= 0 and block.max() < self.order:
+                return digit_array(block, self.q, self.m).tolist()
+        q, m, out = self.q, self.m, []
+        for word in words:
+            if word and not (0 <= min(word) and max(word) < self.order):
+                self.coeffs(next(x for x in word if not 0 <= x < self.order))  # raises, naming it
+            out.append([_digits(x, q, m) for x in word])
+        return out
 
     def word_from_jsonable(self, data, name: str) -> tuple[int, ...]:
         """The word of ``word_to_jsonable``: a list of lists of exactly m

@@ -5,19 +5,20 @@ F_q, see :mod:`rankmetric.ff`).  Subspaces of F_q^n are kept in reduced row
 echelon form, so equal subspaces compare equal and enumeration is canonical.
 ``grassmannian_order_key`` places a subspace in that enumeration order, and
 ``_singer_orbits`` lists one subspace of F_{q^m} per orbit of Gr(m, t) under
-multiplication by F_{q^m}^*, for the oracle's coset histogram and the
-Gabidulin witnesses.
+multiplication by F_{q^m}^*, walking the smaller of Gr(m, t) and
+Gr(m, m - t), for the oracle's coset histogram and the Gabidulin witnesses.
 
 Linear algebra runs on two elimination algorithms, each in a scalar form and
 a numpy form over a stack: Gauss-Jordan reduction to RREF for every q
 (``_gauss_jordan`` and ``_rrefs``), and an XOR basis keyed by leading bit at
 q = 2 (the q = 2 branches of ``_column_rank`` and ``_column_ranks``).  Every
 rank question (``rank``, ``subspace_distance``, ``Subspace.contains`` and the
-rank of a vector over F_{q^m}) goes through ``_column_rank``, whose q > 2
-rank is the pivot count of ``_gauss_jordan``; ``_column_ranks`` ranks a
-stack of words, at q > 2 by the pivot counts of ``_rrefs``.  Over F_q both
-RREF kernels and the matrix sums and products read one row-operation table
-per base field, ``BaseField._axpy[c][x][y] = x - c y``.
+rank of a vector over F_{q^m}) is the XOR basis at q = 2 and the pivot count
+of ``_gauss_jordan`` at q > 2: ``rank`` hands its rows to ``_gauss_jordan``
+as they are, the rank of a vector goes through ``_column_rank``.
+``_column_ranks`` ranks a stack of words, at q > 2 by the pivot counts of
+``_rrefs``.  Over F_q both RREF kernels and the matrix sums and products read
+one row-operation table per base field, ``BaseField._axpy[c][x][y] = x - c y``.
 """
 
 from __future__ import annotations
@@ -195,15 +196,18 @@ def _gauss_jordan(rows: list[Sequence[int]], ncols: int, F) -> tuple[int, ...]:
 
 
 def rank(mat: MatrixFq) -> int:
-    """Rank over F_q: ``_column_rank`` of the rows read as base-q digits,
-    entry j of a row being digit j."""
-    q, packed = mat.q, []
+    """Rank over F_q: at q > 2 the pivot count of ``_gauss_jordan`` on the
+    rows, at q = 2 ``_column_rank`` of the rows read as bits, entry j of a
+    row being bit j."""
+    if mat.q > 2:
+        return len(_gauss_jordan(list(mat.rows), mat.ncols, base_field(mat.q)))
+    packed = []
     for row in mat.rows:
         v = 0
         for x in reversed(row):
-            v = v * q + x
+            v = v * 2 + x
         packed.append(v)
-    return _column_rank(packed, q, mat.ncols, mat.nrows)
+    return _column_rank(packed, 2, mat.ncols, mat.nrows)
 
 
 def rank_of_vector(vec: Sequence[int], fld: Field) -> int:
@@ -589,17 +593,35 @@ def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
 
     ``span`` lists the elements of the orbit's representative U, span[a] =
     sum_i a_i b_i over the base-q digits a_i of a and the RREF basis b_i of
-    U; ``size`` is the number of subspaces xU.  The orbit members that hold
-    1 are the u^{-1} U, u in U nonzero, and are the U = <1> + (0 | W), W in
-    Gr(m - 1, t - 1), with basis [e_0; 0 | W].  U represents its orbit when
-    its sorted span is the smallest of theirs; the (q^m - 1)/size u with
-    u^{-1} U = U are its stabilizer.
+    U; ``size`` is the number of subspaces xU.  {0} and F_{q^m} are orbits of
+    one subspace each.  Otherwise the walk runs on the smaller side:
+
+    * 2t <= m: the orbit members that hold 1 are the u^{-1} U, u in U
+      nonzero, and are the U = <1> + (0 | W), W in Gr(m - 1, t - 1), with
+      basis [e_0; 0 | W].  U represents its orbit when its sorted span is
+      the smallest of theirs; the (q^m - 1)/size u with u^{-1} U = U are its
+      stabilizer.
+    * 2t > m: the orbits of Gr(m, m - t) are walked, and each representative
+      V gives its dual V^perp under the trace form Tr(xy), read from the
+      Gram matrix Tr(x^i x^j) of the polynomial basis.  (xV)^perp =
+      x^{-1} V^perp, so V -> V^perp maps orbits onto orbits and keeps their
+      sizes.
     """
+    q, m = fld.q, fld.m
+    if t == 0 or t == m:
+        return [(list(range(fld.order if t else 1)), 1)]
+    if 2 * t > m:
+        traces = [_trace(fld, fld.pow(fld.basis_element(1), s)) for s in range(2 * m - 1)]
+        gram = MatrixFq._unchecked(q, tuple(tuple(traces[i : i + m]) for i in range(m)), m)
+        orbits = []
+        for span, size in _singer_orbits(fld, m - t):
+            V = MatrixFq._unchecked(q, tuple(fld.coeffs(span[q**i]) for i in range(m - t)), m)
+            dual = row_space(MatrixFq._unchecked(q, tuple(right_kernel(V.mul(gram))), m))
+            orbits.append((_span(fld, [ff._undigits(row, q) for row in dual.basis]), size))
+        return orbits
     orbits = []
-    for W in grassmannian_enumerate(fld.m - 1, t - 1, fld.q):
-        span = [0]
-        for b in [1] + [fld.from_coeffs((0,) + row) for row in W.basis]:
-            span = [fld.add(x, fld.mul(c, b)) for c in range(fld.q) for x in span]
+    for W in grassmannian_enumerate(m - 1, t - 1, q):
+        span = _span(fld, [1] + [ff._undigits((0,) + row, q) for row in W.basis])
         smallest, stabilizer = sorted(span), 0
         for u in span[1:]:
             inv = fld.inv(u)
@@ -610,6 +632,22 @@ def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
         else:
             orbits.append((span, (fld.order - 1) // stabilizer))
     return orbits
+
+
+def _span(fld: Field, basis: Sequence[int]) -> list[int]:
+    """[sum_i a_i basis[i] for a in range(q^len(basis))], a_i the base-q digits of a."""
+    span = [0]
+    for b in basis:
+        span = [fld.add(x, y) for y in [fld.mul(c, b) for c in range(fld.q)] for x in span]
+    return span
+
+
+def _trace(fld: Field, x: int) -> int:
+    """Tr(x) = x + x^q + ... + x^{q^{m-1}}, an element of F_q."""
+    total = 0
+    for _ in range(fld.m):
+        total, x = fld.add(total, x), fld.frobenius(x)
+    return total
 
 
 def rank_decompose(X: MatrixFq) -> tuple[MatrixFq, MatrixFq]:

@@ -9,9 +9,10 @@ For a Gabidulin code the list size of r depends only on the coset r + C, so
 the maximum is the fullest coset of the rank ball of radius tau, counted by
 ``_coset_histogram`` without enumerating received words or codewords.  Coset
 counts are constant on the orbits of F_{q^m}^*, so it keys the errors of one
-column space through 1 per orbit of the Singer cycle, weighted by the orbit
-size; its guard counts those steps, not the ball.  Other codes are scanned
-word by word (``_count_ball``), the tests' ground truth.
+column space per orbit of the Singer cycle (``matfq._singer_orbits``),
+weighted by the orbit size; its guard counts those steps, not the ball.
+Other codes are scanned word by word (``_count_ball``), the tests' ground
+truth.
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work: Gabidulin codewords come as

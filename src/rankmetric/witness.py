@@ -18,13 +18,16 @@ tie-breaking), so identical inputs serialize to identical JSON.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 
-Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``, which orders a
-best bucket worth numpy by one batched RREF (``matfq._rrefs``), and encode
-only the words they store, by ``GabidulinCode.codeword``.  Distances to
-the received word are computed by ``matfq.rank_distances``, and the pairwise
-distances of bound3 by ``matfq.min_pairwise_rank_distance``; both batch the
-ranks in numpy once there are enough of them.  Gabidulin codes are MRD, so
-the pairwise distances of bound1 and alt follow from membership.
+Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``, which walks
+one subspace per orbit (``matfq._singer_orbits``, on the smaller of Gr(n, t)
+and Gr(n, n - t)) and orders a best bucket worth numpy by one batched RREF
+(``matfq._rrefs``).  They encode only the words they store, all in one call
+of ``GabidulinCode.codewords`` (one table pass once there are enough), and a
+certificate writes its words in one ``Field.words_to_jsonable`` call.
+Distances to the received word are computed by ``matfq.rank_distances``, and
+the pairwise distances of bound3 by ``matfq.min_pairwise_rank_distance``;
+both batch the ranks in numpy once there are enough of them.  Gabidulin codes
+are MRD, so the pairwise distances of bound1 and alt follow from membership.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class WitnessCertificate:
             "claimed_size": str(self.claimed_size),
             "total_size": str(self.total_size),
             "truncated": self.truncated,
-            "codewords": [fld.word_to_jsonable(w) for w in self.codewords],
+            "codewords": fld.words_to_jsonable(self.codewords),
             "meta": self.meta,
         }
 
@@ -275,7 +278,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
         modulus=fld.modulus,
         alphas=code.alphas,
         received_word=tuple(evaluate(LinearizedPoly(fld, rep), a) for a in code.alphas),
-        codewords=tuple(code.codeword(_undigits(map(fld.sub, rep[:k], g), fld.order)) for g in sample),
+        codewords=tuple(code.codewords([_undigits(map(fld.sub, rep[:k], g), fld.order) for g in sample])),
         claimed_size=claimed,
         total_size=len(bucket),
         truncated=truncated,
@@ -332,7 +335,7 @@ def bound1_alt_witness(
         modulus=fld.modulus,
         alphas=code_c.alphas,
         received_word=code_b.codeword(best_index),
-        codewords=tuple(code_c.codeword(i) for i in sample),
+        codewords=tuple(code_c.codewords(sample)),
         claimed_size=claimed,
         total_size=len(messages),
         truncated=truncated,

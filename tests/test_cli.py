@@ -304,6 +304,25 @@ def test_construct_crc_malformed_file_exit_2(capsys, tmp_path, doc, field):
         assert (repr(field) in err if field else err.startswith(f"error: {option} {str(bad)!r}: "))
 
 
+def test_unreadable_input_file_names_the_option_exit_1(capsys, tmp_path):
+    # a file that cannot be opened is an OSError (exit 1, the contract), named
+    # like a malformed file: the option, the path, then the system's message
+    missing = str(tmp_path / "nope.json")
+    good = tmp_path / "good.json"
+    assert run_cli(capsys, "construct", "cdc", "--q", "2", "--n", "4", "--tau", "2", "--d", "4",
+                   "--out", str(good))[0] == 0
+    runs = [
+        ("--received-file", ["oracle", "list", "--q", "2", "--m", "2", "--n", "2", "--k", "1", "--tau", "1",
+                             "--received-file", missing]),
+        ("--m-file", ["construct", "crc", "--m-file", missing, "--n-file", str(good)]),
+        ("--n-file", ["construct", "crc", "--m-file", str(good), "--n-file", missing]),
+    ]
+    for option, argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {option} {missing!r}: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 def test_construct_cdc_and_crc_pipeline(capsys, tmp_path):
     m_file, n_file = tmp_path / "M.json", tmp_path / "N.json"
     for path in (m_file, n_file):
@@ -369,6 +388,15 @@ def test_construction_bytes_are_pinned(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == _CONSTRUCTION_SHA256[command]
+
+
+def test_crc_theorem8_guard_weighs_the_kept_words(capsys):
+    # |C| = 16 words; the ambient-m Gabidulin code behind them has 2^56, and
+    # refused the command (exit 2) while the guard weighed all of them
+    code, out, err = run_cli(capsys, *"construct crc-theorem8 --q 2 --m 32 --n 8 --d 7 --tau 4".split())
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["m"], doc["n"], doc["rank"], len(doc["words"])) == (32, 8, 4, 16)
 
 
 def test_construct_precondition_exit_2(capsys):

@@ -181,6 +181,28 @@ def test_contains_all_matches_contains(q, force_batching, monkeypatch):
     assert not code.contains_all(out_of_range)
 
 
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_codewords_match_codeword(q, force_batching, monkeypatch):
+    rng = random.Random(300 + q)
+    fld = make_field(q, 3 if q <= 4 else 2)
+    code = GabidulinCode(fld, n=fld.m, k=2)
+    # more indices than field elements, so that the batched path tabulates
+    indices = [rng.randrange(code.cardinality) for _ in range(fld.order)] + [0, code.cardinality - 1]
+    expected = [code.codeword(i) for i in indices]
+    for batched in (True, False):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            if batched:
+                mp.setattr(GabidulinCode, "codeword", None)  # one table pass, no scalar word
+            words = code.codewords(indices)
+            assert words == expected and all(type(x) is int for w in words for x in w)
+            assert code.codewords(range(fld.order)) == [w for w, _ in zip(code.iter_codewords(), range(fld.order))]
+            for bad in (-1, code.cardinality):
+                with pytest.raises(ValueError, match="^message index out of range$"):
+                    code.codewords(indices + [bad])
+        assert code.codewords([]) == [] and code.codewords(indices[:1]) == expected[:1]
+
+
 def test_gabidulin_non_integer_entries(force_batching):
     # points are read by the JSON integer rule; a word entry that is not an
     # integer makes a non-member, on the scalar and the batched path alike
@@ -484,6 +506,21 @@ def test_crc_theorem8_lifts_only_the_kept_pairs(monkeypatch, args, size):
     monkeypatch.setattr(codes, "lift", counting_lift)
     assert crc_theorem8(*args).cardinality == size
     assert len(calls) == 2 * size
+
+
+def test_enumeration_guard_weighs_the_lifted_words(monkeypatch):
+    # the constant-dimension builders lift whole codes and crc_theorem8 the
+    # |C| words it keeps: the guard counts those, not the codes behind them
+    monkeypatch.setattr(codes, "ENUMERATION_GUARD", 15)
+    with pytest.raises(ValueError, match=r"^code too large to enumerate \(16 words\)$"):
+        lifted_mrd_cdc(4, 2, 2, 2)  # 2^((4-2)(2-1+1)) = 16 words
+    monkeypatch.setattr(codes, "ENUMERATION_GUARD", 16)
+    assert lifted_mrd_cdc(4, 2, 2, 2).cardinality == 16
+    # (q, m, n, d, tau) = (2, 8, 6, 3, 2): |C| = 16 of the 2^12 words of the ambient-8 code
+    assert crc_theorem8(6, 8, 2, 3, 2).cardinality == 16
+    monkeypatch.setattr(codes, "ENUMERATION_GUARD", 15)
+    with pytest.raises(ValueError, match=r"^code too large to enumerate \(16 words\)$"):
+        crc_theorem8(6, 8, 2, 3, 2)
 
 
 def test_crc_theorem8_preconditions():

@@ -285,6 +285,31 @@ def test_word_to_jsonable_names_the_first_element_outside_the_field():
             F.word_to_jsonable(word)
 
 
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_words_to_jsonable_matches_the_word_form(q, force_batching, monkeypatch):
+    import rankmetric.ff as ff
+
+    F = make_field(q, 2)
+    rng = random.Random(q)
+    words = [tuple(rng.randrange(F.order) for _ in range(3)) for _ in range(20)] + [(0, F.order - 1, 1)]
+    expected = [F.word_to_jsonable(w) for w in words]
+    for batched in (True, False):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            if batched:
+                mp.setattr(ff, "_digits", None)  # the digits come from one numpy call
+            got = F.words_to_jsonable(words)
+            assert got == expected and all(type(c) is int for w in got for x in w for c in x)
+        assert F.words_to_jsonable([]) == [] and F.words_to_jsonable([(), ()]) == [[], []]
+        assert F.words_to_jsonable(words[:2] + [words[2][:1]]) == expected[:2] + [expected[2][:1]]
+        for bad in (F.order, -1):
+            broken = words[:5] + [(1, bad, F.order + 7)] + words[5:]
+            with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order {F.order}$"):
+                F.words_to_jsonable(broken)
+            with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order {F.order}$"):
+                F.word_to_jsonable(broken[5])
+
+
 def test_field_degree_limit_refuses_before_the_modulus_search(monkeypatch):
     import rankmetric.ff as ff
 

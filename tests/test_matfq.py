@@ -428,8 +428,9 @@ def test_subspace_distance_matches_the_canonical_sum(q):
 
 
 def test_rank_questions_take_the_rank_kernel_not_rref(monkeypatch):
-    # one _column_rank call per rank question; at q > 2 its rank is the pivot
-    # count of _gauss_jordan, at q = 2 the XOR basis builds no RREF
+    # at q > 2 one _gauss_jordan call on the rows as they are per rank
+    # question, with no _column_rank digit round trip; at q = 2 one
+    # _column_rank call, whose XOR basis builds no RREF
     U = Subspace.from_vectors(3, 3, [(1, 2, 0)])
     V = Subspace.from_vectors(3, 3, [(0, 1, 1), (1, 0, 2)])
     mat = MatrixFq(3, ((1, 2, 0), (2, 1, 0)))
@@ -447,12 +448,13 @@ def test_rank_questions_take_the_rank_kernel_not_rref(monkeypatch):
         raise AssertionError("a q = 2 rank question built an RREF")
 
     monkeypatch.setattr(matfq, "_column_rank", counted)
-    monkeypatch.setattr(matfq, "_gauss_jordan", lambda *args: eliminations.append(args) or gauss_jordan(*args))
+    monkeypatch.setattr(matfq, "_gauss_jordan", lambda rows, *rest: eliminations.append(rows[:]) or gauss_jordan(rows, *rest))
     assert (rank(mat), subspace_distance(U, V), V.contains((1, 1, 0)), V.contains((1, 0, 0))) == (1, 3, True, False)
-    assert len(calls) == len(eliminations) == 4
+    assert calls == [] and len(eliminations) == 4
+    assert eliminations[0] == list(mat.rows)
     monkeypatch.setattr(matfq, "_gauss_jordan", refuse)
     assert (rank(mat2), subspace_distance(U2, V2), V2.contains((1, 1, 1)), V2.contains((1, 1, 0))) == (1, 3, True, False)
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_subspace_distance_examples():

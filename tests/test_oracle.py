@@ -413,7 +413,41 @@ def test_singer_orbits_cover_the_grassmannian_once(q, m, t):
     assert len(covered) == len(grassmannian) and covered == set(grassmannian)
 
 
+_DUAL_SIDE = [
+    (q, m, t)
+    for q in SUPPORTED_Q
+    for m in range(1, 9)
+    if q**m <= 256
+    for t in range(m // 2 + 1, m + 1)
+]
+
+
+@pytest.mark.parametrize("q,m,t", _DUAL_SIDE)
+def test_singer_orbits_on_the_dual_side_partition_the_grassmannian(q, m, t):
+    # every 2t > m with q^m <= 256, t = m included: the sizes add up to [m; t]_q,
+    # no two representatives share an orbit, and each span is laid out over
+    # its RREF basis, span[a] = sum_i a_i b_i
+    fld = make_field(q, m)
+    orbits = matfq._singer_orbits(fld, t)
+    assert sum(size for _, size in orbits) == gaussian_binomial(m, t, q)
+    labels = set()
+    for span, size in orbits:
+        basis = [span[q**i] for i in range(t)]
+        matfq.Subspace(q, m, tuple(fld.coeffs(b) for b in basis))  # raises unless a full-rank RREF basis
+        assert span == matfq._span(fld, basis) and len(set(span)) == q**t
+        # the orbit's members through 1 are the u^{-1} U, u in U nonzero; the
+        # smallest sorted one labels the orbit, and as many u give it as the
+        # stabilizer of U has elements
+        moved = [sorted(fld.mul(fld.inv(u), x) for x in span) for u in span if u]
+        label = min(moved)
+        assert size == (fld.order - 1) // moved.count(label)
+        labels.add(tuple(label))
+    assert len(labels) == len(orbits)
+
+
 def test_singer_orbits_walk_only_the_subspaces_through_one(monkeypatch):
+    # Gr(m - 1, t - 1) when 2t <= m, Gr(m - 1, m - t - 1) when 2t > m, and no
+    # walk for {0} or the whole field
     calls = []
 
     def recorded(n, r, q, *rest):
@@ -421,10 +455,16 @@ def test_singer_orbits_walk_only_the_subspaces_through_one(monkeypatch):
         return grassmannian_enumerate(n, r, q, *rest)
 
     monkeypatch.setattr(matfq, "grassmannian_enumerate", recorded)
-    for q, m, t in [(2, 6, 3), (3, 4, 2), (2, 5, 1), (2, 4, 4)]:
+    for q, m, t, walked in [
+        (2, 6, 3, 2), (3, 4, 2, 1), (2, 5, 1, 0), (2, 6, 4, 1), (2, 5, 3, 1), (3, 3, 2, 0), (2, 8, 5, 2)
+    ]:
         calls.clear()
         matfq._singer_orbits(make_field(q, m), t)
-        assert calls == [(m - 1, t - 1, q)]
+        assert calls == [(m - 1, walked, q)]
+    for q, m, t in [(2, 4, 4), (2, 4, 0), (3, 1, 1), (2, 1, 0)]:
+        calls.clear()
+        assert matfq._singer_orbits(make_field(q, m), t) == [(list(range(q**m if t else 1)), 1)]
+        assert calls == []
 
 
 def test_max_list_size_on_a_large_field():
@@ -444,6 +484,7 @@ def _smallest_of_orbit(key, fld):
     [
         (2, 4, 4, 2, (1, 2)),
         (2, 4, 4, 3, (2, 3)),
+        (2, 4, 4, 1, (3,)),
         (2, 3, 3, 1, (1, 2)),
         (3, 3, 3, 2, (1, 2)),
         (3, 2, 2, 1, (1, 2)),
