@@ -33,23 +33,13 @@ from .codes import (
     crc_from_cdc_pair,
     crc_theorem8,
     lift,
-    lift_untransposed_cdc,
     lifted_mrd_cdc,
     lifted_mrd_cdc_odd,
 )
-from .ff import Field, expand_to_matrix, make_field, vector_from_matrix
-from .linpoly import LinearizedPoly, evaluate, min_subspace_poly, root_space, symbolic_product
-from .matfq import (
-    MatrixFq,
-    Subspace,
-    distance_sandwich_check,
-    grassmannian_enumerate,
-    rank,
-    rank_decompose,
-    rank_of_vector,
-    subspace_distance,
-)
-from .oracle import ball_volume_bruteforce, list_codewords, list_to_crc, max_list_size
+from .ff import Field, make_field
+from .linpoly import LinearizedPoly, evaluate, min_subspace_poly, root_space
+from .matfq import MatrixFq, Subspace, grassmannian_enumerate, rank, rank_of_vector, subspace_distance
+from .oracle import ball_volume_bruteforce, list_codewords, max_list_size
 from .witness import (
     WitnessCertificate,
     bound1_alt_witness,

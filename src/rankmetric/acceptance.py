@@ -6,9 +6,9 @@ and sized to run on a laptop; the heaviest one is the exhaustive scan of all
 
 Criteria 3 and 4 run batched in numpy: they draw their random matrices with
 the RNG calls of the scalar loop they replace, then reduce them as stacks
-with ``matfq._rrefs`` and rank them with ``matfq._column_ranks``.  The scalar
-``rank_decompose``, ``row_space``, ``column_space`` and
-``distance_sandwich_check`` stay their reference in the tests.
+with ``matfq._rrefs`` and rank them with ``matfq._column_ranks``.  Their
+scalar references, ``rank_decompose``, ``column_space`` and
+``distance_sandwich_check``, are in ``tests/reference.py``.
 """
 
 from __future__ import annotations

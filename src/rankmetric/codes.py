@@ -312,29 +312,19 @@ def lift(X: MatrixFq) -> Subspace:
     return Subspace._canonical(X.q, r + X.ncols, basis)
 
 
-def _lifts(
-    q: int, ambient: int, dim: int, k: int, transpose: bool, count: int | None = None
-) -> Iterator[Subspace]:
+def _lifts(q: int, ambient: int, dim: int, k: int, count: int | None = None) -> Iterator[Subspace]:
     """Lift the first ``count`` words (all when None) of a dimension-k
-    Gabidulin code into Gr(ambient, dim), in message order; more than
-    ENUMERATION_GUARD words are refused.
-
-    transpose=True: the code has length dim over F_{q^(ambient-dim)}, and
-    row i of X holds the coordinates of entry i.
-    transpose=False: the code has length ambient-dim over F_{q^dim}, and
-    row i of X holds coordinate i of every entry.
+    Gabidulin code of length dim over F_{q^(ambient-dim)} into Gr(ambient,
+    dim), in message order, row i of X holding the coordinates of entry i;
+    more than ENUMERATION_GUARD words are refused.
     """
-    if transpose:
-        subfield, length = make_field(q, ambient - dim), dim
-    else:
-        subfield, length = make_field(q, dim), ambient - dim
-    code = GabidulinCode(subfield, n=length, k=k)
+    subfield = make_field(q, ambient - dim)
+    code = GabidulinCode(subfield, n=dim, k=k)
     count = code.cardinality if count is None else count
     if count > ENUMERATION_GUARD:
         raise ValueError(f"code too large to enumerate ({count} words)")
     for cw in code.codewords(range(count)):
-        coords = tuple(map(subfield.coeffs, cw))
-        yield lift(MatrixFq._unchecked(q, coords if transpose else tuple(zip(*coords)), ambient - dim))
+        yield lift(MatrixFq._unchecked(q, tuple(map(subfield.coeffs, cw)), ambient - dim))
 
 
 def lifted_mrd_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
@@ -348,7 +338,7 @@ def lifted_mrd_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
         raise ValueError(f"subspace-distance parameter d={d} must be a positive even integer")
     if not d // 2 <= tau <= n - tau:
         raise ValueError(f"need n/2 >= tau >= d/2, got n={n}, tau={tau}, d={d}")
-    return ConstantDimensionCode(q, n, tau, tuple(_lifts(q, n, tau, tau - d // 2 + 1, transpose=True)), d)
+    return ConstantDimensionCode(q, n, tau, tuple(_lifts(q, n, tau, tau - d // 2 + 1)), d)
 
 
 def lifted_mrd_cdc_odd(
@@ -375,28 +365,7 @@ def lifted_mrd_cdc_odd(
         k, ds = tau - half + 1, d - 1
     else:
         k, ds = tau - half, d + 1
-    return ConstantDimensionCode(q, ambient, tau, tuple(_lifts(q, ambient, tau, k, transpose=True)), ds)
-
-
-def lift_untransposed_cdc(n: int, tau: int, d: int, q: int) -> ConstantDimensionCode:
-    """Constant-dimension code for tau >= n - tau, lifting untransposed words.
-
-    Builds [I_tau | C_i] from the codewords C_i of an MRD code of length
-    n - tau over F_{q^tau}; cardinality q^{tau(n-tau-d/2+1)}, distance d.
-    """
-    if d % 2 != 0 or d < 2:
-        raise ValueError(f"subspace-distance parameter d={d} must be a positive even integer")
-    if n - tau < d // 2:
-        raise ValueError(f"need n - tau >= d/2, got n={n}, tau={tau}, d={d}")
-    if tau > n:
-        raise ValueError(f"need tau <= n, got tau={tau}, n={n}")
-    if n - tau > tau:
-        raise ValueError(
-            f"untransposed lifting needs tau >= n - tau (got tau={tau}, n={n}); "
-            "use lifted_mrd_cdc for tau <= n - tau"
-        )
-    words = _lifts(q, n, tau, n - tau - d // 2 + 1, transpose=False)
-    return ConstantDimensionCode(q, n, tau, tuple(words), d)
+    return ConstantDimensionCode(q, ambient, tau, tuple(_lifts(q, ambient, tau, k)), ds)
 
 
 def _pair_word(fld: Field, U: Subspace, V: Subspace) -> tuple[int, ...]:
@@ -458,23 +427,11 @@ def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:
         raise ValueError(f"need tau <= n - tau, got tau={tau}, n={n}")
     fld, k = make_field(q, m), tau - half
     expected = q ** ((n - tau) * (tau - half))
-    N = _lifts(q, n, tau, k, transpose=True, count=expected)
-    M = _lifts(q, m, tau, k + d % 2, transpose=True, count=expected)
+    N = _lifts(q, n, tau, k, count=expected)
+    M = _lifts(q, m, tau, k + d % 2, count=expected)
     words = tuple(_pair_word(fld, U, V) for U, V in zip(M, N))
     exact = d % 2 == 0 and n == m and tau == d // 2
     crc = ConstantRankCode(fld, n, tau, words, d, exact)
     if crc.cardinality != expected:
         raise AssertionError(f"cardinality {crc.cardinality} != q^((n-tau)(tau-floor((d-1)/2))) = {expected}")
     return crc
-
-
-def gabidulin_to_jsonable(code: GabidulinCode) -> dict:
-    return {
-        "type": "gabidulin",
-        "q": code.q,
-        "m": code.m,
-        "modulus": list(code.field.modulus),
-        "n": code.n,
-        "k": code.k,
-        "alphas": code.field.word_to_jsonable(code.alphas),
-    }

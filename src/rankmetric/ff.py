@@ -52,7 +52,7 @@ class BaseField:
     ``make_field(p, e)``, base-p digit vectors over its default modulus.
     Besides the add/mul/neg/inv tables there is one row-operation table,
     ``_axpy[c][x][y] = x - c y``, which every F_q elimination and matrix
-    sum or product reads.
+    product reads.
     """
 
     def __init__(self, q: int):
@@ -108,9 +108,6 @@ class BaseField:
         """(x - c y for x, y in zip(xs, ys)), one ``_axpy`` lookup per entry."""
         table = self._axpy[c]
         return tuple([table[x][y] for x, y in zip(xs, ys)])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"BaseField(q={self.q})"
@@ -404,9 +401,6 @@ class Field:
             raise ValueError(f"requested {n} basis elements from a degree-{self.m} extension")
         return tuple(self.q**i for i in range(n))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -565,25 +559,3 @@ def make_field(q: int, m: int, modulus: Sequence[int] | None = None) -> Field:
     """
     key = tuple(int(c) for c in modulus) if modulus is not None else None
     return _cached_field(q, m, key)
-
-
-def expand_to_matrix(vec: Sequence[int], field: Field):
-    """m x n matrix over F_q whose column j holds the coordinates of vec[j].
-
-    The map is F_q-linear and injective; rank of the result is the rank
-    of the vector.
-    """
-    from .matfq import MatrixFq
-
-    cols = [field.coeffs(v) for v in vec]
-    rows = tuple(tuple(col[i] for col in cols) for i in range(field.m))
-    return MatrixFq(field.q, rows, ncols=len(cols))
-
-
-def vector_from_matrix(mat, field: Field) -> tuple[int, ...]:
-    """Inverse of :func:`expand_to_matrix`: columns back to field elements."""
-    if mat.nrows != field.m or mat.q != field.q:
-        raise ValueError("matrix shape does not match the field")
-    return tuple(
-        field.from_coeffs([mat.rows[i][j] for i in range(field.m)]) for j in range(mat.ncols)
-    )

@@ -31,18 +31,9 @@ class LinearizedPoly:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, field: Field) -> "LinearizedPoly":
-        return cls(field, ())
-
-    @classmethod
     def identity(cls, field: Field) -> "LinearizedPoly":
         """x^{[0]} = x."""
         return cls(field, (1,))
-
-    @classmethod
-    def monomial(cls, field: Field, i: int, coeff: int = 1) -> "LinearizedPoly":
-        """coeff * x^{[i]}."""
-        return cls(field, (0,) * i + (coeff,))
 
     @property
     def q_degree(self) -> int:
@@ -77,9 +68,6 @@ class LinearizedPoly:
     def __call__(self, a: int) -> int:
         return evaluate(self, a)
 
-    def to_jsonable(self) -> list[list[int]]:
-        return self.field.word_to_jsonable(self.coeffs)
-
 
 def evaluate(f: LinearizedPoly, a: int) -> int:
     """f(a) = sum_i f_i a^{q^i}, accumulated one Frobenius step at a time."""
@@ -91,23 +79,6 @@ def evaluate(f: LinearizedPoly, a: int) -> int:
             acc = F.add(acc, F.mul(c, cur))
         cur = F.frobenius(cur)
     return acc
-
-
-def symbolic_product(f: LinearizedPoly, g: LinearizedPoly) -> LinearizedPoly:
-    """Composition f(g(x)); q-degrees add, the product is not commutative."""
-    if f.field != g.field:
-        raise ValueError("operands live in different fields")
-    F = f.field
-    if f.is_zero or g.is_zero:
-        return LinearizedPoly.zero(F)
-    out = [0] * (f.q_degree + g.q_degree + 1)
-    for i, fi in enumerate(f.coeffs):
-        if not fi:
-            continue
-        for j, gj in enumerate(g.coeffs):
-            if gj:
-                out[i + j] = F.add(out[i + j], F.mul(fi, F.frobenius(gj, i)))
-    return LinearizedPoly(F, tuple(out))
 
 
 def _subspace_basis_elements(U: Subspace | Sequence[int], field: Field) -> list[int]:
@@ -149,7 +120,3 @@ def root_space(f: LinearizedPoly, field: Field) -> Subspace:
     )
     kernel = right_kernel(mat)
     return Subspace.from_vectors(field.q, field.m, kernel)
-
-
-def poly_from_jsonable(field: Field, data: Sequence[Sequence[int]]) -> LinearizedPoly:
-    return LinearizedPoly(field, field.word_from_jsonable(data, "linearized polynomial coefficients"))

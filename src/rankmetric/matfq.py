@@ -12,13 +12,13 @@ Linear algebra runs on two elimination algorithms, each in a scalar form and
 a numpy form over a stack: Gauss-Jordan reduction to RREF for every q
 (``_gauss_jordan`` and ``_rrefs``), and an XOR basis keyed by leading bit at
 q = 2 (the q = 2 branches of ``_column_rank`` and ``_column_ranks``).  Every
-rank question (``rank``, ``subspace_distance``, ``Subspace.contains`` and the
-rank of a vector over F_{q^m}) is the XOR basis at q = 2 and the pivot count
-of ``_gauss_jordan`` at q > 2: ``rank`` hands its rows to ``_gauss_jordan``
-as they are, the rank of a vector goes through ``_column_rank``.
-``_column_ranks`` ranks a stack of words, at q > 2 by the pivot counts of
-``_rrefs``.  Over F_q both RREF kernels and the matrix sums and products read
-one row-operation table per base field, ``BaseField._axpy[c][x][y] = x - c y``.
+rank question (``rank``, ``subspace_distance`` and the rank of a vector over
+F_{q^m}) is the XOR basis at q = 2 and the pivot count of ``_gauss_jordan``
+at q > 2: ``rank`` hands its rows to ``_gauss_jordan`` as they are, the rank
+of a vector goes through ``_column_rank``.  ``_column_ranks`` ranks a stack of
+words, at q > 2 by the pivot counts of ``_rrefs``.  Over F_q both RREF
+kernels and the matrix product read one row-operation table per base field,
+``BaseField._axpy[c][x][y] = x - c y``.
 """
 
 from __future__ import annotations
@@ -93,32 +93,6 @@ class MatrixFq:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    @classmethod
-    def zeros(cls, q: int, nrows: int, ncols: int) -> "MatrixFq":
-        return cls(q, tuple((0,) * ncols for _ in range(nrows)), ncols=ncols)
-
-    @classmethod
-    def identity(cls, q: int, n: int) -> "MatrixFq":
-        return cls(q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def add(self, other: "MatrixFq") -> "MatrixFq":
-        return self._minus_multiple(base_field(self.q).neg(1), other)
-
-    def sub(self, other: "MatrixFq") -> "MatrixFq":
-        return self._minus_multiple(1, other)
-
-    def _minus_multiple(self, c: int, other: "MatrixFq") -> "MatrixFq":
-        """self - c other."""
-        self._check_compatible(other)
-        F = base_field(self.q)
-        return MatrixFq._unchecked(
-            self.q, tuple(F.axpy_row(c, ra, rb) for ra, rb in zip(self.rows, other.rows)), self.ncols
-        )
-
-    def scale(self, c: int) -> "MatrixFq":
-        F = base_field(self.q)
-        return MatrixFq._unchecked(self.q, tuple(F.scale_row(c, r) for r in self.rows), self.ncols)
-
     def mul(self, other: "MatrixFq") -> "MatrixFq":
         if self.q != other.q:
             raise ValueError("field size mismatch")
@@ -134,24 +108,6 @@ class MatrixFq:
                     row = F.axpy_row(F.neg(a), row, rb)  # row + a rb
             out.append(row)
         return MatrixFq._unchecked(self.q, tuple(out), other.ncols)
-
-    def transpose(self) -> "MatrixFq":
-        columns = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return MatrixFq._unchecked(self.q, columns, self.nrows)
-
-    def hstack(self, other: "MatrixFq") -> "MatrixFq":
-        if self.nrows != other.nrows or self.q != other.q:
-            raise ValueError("hstack shape mismatch")
-        return MatrixFq._unchecked(
-            self.q, tuple(ra + rb for ra, rb in zip(self.rows, other.rows)), self.ncols + other.ncols
-        )
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.rows)
-
-    def _check_compatible(self, other: "MatrixFq") -> None:
-        if self.q != other.q or self.shape != other.shape:
-            raise ValueError(f"incompatible matrices: {self.shape}/{other.shape}")
 
     def to_jsonable(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -508,26 +464,9 @@ class Subspace:
         object.__setattr__(subspace, "basis", basis)
         return subspace
 
-    @classmethod
-    def zero(cls, q: int, ambient_dim: int) -> "Subspace":
-        return cls(q, ambient_dim, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        v = tuple(vec)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return rank(MatrixFq(self.q, self.basis + (v,), ncols=self.ambient_dim)) == self.dim
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return row_space(MatrixFq._unchecked(self.q, self.basis + other.basis, self.ambient_dim))
-
-    def to_matrix(self) -> MatrixFq:
-        return MatrixFq._unchecked(self.q, self.basis, self.ambient_dim)
 
     def _check(self, other: "Subspace") -> None:
         if self.q != other.q:
@@ -542,10 +481,6 @@ class Subspace:
 def row_space(mat: MatrixFq) -> Subspace:
     reduced, pivots = rref(mat)
     return Subspace._canonical(mat.q, mat.ncols, reduced.rows[: len(pivots)])
-
-
-def column_space(mat: MatrixFq) -> Subspace:
-    return row_space(mat.transpose())
 
 
 def subspace_distance(U: Subspace, V: Subspace) -> int:
@@ -648,43 +583,6 @@ def _trace(fld: Field, x: int) -> int:
     for _ in range(fld.m):
         total, x = fld.add(total, x), fld.frobenius(x)
     return total
-
-
-def rank_decompose(X: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
-    """Full-rank G (r x m), H (r x n) with X = G^T H.
-
-    Rowspace(G) is the column space of X and Rowspace(H) its row space.
-    Rank 0 yields empty factors whose product is the zero matrix.
-    """
-    reduced, pivots = rref(X)
-    columns = X.transpose().rows
-    H = MatrixFq._unchecked(X.q, reduced.rows[: len(pivots)], X.ncols)
-    G = MatrixFq._unchecked(X.q, tuple(columns[p] for p in pivots), X.nrows)
-    return G, H
-
-
-def distance_sandwich_check(X: MatrixFq, Y: MatrixFq) -> tuple[int, int, int]:
-    """(lower, middle, upper) rank-distance sandwich for equal-rank X, Y.
-
-    lower  = d_S(rowspaces)/2 + d_S(colspaces)/2
-    middle = rank(X - Y)
-    upper  = min(d_S(rowspaces), d_S(colspaces))/2 + rank(X)
-
-    rank(X) and rank(Y) are read as the dimensions of the row spaces.
-    """
-    X._check_compatible(Y)
-    row_x, row_y = row_space(X), row_space(Y)
-    rx, ry = row_x.dim, row_y.dim
-    if rx != ry:
-        raise ValueError(f"unequal ranks: {rx} != {ry}")
-    ds_row = subspace_distance(row_x, row_y)
-    ds_col = subspace_distance(column_space(X), column_space(Y))
-    lower = ds_row // 2 + ds_col // 2
-    middle = rank(X.sub(Y))
-    upper = min(ds_row, ds_col) // 2 + rx
-    if not lower <= middle <= upper:
-        raise AssertionError(f"distance sandwich violated: {lower} <= {middle} <= {upper}")
-    return lower, middle, upper
 
 
 def matrix_from_jsonable(q: int, data, ncols: int | None = None, name: str = "matrix") -> MatrixFq:

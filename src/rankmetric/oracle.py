@@ -53,7 +53,6 @@ from .matfq import (
     _table_sums,
     _undigits,
     iter_rank_distances,
-    min_pairwise_rank_distance,
 )
 
 EXHAUSTIVE_GUARD = 1 << 28
@@ -61,13 +60,9 @@ BRUTEFORCE_GUARD = 1 << 24
 _CHUNK = 1 << 16
 
 
-def pack_word(vec: Sequence[int], order: int) -> int:
-    """Big-endian index of a word: ``ff._undigits`` of the reversed word."""
-    return ff._undigits(reversed(vec), order)
-
-
 def unpack_word(index: int, order: int, n: int) -> tuple[int, ...]:
-    """Inverse of ``pack_word`` for words of length n."""
+    """The word of length n with big-endian index ``index``: its last entry
+    is the least significant base-``order`` digit."""
     return tuple(reversed(ff._digits(index, order, n)))
 
 
@@ -272,9 +267,9 @@ def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUAR
     each coset of the orbit {x key : x in F_{q^m}^*}; every other bin is 0.
     So acc sums to the ball volume, and key is the smallest of its orbit.
 
-    The key of a coset is the packed index (``pack_word``) of its one word
-    that is zero on the first k positions, the reduction of any of its words
-    modulo the generator rows; for an MRD code that word is also the
+    The key of a coset is the big-endian index (``unpack_word``) of its one
+    word that is zero on the first k positions, the reduction of any of its
+    words modulo the generator rows; for an MRD code that word is also the
     lexicographically smallest of the coset.  The key is F_{q^m}-linear, so
     key(e) is the sum over j of e_j key(u_j) (``GabidulinCode._unit_keys``),
     and key(x e) = x key(e): coset counts are constant on orbits.  Rank-t
@@ -301,7 +296,7 @@ def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUAR
         raise ValueError(f"coset count of {work} steps exceeds exhaustive guard {guard}")
     # a key packs (n-k) m e base-p digits (q = p^e)
     width = (n - k) * m * fld.base.e
-    # key(x u_j) = x key(u_j), packed big-endian like pack_word
+    # key(x u_j) = x key(u_j), packed big-endian as unpack_word reads it
     unit_keys = code._unit_keys
     normalize = _key_normalizer(fld, n - k)
     acc = np.zeros(bins, dtype=np.int64)
@@ -387,38 +382,6 @@ def max_list_size(
     return MaxListResult(best_count, unpack_word(best_index, fld.order, n), scanned, mode == "exhaustive")
 
 
-def list_to_crc(
-    result: ListResult,
-    exact_distance: int | None = None,
-    source_min_distance: int | None = None,
-) -> ConstantRankCode:
-    """Translate {r - c_i : rank(r - c_i) = exact_distance} into a constant-rank code.
-
-    Cardinality equals sphere_counts[exact_distance]; all words have rank
-    exactly that distance; the pairwise minimum is the exact minimum when
-    the list is small enough to check, else the supplied source distance.
-    """
-    fld = result.field
-    tau = result.tau if exact_distance is None else exact_distance
-    if not 0 <= tau <= result.tau:
-        raise ValueError(f"exact distance {tau} outside the scanned radius {result.tau}")
-    translated = tuple(
-        tuple(fld.sub(x, y) for x, y in zip(result.received_word, cw))
-        for cw, dist in zip(result.codewords, result.distances)
-        if dist == tau
-    )
-    if not translated:
-        raise ValueError(f"no codewords at exact distance {tau}")
-    if len(translated) <= 512:
-        min_dist = min_pairwise_rank_distance(translated, fld) or 0
-        exact = True
-    else:
-        if source_min_distance is None:
-            raise ValueError("source_min_distance required for large lists")
-        min_dist, exact = source_min_distance, False
-    return ConstantRankCode(fld, len(result.received_word), tau, translated, min_dist, exact)
-
-
 def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[int] | None = None) -> int:
     """Count m x n matrices over F_q within rank distance tau of the center.
 
@@ -427,7 +390,7 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     F_{q^m}, shifted by the center; the count is center-independent.  With
     enough of them for ``matfq._batched`` the words come as numpy blocks of
     the base-q^m digits of their indices, else one ``itertools.product``
-    tuple at a time in ascending pack_word order.
+    tuple at a time in ascending big-endian index order.
     """
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:

@@ -111,11 +111,8 @@ class WitnessCertificate:
             "meta": self.meta,
         }
 
-    def to_json(self, verified: bool | None = None) -> str:
-        doc = self.to_jsonable()
-        if verified is not None:
-            doc["verified"] = verified
-        return json_text(doc)
+    def to_json(self) -> str:
+        return json_text(self.to_jsonable())
 
 
 def _size(value, name: str) -> int:

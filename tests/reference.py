@@ -1,0 +1,108 @@
+"""Scalar references that the tests compare the library's fast paths against.
+
+This module holds no tests.  Each function is the plain form of a question
+the library answers another way, written on the primitives it keeps (``rref``,
+``row_space``, ``subspace_distance``, ``rank``, ``BaseField.axpy_row`` and
+``Field.coeffs``/``from_coeffs``):
+
+* ``rank_decompose`` and ``distance_sandwich_check`` (with ``column_space``)
+  are the references for acceptance criteria 3 and 4, which run batched;
+* ``expand_to_matrix`` and ``vector_from_matrix`` are the references for
+  ``rank_of_vector`` and, through ``slow_pair_words``, for the row-combination
+  words of ``crc_from_cdc_pair``;
+* ``symbolic_product`` composes linearized polynomials;
+* ``pack_word`` is the big-endian index that ``oracle.unpack_word`` reads and
+  the coset histogram keys by.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from rankmetric.ff import Field, base_field
+from rankmetric.linpoly import LinearizedPoly
+from rankmetric.matfq import MatrixFq, Subspace, rank, row_space, rref, subspace_distance
+
+
+def transpose(mat: MatrixFq) -> MatrixFq:
+    return MatrixFq(mat.q, tuple(zip(*mat.rows)) if mat.rows else ((),) * mat.ncols, ncols=mat.nrows)
+
+
+def column_space(mat: MatrixFq) -> Subspace:
+    return row_space(transpose(mat))
+
+
+def rank_decompose(X: MatrixFq) -> tuple[MatrixFq, MatrixFq]:
+    """Full-rank G (r x m), H (r x n) with X = G^T H.
+
+    Rowspace(G) is the column space of X and Rowspace(H) its row space.
+    Rank 0 yields empty factors whose product is the zero matrix.
+    """
+    reduced, pivots = rref(X)
+    columns = transpose(X).rows
+    H = MatrixFq(X.q, reduced.rows[: len(pivots)], ncols=X.ncols)
+    G = MatrixFq(X.q, tuple(columns[p] for p in pivots), ncols=X.nrows)
+    return G, H
+
+
+def distance_sandwich_check(X: MatrixFq, Y: MatrixFq) -> tuple[int, int, int]:
+    """(lower, middle, upper) rank-distance sandwich for equal-rank X, Y.
+
+    lower  = d_S(rowspaces)/2 + d_S(colspaces)/2
+    middle = rank(X - Y)
+    upper  = min(d_S(rowspaces), d_S(colspaces))/2 + rank(X)
+
+    rank(X) and rank(Y) are read as the dimensions of the row spaces.
+    """
+    if X.q != Y.q or (X.nrows, X.ncols) != (Y.nrows, Y.ncols):
+        raise ValueError("incompatible matrices")
+    row_x, row_y = row_space(X), row_space(Y)
+    rx, ry = row_x.dim, row_y.dim
+    if rx != ry:
+        raise ValueError(f"unequal ranks: {rx} != {ry}")
+    ds_row = subspace_distance(row_x, row_y)
+    ds_col = subspace_distance(column_space(X), column_space(Y))
+    lower = ds_row // 2 + ds_col // 2
+    F = base_field(X.q)
+    middle = rank(MatrixFq(X.q, tuple(F.axpy_row(1, a, b) for a, b in zip(X.rows, Y.rows)), ncols=X.ncols))
+    upper = min(ds_row, ds_col) // 2 + rx
+    if not lower <= middle <= upper:
+        raise AssertionError(f"distance sandwich violated: {lower} <= {middle} <= {upper}")
+    return lower, middle, upper
+
+
+def expand_to_matrix(vec: Sequence[int], field: Field) -> MatrixFq:
+    """m x n matrix over F_q whose column j holds the coordinates of vec[j].
+
+    The map is F_q-linear and injective; rank of the result is the rank
+    of the vector.
+    """
+    cols = [field.coeffs(v) for v in vec]
+    return MatrixFq(field.q, tuple(tuple(col[i] for col in cols) for i in range(field.m)), ncols=len(cols))
+
+
+def vector_from_matrix(mat: MatrixFq, field: Field) -> tuple[int, ...]:
+    """Inverse of ``expand_to_matrix``: columns back to field elements."""
+    if mat.nrows != field.m or mat.q != field.q:
+        raise ValueError("matrix shape does not match the field")
+    return tuple(field.from_coeffs([row[j] for row in mat.rows]) for j in range(mat.ncols))
+
+
+def symbolic_product(f: LinearizedPoly, g: LinearizedPoly) -> LinearizedPoly:
+    """Composition f(g(x)); q-degrees add, the product is not commutative."""
+    if f.field != g.field:
+        raise ValueError("operands live in different fields")
+    F = f.field
+    out = [0] * (len(f.coeffs) + len(g.coeffs))
+    for i, fi in enumerate(f.coeffs):
+        for j, gj in enumerate(g.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(fi, F.frobenius(gj, i)))
+    return LinearizedPoly(F, tuple(out))
+
+
+def pack_word(vec: Sequence[int], order: int) -> int:
+    """The big-endian base-``order`` index of ``vec``, the inverse of ``oracle.unpack_word``."""
+    index = 0
+    for x in vec:
+        index = index * order + x
+    return index

@@ -14,6 +14,7 @@ from rankmetric import acceptance, cli, matfq
 from rankmetric.acceptance import CRITERIA
 from rankmetric.ff import _digits
 from rankmetric.matfq import MatrixFq
+from reference import column_space, distance_sandwich_check, rank_decompose, transpose
 
 # stated runtime budgets, seconds
 BUDGETS = {1: 1, 2: 1, 3: 5, 4: 5, 5: 10, 6: 30, 7: 10, 8: 300, 9: 10, 10: 10, 11: 30, 12: 1}
@@ -30,7 +31,7 @@ def test_acceptance_criterion(cid, desc, fn):
     assert elapsed < BUDGETS[cid], f"criterion {cid} exceeded its {BUDGETS[cid]}s budget ({elapsed:.2f}s)"
 
 
-# --- criteria 3 and 4 run batched; the scalar matfq functions are their reference ---
+# --- criteria 3 and 4 run batched; the scalar functions of reference.py are their reference ---
 
 
 def _scalar_rank_decompose_samples():
@@ -83,12 +84,12 @@ def test_criterion_3_batched_decomposition_matches_the_scalar_functions():
         reduced = {name: matfq._rrefs(stack, q)[0] for name, stack in (("G", G), ("H", H), ("XT", X.transpose(0, 2, 1)))}
         for i, mat in enumerate(mats):
             rows, cols = mat.shape
-            G_s, H_s = matfq.rank_decompose(mat)
+            G_s, H_s = rank_decompose(mat)
             assert _as_rows(X[i]) == _padded(mat.rows, cols)
             assert _as_rows(G[i]) == _padded(G_s.rows, rows) and _as_rows(H[i]) == _padded(H_s.rows, cols)
-            assert _as_rows(product[i]) == _padded(G_s.transpose().mul(H_s).rows, cols)
+            assert _as_rows(product[i]) == _padded(transpose(G_s).mul(H_s).rows, cols)
             assert _as_rows(reduced["G"][i]) == _padded(matfq.row_space(G_s).basis, rows)
-            assert _as_rows(reduced["XT"][i]) == _padded(matfq.column_space(mat).basis, rows)
+            assert _as_rows(reduced["XT"][i]) == _padded(column_space(mat).basis, rows)
             assert _as_rows(reduced["H"][i]) == _padded(matfq.row_space(H_s).basis, cols)
             assert _as_rows(H[i]) == _padded(matfq.row_space(mat).basis, cols)
 
@@ -102,7 +103,7 @@ def test_criterion_4_batched_sandwiches_match_distance_sandwich_check():
     for i, (X, Y) in enumerate(scalar_pairs):
         padded = [row + (0,) * (4 - len(row)) for M in (X, Y) for row in M.rows + ((),) * (4 - M.nrows)]
         assert pairs[i].tolist() == [sum(x << j for j, x in enumerate(row)) for row in padded]
-        assert (lower[i], middle[i], upper[i]) == matfq.distance_sandwich_check(X, Y)
+        assert (lower[i], middle[i], upper[i]) == distance_sandwich_check(X, Y)
 
 
 @pytest.mark.parametrize(

@@ -15,15 +15,15 @@ from rankmetric.codes import (
     GabidulinCode,
     crc_from_cdc_pair,
     crc_theorem8,
-    gabidulin_to_jsonable,
     lift,
-    lift_untransposed_cdc,
     lifted_mrd_cdc,
     lifted_mrd_cdc_odd,
 )
-from rankmetric.ff import SUPPORTED_Q, make_field, vector_from_matrix
+from rankmetric.ff import SUPPORTED_Q, make_field
 from rankmetric.linpoly import LinearizedPoly
 from rankmetric.matfq import MatrixFq, Subspace, rank_of_vector, subspace_distance
+from rankmetric.witness import bound1_witness
+from reference import transpose, vector_from_matrix
 
 F16 = make_field(2, 4)
 
@@ -42,9 +42,8 @@ def slow_pair_words(M, N, fld):
     """crc_from_cdc_pair's words by F_q matrix algebra: A_i = G_i^T H_i, column j read as an element of fld."""
     words = []
     for U, V in zip(M.words, N.words):
-        G, H = U.to_matrix(), V.to_matrix()
-        A = G.transpose().mul(H) if U.dim else MatrixFq.zeros(fld.q, M.ambient, N.ambient)
-        words.append(vector_from_matrix(A, fld))
+        G, H = MatrixFq(fld.q, U.basis, ncols=M.ambient), MatrixFq(fld.q, V.basis, ncols=N.ambient)
+        words.append(vector_from_matrix(transpose(G).mul(H), fld))
     return tuple(words)
 
 
@@ -72,7 +71,7 @@ def test_gabidulin_validation():
 def test_gabidulin_encode_examples():
     code = GabidulinCode(F16, n=4, k=2)
     assert code.alphas == (1, 2, 4, 8)
-    assert code.encode(LinearizedPoly.zero(F16)) == (0, 0, 0, 0)
+    assert code.encode(LinearizedPoly(F16, ())) == (0, 0, 0, 0)
     # f = x evaluates to the points themselves, a full-rank word
     word = code.encode(LinearizedPoly.identity(F16))
     assert word == code.alphas
@@ -253,13 +252,13 @@ def test_lifted_mrd_cdc_odd_characteristic():
 
 
 def test_lift_examples():
-    zero = MatrixFq.zeros(2, 2, 2)
+    zero = MatrixFq(2, ((0, 0), (0, 0)))
     s = lift(zero)
     assert s.basis == ((1, 0, 0, 0), (0, 1, 0, 0))
     one = MatrixFq(2, ((1,),))
     assert lift(one) == Subspace.from_vectors(2, 2, [(1, 1)])
     empty = lift(MatrixFq(2, (), ncols=3))
-    assert empty == Subspace.zero(2, 3) and empty.dim == 0
+    assert empty == Subspace(2, 3, ()) and empty.dim == 0
 
 
 def test_lift_builds_canonical_subspaces():
@@ -361,19 +360,6 @@ def test_lifted_mrd_cdc_odd_preconditions():
     assert lifted_mrd_cdc_odd(6, 2, 1, "plus", 2) == lifted_mrd_cdc_odd(6, 2, 3, "minus", 2)
 
 
-def test_lift_untransposed_cdc():
-    cdc = lift_untransposed_cdc(5, 3, 4, 2)
-    assert cdc.cardinality == 8
-    assert all(w.dim == 3 and w.ambient_dim == 5 for w in cdc.words)
-    dists = [subspace_distance(a, b) for a, b in itertools.combinations(cdc.words, 2)]
-    assert min(dists) == 4
-    # coincides with the transposed construction at tau = n - tau
-    square = lift_untransposed_cdc(4, 2, 4, 2)
-    assert square.cardinality == 4
-    with pytest.raises(ValueError, match="n - tau >= d/2"):
-        lift_untransposed_cdc(4, 3, 6, 2)
-
-
 # --- constant-rank constructions ---------------------------------------------------
 
 
@@ -402,8 +388,8 @@ def test_crc_from_cdc_pair_min_rule():
 
 def test_crc_from_cdc_pair_degenerate_rank_zero():
     q = 2
-    M = ConstantDimensionCode(q, 4, 0, (Subspace.zero(q, 4),), 0)
-    N = ConstantDimensionCode(q, 3, 0, (Subspace.zero(q, 3),), 0)
+    M = ConstantDimensionCode(q, 4, 0, (Subspace(q, 4, ()),), 0)
+    N = ConstantDimensionCode(q, 3, 0, (Subspace(q, 3, ()),), 0)
     crc = crc_from_cdc_pair(M, N, F16)
     assert crc.cardinality == 1
     assert crc.words == ((0, 0, 0),) == slow_pair_words(M, N, F16)
@@ -552,7 +538,13 @@ def test_crc_serialization_roundtrip():
 
 
 def test_gabidulin_serialization():
+    # a Gabidulin code is written as its field modulus and evaluation points,
+    # the "modulus" and "alphas" params of a certificate
     code = GabidulinCode(F16, n=3, k=2)
-    doc = gabidulin_to_jsonable(code)
-    assert doc["modulus"] == [1, 1, 0, 0, 1]
-    assert doc["alphas"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    doc = code.field.word_to_jsonable(code.alphas)
+    assert list(code.field.modulus) == [1, 1, 0, 0, 1]
+    assert doc == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    assert code.field.word_from_jsonable(doc, "alphas") == code.alphas
+    params = bound1_witness(GabidulinCode(F16, n=4, k=2), 2).to_jsonable()["params"]
+    assert params["modulus"] == [1, 1, 0, 0, 1]
+    assert params["alphas"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

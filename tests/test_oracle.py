@@ -28,13 +28,12 @@ from rankmetric.oracle import (
     distance_counts,
     iter_codewords,
     list_codewords,
-    list_to_crc,
     max_list_size,
-    pack_word,
     rank_leq,
     unpack_word,
 )
 from rankmetric.witness import bound1_witness
+from reference import pack_word
 
 F4 = make_field(2, 2)
 F16 = make_field(2, 4)
@@ -532,33 +531,29 @@ def test_max_list_size_beyond_word_space_scan(m, k, ell):
         assert list_codewords(code, res.word, 2).size == ell
 
 
+def _translates(res, tau):
+    """The words r - c over the listed codewords c at rank distance exactly tau from r."""
+    fld = res.field
+    return tuple(
+        tuple(map(fld.sub, res.received_word, cw)) for cw, dist in zip(res.codewords, res.distances) if dist == tau
+    )
+
+
 def test_list_to_crc_from_witness_list():
+    # the translates of the witness list are 35 words of rank 2 at pairwise distance >= d = 3
     code = GabidulinCode(F16, n=4, k=2)
     cert = bound1_witness(code, 2)
     res = list_codewords(code, cert.received_word, 2)
-    crc = list_to_crc(res, 2)
-    assert crc.cardinality == res.sphere_counts[2] == 35
-    assert crc.rank == 2
-    assert crc.min_rank_distance >= 3 and crc.distance_exact
-    # translate members are received - codeword
-    assert crc.words[0] == tuple(
-        F16.sub(a, b) for a, b in zip(res.received_word, res.codewords[0])
-    )
+    words = _translates(res, 2)
+    assert len(words) == res.sphere_counts[2] == 35
+    assert {rank_of_vector(w, F16) for w in words} == {2}
+    assert matfq.min_pairwise_rank_distance(words, F16) >= 3
 
 
 def test_list_to_crc_single_member():
     code = GabidulinCode(F16, n=4, k=2)
-    cw = code.codeword(5)
-    res = list_codewords(code, cw, 0)
-    crc = list_to_crc(res, 0)
-    assert crc.cardinality == 1 and crc.rank == 0
-
-
-def test_list_to_crc_empty_sphere_rejected():
-    code = GabidulinCode(F16, n=4, k=2)
-    res = list_codewords(code, code.codeword(7), 1)
-    with pytest.raises(ValueError, match="no codewords"):
-        list_to_crc(res, 1)
+    res = list_codewords(code, code.codeword(5), 0)
+    assert _translates(res, 0) == ((0, 0, 0, 0),)
 
 
 def test_list_to_crc_recovers_existence_construction():
@@ -569,9 +564,9 @@ def test_list_to_crc_recovers_existence_construction():
     crc = crc_theorem8(6, 6, 2, 3, 2)
     res = list_codewords(crc, (0,) * 6, 2)
     assert res.sphere_counts[2] == 16
-    back = list_to_crc(res, 2)
-    assert set(back.words) == set(crc.words)
-    assert back.rank == crc.rank == 2
+    back = _translates(res, 2)
+    assert set(back) == set(crc.words)
+    assert {rank_of_vector(w, crc.field) for w in back} == {crc.rank} == {2}
 
 
 def test_list_sizes_never_exceed_upper_bound():
@@ -632,7 +627,8 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
             distance_counts(GabidulinCode(F16, n=4, k=2), (0, 0, 0, 0)),
             distance_counts(GabidulinCode(F27, n=3, k=2), (1, 2, 3)),
         ]
-        return lists, counts, list_to_crc(lists[1], 2).min_rank_distance, acceptance._check_mrd()
+        translates = _translates(lists[1], 2)
+        return lists, counts, matfq.min_pairwise_rank_distance(translates, F16), acceptance._check_mrd()
 
     results = []
     for batched, unused in ((False, "codeword_blocks"), (True, "iter_codewords")):

@@ -468,9 +468,9 @@ def test_certificate_json_roundtrip():
 
 def test_certificate_schema_fields():
     cert = bound1_witness(GabidulinCode(F16, n=4, k=2), 2)
-    doc = json.loads(cert.to_json(verified=True))
+    doc = json.loads(cert.to_json())
     assert doc["kind"] == "bound1"
-    assert doc["verified"] is True
+    assert "verified" not in doc  # the CLI adds verified and checks (test_cli)
     assert set(doc["params"]) >= {"q", "m", "n", "k", "d", "tau", "modulus"}
     assert doc["claimed_size"] == "35"
     assert len(doc["codewords"]) == 35
