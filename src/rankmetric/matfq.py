@@ -16,9 +16,11 @@ rank question (``rank``, ``subspace_distance`` and the rank of a vector over
 F_{q^m}) is the XOR basis at q = 2 and the pivot count of ``_gauss_jordan``
 at q > 2: ``rank`` hands its rows to ``_gauss_jordan`` as they are, the rank
 of a vector goes through ``_column_rank``.  ``_column_ranks`` ranks a stack of
-words, at q > 2 by the pivot counts of ``_rrefs``.  Over F_q both RREF
-kernels and the matrix product read one row-operation table per base field,
-``BaseField._axpy[c][x][y] = x - c y``.
+words, at q > 2 by the pivot counts of ``_rrefs``.  ``_space_ranks`` ranks
+every matrix of a whole m x n space with no elimination, from span tables of
+the column prefixes the matrices share.  Over F_q both RREF kernels, the
+span tables and the matrix product read one row-operation table per base
+field, ``BaseField._axpy[c][x][y] = x - c y``.
 """
 
 from __future__ import annotations
@@ -315,6 +317,63 @@ def _column_ranks(words, q: int, m: int):
     return _rrefs(_digits(words, q, m), q)[1]
 
 
+def _space_ranks(q: int, m: int, n: int):
+    """The F_q-rank of every m x n matrix over F_q, as a uint8 array in the
+    index order of ``_digits(np.arange(q**(m*n)), q**m, n)``: column j of
+    matrix i is the base-q^m digit j of i, read as ``_column_rank`` reads an
+    F_{q^m} element.
+
+    Matrices that share their first columns share the work on them, since
+    rank([P | w]) = rank(P) + [w not in colspan(P)].  The columns are walked
+    in order, and each prefix P before the last column keeps a boolean table
+    over the q^m column values of its span; the span of [P | w] is the union
+    over a in F_q of span(P) + a w, read at x - a w, which is taken digitwise
+    from ``BaseField._axpy`` (XOR at q = 2).  So each rank is one gather from
+    the tables of its own entries, with no elimination and no counting
+    formula, and the closed-form ball volumes stay an independent check.
+
+    Ranks are uint8 and tables bool: the last table and the result take one
+    byte per matrix each, and the last column is ranked _BATCH_ROWS prefixes
+    at a time.
+    """
+    import numpy as np
+
+    order = q**m
+    ranks = np.zeros(1, dtype=np.uint8)
+    if n == 0:
+        return ranks
+    span = np.zeros((1, order), dtype=bool)
+    span[0, 0] = True  # the empty prefix spans {0}
+    if n > 1:  # then order**2 <= q**(m*n), so no array over the column values spans the space
+        values = np.arange(order)
+        if q == 2:
+            def shifted(a, ws):  # x - a w for every x, one row per w of ws
+                return ws[:, None] ^ values
+        else:
+            axpy, digits = np.array(base_field(q)._axpy, dtype=np.uint8), _digits(values, q, m)
+
+            def shifted(a, ws):
+                return _undigits(axpy[a][digits, _digits(ws, q, m)[:, None, :]], q)
+
+    for _ in range(n - 1):
+        prefixes = len(ranks)
+        ranks = (ranks + ~span.T).reshape(-1)  # [w, P] for the prefixes [P | w]
+        grown = np.empty((order, prefixes, order), dtype=bool)
+        # a block of ws gathers at most _BATCH_ROWS tables of order entries,
+        # and shifts at most _BATCH_ROWS entries (9m + 8 bytes each at q > 2)
+        step = max(1, _BATCH_ROWS // max(prefixes, order))
+        for lo in range(0, order, step):
+            ws, block = values[lo : lo + step], grown[lo : lo + step]
+            block[...] = span
+            for a in range(1, q):
+                block |= np.take(span, shifted(a, ws), axis=1).transpose(1, 0, 2)
+        span = grown.reshape(-1, order)
+    out = np.empty((order, len(ranks)), dtype=np.uint8)
+    for lo in range(0, len(ranks), _BATCH_ROWS):
+        out[:, lo : lo + _BATCH_ROWS] = ranks[lo : lo + _BATCH_ROWS] + ~span[lo : lo + _BATCH_ROWS].T
+    return out.reshape(-1)
+
+
 def _rrefs(block, q: int):
     """``rref`` of every matrix of the (N, r, c) uint8 stack ``block`` over
     F_q: the reduced stack and the ranks, an int64 array.
@@ -475,7 +534,8 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
     def to_jsonable(self) -> dict:
-        return {"ambient": self.ambient_dim, "basis": [list(r) for r in self.basis]}
+        basis = MatrixFq._unchecked(self.q, self.basis, self.ambient_dim)
+        return {"ambient": self.ambient_dim, "basis": basis.to_jsonable()}
 
 
 def row_space(mat: MatrixFq) -> Subspace:

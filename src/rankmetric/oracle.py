@@ -15,12 +15,15 @@ Other codes are scanned word by word (``_count_ball``), the tests' ground
 truth.
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
-once ``matfq._batched`` finds enough work: Gabidulin codewords come as
-blocks from ``GabidulinCode.codeword_blocks`` (``matfq._row_tables``) and
-matrices as blocks of base-q^m digits, ranked by ``matfq._column_ranks``
-(XOR bit planes at q = 2, pivot counts of ``matfq._rrefs`` at q > 2).
-Below that they build one tuple per word (``GabidulinCode.iter_codewords``,
-``matfq._combine``) and rank it with the scalar ``matfq._column_rank`` (an
+once ``matfq._batched`` finds enough work.  Decoding lists and distance
+counts take Gabidulin codewords as blocks from ``GabidulinCode.codeword_blocks``
+(``matfq._row_tables``), ranked by ``matfq._column_ranks`` (XOR bit planes
+at q = 2, pivot counts of ``matfq._rrefs`` at q > 2).  Ball counts, like
+the full-rank candidates of the coset histogram, rank the whole matrix space
+at once with ``matfq._space_ranks``, which shares the work on the first
+columns among the matrices that have them.  Below the numpy floor every path
+builds one tuple per word (``GabidulinCode.iter_codewords``,
+``matfq._combine``) and ranks it with the scalar ``matfq._column_rank`` (an
 XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
 ``rank_leq`` and ``_count_ball`` always do: the reference the batched paths
 are tested against.
@@ -49,6 +52,7 @@ from .matfq import (
     _digits,
     _multiples,
     _singer_orbits,
+    _space_ranks,
     _sub_words,
     _table_sums,
     _undigits,
@@ -275,10 +279,11 @@ def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUAR
     and key(x e) = x key(e): coset counts are constant on orbits.  Rank-t
     errors are e_j = sum_i A_ij b_i over the full-rank t x n matrices A and a
     basis b_1..b_t of their column space U; multiplying by x maps U to xU and
-    keeps A.  So only one U per orbit of Gr(m, t) under F_{q^m}^* is keyed
-    (``_singer_orbits``), read from one table per coordinate j by
-    ``matfq._table_sums``, and each error adds its orbit size at its
-    normalized key (``_key_normalizer``).
+    keeps A.  The A are the matrices of rank t in ``matfq._space_ranks``,
+    which ranks all q^{tn} of them from shared column prefixes.  So only one
+    U per orbit of Gr(m, t) under F_{q^m}^* is keyed (``_singer_orbits``),
+    read from one table per coordinate j by ``matfq._table_sums``, and each
+    error adds its orbit size at its normalized key (``_key_normalizer``).
 
     Refuses, before any work, more than ENUMERATION_GUARD cosets or more
     than ``guard`` steps (``_coset_work``); the counts are checked against
@@ -304,15 +309,14 @@ def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUAR
     for t in range(1, tau + 1):
         # every full-rank t x n matrix A over F_q, one per row: entry j is
         # column j of A, the integer whose base-q digit i is A_ij
-        total = q ** (t * n)
-        cols = np.concatenate(
-            [
-                block[_column_ranks(block, q, t) == t]
-                for block in (
-                    _digits(np.arange(lo, min(lo + _CHUNK, total)), q**t, n) for lo in range(0, total, _CHUNK)
-                )
-            ]
-        )
+        full = _space_ranks(q, t, n) == t
+        # filled in place: a list of blocks and their concatenation would hold every row twice
+        cols = np.empty((np.count_nonzero(full), n), dtype=np.min_scalar_type(q**t - 1))
+        end = 0
+        for lo in range(0, len(full), _CHUNK):
+            block = _digits(lo + np.flatnonzero(full[lo : lo + _CHUNK]), q**t, n)
+            cols[end : end + len(block)] = block
+            end += len(block)
         for span, size in _singer_orbits(fld, t):
             tables = [
                 _addends(_undigits(_multiples(fld, span, key)[:, ::-1], fld.order), p, width) for key in unit_keys
@@ -386,11 +390,14 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     """Count m x n matrices over F_q within rank distance tau of the center.
 
     The center is a length-n word over F_{q^m}, column j of the matrix being
-    the base-q digits of its entry j.  Matrices are enumerated as words over
-    F_{q^m}, shifted by the center; the count is center-independent.  With
-    enough of them for ``matfq._batched`` the words come as numpy blocks of
-    the base-q^m digits of their indices, else one ``itertools.product``
-    tuple at a time in ascending big-endian index order.
+    the base-q digits of its entry j; its entries are read with
+    ``ff.json_int``, so a float or bool entry raises ValueError.  Matrices are
+    enumerated as words over F_{q^m}, shifted by the center; the count is
+    center-independent.  With enough of them for ``matfq._batched`` every
+    matrix is ranked at once by ``matfq._space_ranks`` and the center is
+    applied along each column axis as the permutation a -> a - c_j; else
+    they come one ``itertools.product`` tuple at a time in ascending
+    big-endian index order, ranked by ``matfq._column_rank``.
     """
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:
@@ -399,7 +406,7 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
     order = q**m
     if center is not None:
-        center = [int(c) for c in center]
+        center = [ff.json_int(c, f"center entry {j}") for j, c in enumerate(center)]
         if len(center) != n:
             raise ValueError(f"center has length {len(center)}, need n={n}")
         if any(not 0 <= c < order for c in center):
@@ -408,14 +415,18 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[in
     if _batched(total, order):
         import numpy as np
 
-        shift = None if fld is None else np.asarray(center, dtype=np.int64)
-        count = 0
-        for lo in range(0, total, _BATCH_ROWS):
-            words = _digits(np.arange(lo, min(lo + _BATCH_ROWS, total)), order, n)
-            if shift is not None:
-                words = _sub_words(words, shift, fld)
-            count += int((_column_ranks(words, q, m) <= tau).sum())
-        return count
+        ranks = _space_ranks(q, m, n).reshape((order,) * n)  # axis n - 1 - j is column j
+        if fld is not None:
+            for j, c in enumerate(center):
+                # entry a of column j ranks a - c_j, taken in blocks of a: at
+                # n = 1 the column values are the whole space
+                column = np.moveaxis(ranks, n - 1 - j, 0)
+                moved = np.empty_like(column)
+                for lo in range(0, order, _BATCH_ROWS):
+                    a = np.arange(lo, min(lo + _BATCH_ROWS, order))
+                    moved[lo : lo + _BATCH_ROWS] = column[_sub_words(a, c, fld)]
+                ranks = np.moveaxis(moved, 0, n - 1 - j)
+        return int(np.count_nonzero(ranks <= tau))
     columns = [range(order)] * n
     if fld is not None:
         columns = [[fld.sub(a, c) for a in range(order)] for c in center]

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rankmetric import codes, matfq
 from rankmetric.bounds import gaussian_binomial
@@ -17,7 +17,9 @@ from rankmetric.matfq import (
     Subspace,
     _column_rank,
     _column_ranks,
+    _digits,
     _rrefs,
+    _space_ranks,
     _sub_words,
     grassmannian_enumerate,
     grassmannian_order_key,
@@ -135,6 +137,24 @@ def test_column_ranks_match_column_rank(q, seed):
     table = [[_column_rank(tuple(fld.sub(a, b) for a, b in zip(u, v)), q, m, n) for v in words] for u in words]
     pairwise = [table[i][j] for i in range(len(words)) for j in range(i + 1, len(words))]
     assert results[0][2] == (min(pairwise) if pairwise else None)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@settings(max_examples=8, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(0, 4))
+@example(m=1, n=3)
+@example(m=2, n=1)
+@example(m=2, n=0)
+def test_space_ranks_match_the_rank_kernels(q, m, n):
+    # every matrix of the space, index by index, against the stack kernel and
+    # the scalar one; n = 0 is the one empty matrix, of rank 0
+    total = q ** (m * n)
+    assume(total <= 4096)
+    ranks = _space_ranks(q, m, n)
+    assert ranks.dtype == np.uint8 and ranks.shape == (total,)
+    words = _digits(np.arange(total), q**m, n)
+    assert ranks.tolist() == _column_ranks(words, q, m).tolist()
+    assert ranks.tolist() == [_column_rank(w, q, m, n) for w in words.tolist()]
 
 
 @pytest.mark.parametrize("m", [9, 17])

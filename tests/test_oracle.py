@@ -5,7 +5,9 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -608,6 +610,14 @@ def test_ball_volume_bruteforce_rejects_bad_center():
         ball_volume_bruteforce(2, 2, 3, 1, center=(1, 2, 3))
     with pytest.raises(ValueError, match="0..3"):
         ball_volume_bruteforce(2, 2, 2, 1, center=(1, 4))
+    # entries are read as integers, not truncated: (0.5, 1.7) is not (0, 1)
+    with pytest.raises(ValueError, match=r"center entry 0 must be an integer, got 0\.5"):
+        ball_volume_bruteforce(2, 2, 2, 1, center=[0.5, 1.7])
+    with pytest.raises(ValueError, match=r"center entry 1 must be an integer, got 1\.0"):
+        ball_volume_bruteforce(2, 2, 2, 1, center=[1, 1.0])
+    with pytest.raises(ValueError, match="center entry 0 must be an integer, got True"):
+        ball_volume_bruteforce(2, 2, 2, 1, center=[True, 0])
+    assert ball_volume_bruteforce(2, 2, 2, 1, center=[np.int64(1), 2]) == 10
 
 
 def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
@@ -641,19 +651,42 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
     assert results[0][1][0] == [1, 0, 0, 15 * 15, 255 - 15 * 15]  # Gab[4,2]: [4;3]*15 words of weight d = 3
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 @pytest.mark.parametrize("batched", [False, True])
 def test_ball_volume_bruteforce_paths_match_formula(q, batched, force_batching, monkeypatch):
     force_batching(batched)
-    monkeypatch.setattr(oracle, "_column_rank" if batched else "_column_ranks", None)  # the other path
+    monkeypatch.setattr(oracle, "_column_rank" if batched else "_space_ranks", None)  # the other path
     rng = random.Random(q)
-    for m in range(1, 4):
+    for m in range(1, 3 if q == 9 else 4):
         for n in range(1, 4 if q == 2 else 3):
             for tau in range(min(m, n) + 1):
-                center = tuple(rng.randrange(q**m) for _ in range(n))
+                center = tuple(rng.randrange(1, q**m) for _ in range(n))  # nonzero entries
                 closed = ball_volume(m, n, q, tau)
                 assert ball_volume_bruteforce(m, n, q, tau) == closed
                 assert ball_volume_bruteforce(m, n, q, tau, center=center) == closed
+
+
+def _peak_bytes(call):
+    """The peak of the memory traced while ``call()`` runs; numpy reports its
+    array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_space_scans_take_a_few_bytes_per_matrix(monkeypatch):
+    # an int64 array over the whole space alone takes 8 bytes per matrix
+    total = 3**12
+    assert _peak_bytes(lambda: matfq._space_ranks(3, 3, 4)) < 4 * total  # uint8 ranks, the last bool table
+    # the histogram keeps a rank-t mask (1 byte per matrix) and the n = 4 byte
+    # rows of the full-rank A (85 % of them); with small blocks that is its peak
+    code = GabidulinCode(make_field(3, 4), n=4, k=3)
+    oracle._coset_histogram(code, 1)  # field tables and orbits, outside the count
+    monkeypatch.setattr(oracle, "_CHUNK", 1 << 10)
+    assert _peak_bytes(lambda: oracle._coset_histogram(code, 3)) < 6 * total
 
 
 def test_ball_volume_bruteforce_guard():

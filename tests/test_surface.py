@@ -23,7 +23,6 @@ ALLOWED = {
     "witness.certificate_from_jsonable": "reads back what `witness --out` writes; a `check` command needs it",
     "witness.WitnessCertificate.to_json": "the certificate's own text, which certificate_from_jsonable reads",
     "codes.ConstantRankCode.from_jsonable": "reads the constant-rank code that `construct` writes",
-    "matfq.MatrixFq.to_jsonable": "writes the matrix format that matrix_from_jsonable reads",
     "matfq.matrix_from_jsonable": "reads the matrix format of subspace bases in `construct` files",
 }
 
