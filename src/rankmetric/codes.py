@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 
 from . import ff
 from .ff import Field, json_bool, json_int, json_key, json_list, make_field
-from .linpoly import LinearizedPoly
 from .matfq import (
     _BATCH_ROWS,
     _CODEWORD_WORK,
@@ -97,16 +96,9 @@ class GabidulinCode:
         """``generator_rows``, computed once per code."""
         return tuple(self.generator_rows())
 
-    def encode(self, message: LinearizedPoly) -> tuple[int, ...]:
-        """The evaluations f(alpha_j) of f = ``message``: sum_i f_i g_i."""
-        if message.field != self.field:
-            raise ValueError("message polynomial lives in a different field")
-        if message.q_degree >= self.k:
-            raise ValueError(f"message q-degree {message.q_degree} >= k={self.k}")
-        return _combine(self.field, message.coeffs, self._rows, self.n)
-
     def codeword(self, index: int) -> tuple[int, ...]:
-        """Codeword for message index sum_i f_i Q^i (digit i = coefficient f_i)."""
+        """Codeword for message index sum_i f_i Q^i (digit i = coefficient f_i):
+        the evaluations f(alpha_j) of f = sum_i f_i x^{[i]}, that is sum_i f_i g_i."""
         if not 0 <= index < self.cardinality:
             raise ValueError("message index out of range")
         return _combine(self.field, ff._digits(index, self.field.order, self.k), self._rows, self.n)
@@ -274,9 +266,6 @@ class ConstantRankCode:
     @property
     def cardinality(self) -> int:
         return len(self.words)
-
-    def iter_codewords(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.words)
 
     def to_jsonable(self) -> dict:
         return {

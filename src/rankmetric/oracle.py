@@ -1,18 +1,23 @@
-"""Ground-truth brute force: exact decoding lists and exhaustive maxima.
+"""Ground-truth brute force on Gabidulin codes: exact decoding lists and maxima.
+
+Every entry point takes a ``GabidulinCode``, the one code class the bounds'
+oracle questions are asked of; any other object raises TypeError.  Received
+words and radii follow the integer rule of ``ff.json_int``, and entries lie
+in 0..q^m - 1.
 
 The received-word space F_{q^m}^n is indexed big-endian (the first
 coordinate is the most significant base-q^m digit), so ascending index order
 is lexicographic order on word tuples.  Every maximum is exact, with the
 lexicographically smallest argmax.
 
-For a Gabidulin code the list size of r depends only on the coset r + C, so
-the maximum is the fullest coset of the rank ball of radius tau, counted by
+The list size of r depends only on the coset r + C, so the maximum is the
+fullest coset of the rank ball of radius tau, counted by
 ``_coset_histogram`` without enumerating received words or codewords.  Coset
 counts are constant on the orbits of F_{q^m}^*, so it keys the errors of one
 column space per orbit of the Singer cycle (``matfq._singer_orbits``),
 weighted by the orbit size; its guard counts those steps, not the ball.
-Other codes are scanned word by word (``_count_ball``), the tests' ground
-truth.
+Only ``mode="random"`` scans words, one drawn word at a time
+(``_count_ball``).
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
@@ -25,8 +30,7 @@ columns among the matrices that have them.  Below the numpy floor every path
 builds one tuple per word (``GabidulinCode.iter_codewords``,
 ``matfq._combine``) and ranks it with the scalar ``matfq._column_rank`` (an
 XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
-``rank_leq`` and ``_count_ball`` always do: the reference the batched paths
-are tested against.
+``_count_ball`` always does.
 """
 
 from __future__ import annotations
@@ -36,12 +40,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from . import ff
 from .bounds import gaussian_binomial, sphere_volume
-from .codes import ENUMERATION_GUARD, ConstantRankCode, GabidulinCode
-from .ff import Field, make_field
+from .codes import ENUMERATION_GUARD, GabidulinCode
+from .ff import Field, json_int
 from .matfq import (
     _BATCH_ROWS,
     _CODEWORD_WORK,
@@ -70,45 +74,16 @@ def unpack_word(index: int, order: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(ff._digits(index, order, n)))
 
 
-def code_field(code, field: Field | None = None) -> Field:
-    owned = getattr(code, "field", None)
-    if owned is not None:
-        return owned
-    if field is None:
-        raise ValueError("a Field is required when the code is a plain word sequence")
-    return field
+def _check_code(code) -> None:
+    if not isinstance(code, GabidulinCode):
+        raise TypeError(f"the oracle takes a GabidulinCode, got {type(code).__name__}")
 
 
-def iter_codewords(code) -> Iterator[tuple[int, ...]]:
-    """Codewords in deterministic order (message-index order for Gabidulin)."""
-    if isinstance(code, (GabidulinCode, ConstantRankCode)):
-        return code.iter_codewords()
-    if isinstance(code, Iterable):
-        return (tuple(int(x) for x in w) for w in code)
-    raise TypeError(f"cannot enumerate codewords of {type(code).__name__}")
-
-
-def code_size(code) -> int:
-    if isinstance(code, (GabidulinCode, ConstantRankCode)):
-        return code.cardinality
-    return len(code)
-
-
-def _code_length(code) -> int | None:
-    """Word length n of the code; None for an empty plain word sequence."""
-    if isinstance(code, (GabidulinCode, ConstantRankCode)):
-        return code.n
-    return next((len(w) for w in code), None)
-
-
-def _check_tau(tau: int, n: int | None) -> None:
-    if tau < 0 or (n is not None and tau > n):
+def _read_tau(tau, n: int) -> int:
+    tau = json_int(tau, "tau")
+    if not 0 <= tau <= n:
         raise ValueError(f"need 0 <= tau <= n={n}, got tau={tau}")
-
-
-def rank_leq(diff: Sequence[int], fld: Field, tau: int) -> bool:
-    """rank(diff) <= tau; at q = 2 the rank kernel exits early once tau is exceeded."""
-    return _column_rank(diff, fld.q, fld.m, tau) <= tau
+    return tau
 
 
 @dataclass(frozen=True)
@@ -127,31 +102,39 @@ class ListResult:
         return len(self.codewords)
 
 
-def _enumerable_size(code) -> int:
-    """code_size(code), refused above ENUMERATION_GUARD."""
-    size = code_size(code)
-    if size > ENUMERATION_GUARD:
-        raise ValueError(f"code too large to enumerate ({size} > {ENUMERATION_GUARD})")
-    return size
+def _enumerable_size(code: GabidulinCode) -> int:
+    """code.cardinality, refused above ENUMERATION_GUARD."""
+    if code.cardinality > ENUMERATION_GUARD:
+        raise ValueError(f"code too large to enumerate ({code.cardinality} > {ENUMERATION_GUARD})")
+    return code.cardinality
 
 
-def _check_received(code, r: tuple[int, ...]) -> None:
+def _read_received(code, r: Sequence[int]) -> tuple[int, ...]:
+    """r as a tuple, refusing in this order: a code that is not a
+    GabidulinCode, an entry that is not an integer (``ff.json_int``) or lies
+    outside 0..q^m - 1, a code too large to enumerate and a length other than n."""
+    _check_code(code)
+    order = code.field.order
+    r = tuple(json_int(x, f"received word entry {j}") for j, x in enumerate(r))
+    for j, x in enumerate(r):
+        if not 0 <= x < order:
+            raise ValueError(f"received word entry {j} must lie in 0..{order - 1}, got {x}")
     _enumerable_size(code)
-    n = _code_length(code)
-    if n is not None and len(r) != n:
-        raise ValueError(f"received word has length {len(r)}, the code has length {n}")
+    if len(r) != code.n:
+        raise ValueError(f"received word has length {len(r)}, the code has length {code.n}")
+    return r
 
 
-def _distance_blocks(code, r: tuple[int, ...], fld: Field):
-    """(words, ranks) blocks covering the code in enumeration order, with
+def _distance_blocks(code: GabidulinCode, r: tuple[int, ...]):
+    """(words, ranks) blocks covering the code in message-index order, with
     ranks[i] = rank(r - words[i]) in a list.
 
-    A GabidulinCode with enough work for ``matfq._batched`` comes as int64
-    blocks of ``codeword_blocks``; any other code as tuples of word tuples
+    With enough work for ``matfq._batched`` they are int64 blocks of
+    ``codeword_blocks``; else tuples of the word tuples of ``iter_codewords``
     from ``iter_rank_distances``.
     """
-    size = code_size(code)
-    if isinstance(code, GabidulinCode) and _batched(size * _CODEWORD_WORK, fld.order):
+    fld = code.field
+    if _batched(code.cardinality * _CODEWORD_WORK, fld.order):
         import numpy as np
 
         center = np.asarray(r, dtype=np.int64)
@@ -159,36 +142,32 @@ def _distance_blocks(code, r: tuple[int, ...], fld: Field):
             diffs = _sub_words(center, block, fld) if any(r) else block  # rank(0 - c) = rank(c)
             yield block, _column_ranks(diffs, fld.q, fld.m).tolist()
         return
-    pairs = iter_rank_distances(r, iter_codewords(code), fld, size)
+    pairs = iter_rank_distances(r, code.iter_codewords(), fld, code.cardinality)
     while chunk := list(itertools.islice(pairs, _BATCH_ROWS)):
         words, ranks = zip(*chunk)
         yield words, list(ranks)
 
 
-def list_codewords(code, r: Sequence[int], tau: int, field: Field | None = None) -> ListResult:
-    """All codewords within rank distance tau of r, in enumeration order."""
-    fld = code_field(code, field)
-    r = tuple(int(x) for x in r)
-    _check_received(code, r)
-    _check_tau(tau, _code_length(code))
+def list_codewords(code: GabidulinCode, r: Sequence[int], tau: int) -> ListResult:
+    """All codewords within rank distance tau of r, in message-index order."""
+    r = _read_received(code, r)
+    tau = _read_tau(tau, code.n)
     members = []
     distances = []
-    for words, ranks in _distance_blocks(code, r, fld):
+    for words, ranks in _distance_blocks(code, r):
         for i, dist in enumerate(ranks):
             if dist <= tau:
                 members.append(tuple(map(int, words[i])))
                 distances.append(dist)
     counts = tuple(distances.count(t) for t in range(tau + 1))
-    return ListResult(fld, r, tau, tuple(members), tuple(distances), counts)
+    return ListResult(code.field, r, tau, tuple(members), tuple(distances), counts)
 
 
-def distance_counts(code, r: Sequence[int], field: Field | None = None) -> list[int]:
+def distance_counts(code: GabidulinCode, r: Sequence[int]) -> list[int]:
     """counts[t] = number of codewords at rank distance t from r, t = 0..n."""
-    fld = code_field(code, field)
-    r = tuple(int(x) for x in r)
-    _check_received(code, r)
+    r = _read_received(code, r)
     counts = [0] * (len(r) + 1)
-    for _, ranks in _distance_blocks(code, r, fld):
+    for _, ranks in _distance_blocks(code, r):
         for t, count in Counter(ranks).items():
             counts[t] += count
     return counts
@@ -203,7 +182,9 @@ class MaxListResult:
 
 
 def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
-    return sum(rank_leq(tuple(fld.sub(x, y) for x, y in zip(r, cw)), fld, tau) for cw in words)
+    """|{w in words : rank(r - w) <= tau}|; at q = 2 each rank stops once it exceeds tau."""
+    q, m, sub = fld.q, fld.m, fld.sub
+    return sum(_column_rank(tuple(map(sub, r, cw)), q, m, tau) <= tau for cw in words)
 
 
 def _orbit_count(m: int, t: int, q: int) -> int:
@@ -331,32 +312,32 @@ def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUAR
 
 
 def max_list_size(
-    code,
+    code: GabidulinCode,
     tau: int,
     mode: str = "exhaustive",
     seed: int | None = None,
     trials: int | None = None,
-    field: Field | None = None,
     guard: int | None = None,
 ) -> MaxListResult:
     """max over received words r of |{c in code : rank(r - c) <= tau}|.
 
     mode "exhaustive" returns the exact maximum with the lexicographically
-    smallest argmax.  For a GabidulinCode it is the fullest coset of the rank
-    ball (see ``_coset_histogram``), refused when counting it takes more than
-    ``guard`` (default EXHAUSTIVE_GUARD) steps; any other code is scanned
-    word by word, refused when received words times codewords exceed
-    ``guard``.  mode "random" samples ``trials`` words seeded by ``seed``
-    and returns a lower estimate, refused like the scan when trials times
-    codewords exceed ``guard``.  ``scanned`` is the number of received
-    words the maximum covers.
+    smallest argmax: the fullest coset of the rank ball (see
+    ``_coset_histogram``), refused when counting it takes more than
+    ``guard`` (default EXHAUSTIVE_GUARD) steps.  mode "random" draws
+    ``trials`` big-endian word indices from ``random.Random(seed)``, counts
+    the codewords around each word and returns the largest count, with the
+    smallest index drawn that reaches it: a lower estimate, refused when
+    trials times codewords exceed ``guard``.  ``scanned`` is the number of
+    received words the maximum covers.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     guard = EXHAUSTIVE_GUARD if guard is None else guard
-    fld = code_field(code, field)
-    _check_tau(tau, _code_length(code))
-    if mode == "exhaustive" and isinstance(code, GabidulinCode):
+    _check_code(code)
+    tau = _read_tau(tau, code.n)
+    fld, n = code.field, code.n
+    if mode == "exhaustive":
         acc = _coset_histogram(code, tau, guard)
         # coset 0 against the fullest orbit; the first argmax is the smallest key
         ell, key = int(acc[0]), 0
@@ -364,70 +345,37 @@ def max_list_size(
             best = 1 + int(acc[1:].argmax())
             if acc[best] // (fld.order - 1) > ell:
                 ell, key = int(acc[best]) // (fld.order - 1), best
-        return MaxListResult(ell, unpack_word(key, fld.order, code.n), fld.order**code.n, True)
-    n, size = _code_length(code) or 0, _enumerable_size(code)
-    total = fld.order**n
-    if mode == "random" and (trials is None or trials < 1):
+        return MaxListResult(ell, unpack_word(key, fld.order, n), fld.order**n, True)
+    size = _enumerable_size(code)
+    if trials is None or trials < 1:
         raise ValueError("random mode requires trials >= 1")
-    scanned = trials if mode == "random" else total
-    if scanned * size > guard:
-        raise ValueError(f"scan of {scanned} words against {size} codewords exceeds exhaustive guard {guard}")
-    words = list(iter_codewords(code))
-    if mode == "random":
-        rng = random.Random(seed)
-        indices = (rng.randrange(total) for _ in range(trials))
-    else:
-        indices = range(total)
+    if trials * size > guard:
+        raise ValueError(f"scan of {trials} words against {size} codewords exceeds exhaustive guard {guard}")
+    words, total = list(code.iter_codewords()), fld.order**n
+    rng = random.Random(seed)
     best_count, best_index = -1, -1
-    for index in indices:
+    for _ in range(trials):
+        index = rng.randrange(total)
         count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau)
         if count > best_count or (count == best_count and index < best_index):
             best_count, best_index = count, index
-    return MaxListResult(best_count, unpack_word(best_index, fld.order, n), scanned, mode == "exhaustive")
+    return MaxListResult(best_count, unpack_word(best_index, fld.order, n), trials, False)
 
 
-def ball_volume_bruteforce(m: int, n: int, q: int, tau: int, center: Sequence[int] | None = None) -> int:
-    """Count m x n matrices over F_q within rank distance tau of the center.
+def ball_volume_bruteforce(m: int, n: int, q: int, tau: int) -> int:
+    """Count the m x n matrices over F_q of rank at most tau.
 
-    The center is a length-n word over F_{q^m}, column j of the matrix being
-    the base-q digits of its entry j; its entries are read with
-    ``ff.json_int``, so a float or bool entry raises ValueError.  Matrices are
-    enumerated as words over F_{q^m}, shifted by the center; the count is
-    center-independent.  With enough of them for ``matfq._batched`` every
-    matrix is ranked at once by ``matfq._space_ranks`` and the center is
-    applied along each column axis as the permutation a -> a - c_j; else
-    they come one ``itertools.product`` tuple at a time in ascending
-    big-endian index order, ranked by ``matfq._column_rank``.
+    With enough of them for ``matfq._batched`` every matrix is ranked at
+    once by ``matfq._space_ranks``; else they come one ``itertools.product``
+    tuple of column values at a time, ranked by ``matfq._column_rank``.
     """
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:
         raise ValueError(f"matrix space {total} exceeds guard {BRUTEFORCE_GUARD}")
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
-    order = q**m
-    if center is not None:
-        center = [ff.json_int(c, f"center entry {j}") for j, c in enumerate(center)]
-        if len(center) != n:
-            raise ValueError(f"center has length {len(center)}, need n={n}")
-        if any(not 0 <= c < order for c in center):
-            raise ValueError(f"center entries must lie in 0..{order - 1}")
-    fld = make_field(q, m) if center is not None and any(center) else None
-    if _batched(total, order):
+    if _batched(total, q**m):
         import numpy as np
 
-        ranks = _space_ranks(q, m, n).reshape((order,) * n)  # axis n - 1 - j is column j
-        if fld is not None:
-            for j, c in enumerate(center):
-                # entry a of column j ranks a - c_j, taken in blocks of a: at
-                # n = 1 the column values are the whole space
-                column = np.moveaxis(ranks, n - 1 - j, 0)
-                moved = np.empty_like(column)
-                for lo in range(0, order, _BATCH_ROWS):
-                    a = np.arange(lo, min(lo + _BATCH_ROWS, order))
-                    moved[lo : lo + _BATCH_ROWS] = column[_sub_words(a, c, fld)]
-                ranks = np.moveaxis(moved, 0, n - 1 - j)
-        return int(np.count_nonzero(ranks <= tau))
-    columns = [range(order)] * n
-    if fld is not None:
-        columns = [[fld.sub(a, c) for a in range(order)] for c in center]
-    return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(*columns))
+        return int(np.count_nonzero(_space_ranks(q, m, n) <= tau))
+    return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(range(q**m), repeat=n))

@@ -2,8 +2,8 @@
 
 This module holds no tests.  Each function is the plain form of a question
 the library answers another way, written on the primitives it keeps (``rref``,
-``row_space``, ``subspace_distance``, ``rank``, ``BaseField.axpy_row`` and
-``Field.coeffs``/``from_coeffs``):
+``row_space``, ``subspace_distance``, ``rank``, ``rank_of_vector``,
+``BaseField.axpy_row`` and ``Field.coeffs``/``from_coeffs``/``sub``):
 
 * ``rank_decompose`` and ``distance_sandwich_check`` (with ``column_space``)
   are the references for acceptance criteria 3 and 4, which run batched;
@@ -12,16 +12,19 @@ the library answers another way, written on the primitives it keeps (``rref``,
   words of ``crc_from_cdc_pair``;
 * ``symbolic_product`` composes linearized polynomials;
 * ``pack_word`` is the big-endian index that ``oracle.unpack_word`` reads and
-  the coset histogram keys by.
+  the coset histogram keys by;
+* ``max_list_scan`` counts the codewords around each received word, the
+  reference for the coset histogram of ``oracle.max_list_size`` and for its
+  random mode.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from rankmetric.ff import Field, base_field
 from rankmetric.linpoly import LinearizedPoly
-from rankmetric.matfq import MatrixFq, Subspace, rank, row_space, rref, subspace_distance
+from rankmetric.matfq import MatrixFq, Subspace, rank, rank_of_vector, row_space, rref, subspace_distance
 
 
 def transpose(mat: MatrixFq) -> MatrixFq:
@@ -106,3 +109,18 @@ def pack_word(vec: Sequence[int], order: int) -> int:
     for x in vec:
         index = index * order + x
     return index
+
+
+def max_list_scan(
+    words: Sequence[Sequence[int]], field: Field, tau: int, received: Iterable[Sequence[int]]
+) -> tuple[int, tuple[int, ...] | None]:
+    """(ell, r): the largest number of ``words`` within rank distance tau of
+    one received word, and the lexicographically smallest received word
+    (the smallest big-endian index) that has that many; (-1, None) when
+    ``received`` is empty."""
+    best, best_word = -1, None
+    for r in map(tuple, received):
+        count = sum(rank_of_vector(tuple(map(field.sub, r, w)), field) <= tau for w in words)
+        if count > best or (count == best and r < best_word):
+            best, best_word = count, r
+    return best, best_word

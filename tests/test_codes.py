@@ -20,7 +20,7 @@ from rankmetric.codes import (
     lifted_mrd_cdc_odd,
 )
 from rankmetric.ff import SUPPORTED_Q, make_field
-from rankmetric.linpoly import LinearizedPoly
+from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import MatrixFq, Subspace, rank_of_vector, subspace_distance
 from rankmetric.witness import bound1_witness
 from reference import transpose, vector_from_matrix
@@ -30,7 +30,7 @@ F16 = make_field(2, 4)
 
 def pairwise_rank_distances(code):
     fld = code.field
-    words = list(code.iter_codewords())
+    words = code.words
     return [
         rank_of_vector(tuple(fld.sub(a, b) for a, b in zip(u, v)), fld)
         for i, u in enumerate(words)
@@ -71,13 +71,13 @@ def test_gabidulin_validation():
 def test_gabidulin_encode_examples():
     code = GabidulinCode(F16, n=4, k=2)
     assert code.alphas == (1, 2, 4, 8)
-    assert code.encode(LinearizedPoly(F16, ())) == (0, 0, 0, 0)
-    # f = x evaluates to the points themselves, a full-rank word
-    word = code.encode(LinearizedPoly.identity(F16))
+    assert code.codeword(0) == (0, 0, 0, 0)
+    # message 1 is f = x, which evaluates to the points themselves, a full-rank word
+    word = code.codeword(1)
     assert word == code.alphas
     assert rank_of_vector(word, F16) == 4
-    with pytest.raises(ValueError, match="q-degree"):
-        code.encode(LinearizedPoly(F16, (0, 0, 1)))
+    with pytest.raises(ValueError, match="message index"):
+        code.codeword(code.cardinality)  # f = x^{[k]}, of q-degree k
 
 
 def test_gabidulin_enumeration_injective_and_mrd():
@@ -93,8 +93,8 @@ def test_gabidulin_codeword_indexing():
     for index in (0, 1, 17, 255):
         assert code.codeword(index) == words[index]
     # message index digits are the polynomial coefficients, low index first
-    assert code.codeword(5) == code.encode(LinearizedPoly(F16, (5,)))
-    assert code.codeword(3 * 16) == code.encode(LinearizedPoly(F16, (0, 3)))
+    for index, coeffs in ((5, (5,)), (3 * 16, (0, 3))):
+        assert code.codeword(index) == tuple(evaluate(LinearizedPoly(F16, coeffs), a) for a in code.alphas)
 
 
 def test_gabidulin_mrd_sweep_and_singleton():

@@ -20,7 +20,7 @@ from rankmetric.bounds import (
     mrd_weight_tau,
 )
 from rankmetric.cli import main
-from rankmetric.codes import GabidulinCode
+from rankmetric.codes import ConstantRankCode, GabidulinCode, crc_theorem8
 from rankmetric.ff import SUPPORTED_Q, base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import grassmannian_enumerate, rank_of_vector
@@ -28,14 +28,12 @@ from rankmetric import acceptance, matfq, oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
     distance_counts,
-    iter_codewords,
     list_codewords,
     max_list_size,
-    rank_leq,
     unpack_word,
 )
 from rankmetric.witness import bound1_witness
-from reference import pack_word
+from reference import max_list_scan, pack_word
 
 F4 = make_field(2, 2)
 F16 = make_field(2, 4)
@@ -105,7 +103,7 @@ def test_rank_leq_agrees_with_naive():
             vec = tuple(rng.randrange(fld.order) for _ in range(3))
             r = naive_rank(vec, fld)
             for tau in range(4):
-                assert rank_leq(vec, fld, tau) == (r <= tau)
+                assert (matfq._column_rank(vec, fld.q, fld.m, tau) <= tau) == (r <= tau)
 
 
 def test_iter_codewords_matches_naive_enumeration():
@@ -122,10 +120,8 @@ def test_iter_codewords_matches_naive_enumeration():
         k = max(k for k in range(1, n + 1) if fld.order**k <= 4096)
         code = GabidulinCode(fld, n=n, k=k, alphas=alphas)
         naive = naive_codewords(code)
-        assert list(iter_codewords(code)) == naive
+        assert list(code.iter_codewords()) == naive
         assert [code.codeword(i) for i in range(code.cardinality)] == naive
-        messages = (LinearizedPoly(fld, tuple(reversed(rev))) for rev in itertools.product(range(fld.order), repeat=k))
-        assert [code.encode(f) for f in messages] == naive
         assert [tuple(w) for block in code.codeword_blocks(rng.randint(1, 999)) for w in block.tolist()] == naive
 
 
@@ -191,11 +187,11 @@ def test_max_list_size_tight_at_pigeonhole_bound():
 
 def test_max_list_size_jobs_deterministic():
     # the worker count is gone with the process pool: repeated calls agree with each other
-    # and with the plain-sequence scan, and `jobs` is no longer accepted
+    # and with the reference scan, and `jobs` is no longer accepted
     code = GabidulinCode(F4, n=2, k=1)
     a, b = max_list_size(code, 1), max_list_size(code, 1)
-    plain = max_list_size(list(iter_codewords(code)), 1, field=F4)
-    assert (a.ell, a.word) == (b.ell, b.word) == (plain.ell, plain.word)
+    scan = max_list_scan(list(code.iter_codewords()), F4, 1, itertools.product(range(4), repeat=2))
+    assert (a.ell, a.word) == (b.ell, b.word) == scan
     with pytest.raises(TypeError):
         max_list_size(code, 1, jobs=3)
 
@@ -235,6 +231,20 @@ def test_max_list_size_random_mode():
         max_list_size(code, 2, mode="greedy")
 
 
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("q,m,n,k,tau", [(2, 3, 3, 1, 2), (3, 2, 2, 1, 1), (4, 2, 2, 1, 1)])
+def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed):
+    # the same draws of random.Random(seed), and among the words of the largest
+    # count the smallest index, which is not always the first one drawn
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    fld, trials = code.field, 40
+    res = max_list_size(code, tau, mode="random", seed=seed, trials=trials)
+    rng = random.Random(seed)
+    drawn = [unpack_word(rng.randrange(fld.order**n), fld.order, n) for _ in range(trials)]
+    assert (res.ell, res.word) == max_list_scan(list(code.iter_codewords()), fld, tau, drawn)
+    assert res.scanned == trials and not res.exhaustive
+
+
 def test_random_mode_obeys_the_guard(monkeypatch, capsys):
     code = GabidulinCode(F16, n=4, k=2)  # 256 codewords: 5 trials are 1280 steps
     with pytest.raises(ValueError, match="scan of 5 words against 256 codewords exceeds exhaustive guard 1279"):
@@ -259,11 +269,11 @@ def test_max_list_size_translation_invariance():
     code = GabidulinCode(F4, n=2, k=1)
     shift = (3, 1)
     translated = [
-        tuple(F4.add(x, s) for x, s in zip(cw, shift)) for cw in iter_codewords(code)
+        tuple(F4.add(x, s) for x, s in zip(cw, shift)) for cw in code.iter_codewords()
     ]
     a = max_list_size(code, 1)
-    b = max_list_size(translated, 1, field=F4)
-    assert a.ell == b.ell
+    b, _ = max_list_scan(translated, F4, 1, itertools.product(range(4), repeat=2))
+    assert a.ell == b
 
 
 def test_oracle_rejects_wrong_length_and_tau_out_of_range():
@@ -272,21 +282,71 @@ def test_oracle_rejects_wrong_length_and_tau_out_of_range():
         list_codewords(code, (0, 1), 2)
     with pytest.raises(ValueError, match="length 5"):
         list_codewords(code, (0,) * 5, 2)
-    with pytest.raises(ValueError, match="length"):
-        list_codewords([(0, 0), (1, 2)], (0, 0, 0), 1, field=F4)
     for tau in (-1, 5):
         with pytest.raises(ValueError, match="tau"):
             list_codewords(code, (0,) * 4, tau)
         with pytest.raises(ValueError, match="tau"):
             max_list_size(code, tau)
-    with pytest.raises(ValueError, match="tau"):
-        max_list_size([(0, 0), (1, 2)], 3, field=F4)
     assert list_codewords(code, (0,) * 4, 4).size == code.cardinality
 
 
-def test_plain_sequence_requires_field():
-    with pytest.raises(ValueError, match="Field"):
-        max_list_size([(0, 0), (1, 2)], 1)
+_GAB42 = GabidulinCode(F16, n=4, k=2)
+_GAB21_F9 = GabidulinCode(F9, n=2, k=1)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda code, r: list_codewords(code, r, 1), distance_counts], ids=["list_codewords", "distance_counts"]
+)
+@pytest.mark.parametrize(
+    "code,r,message",
+    [
+        # entries are read as integers, not truncated: 1.7 is not 1, True is not 1
+        (_GAB42, (1.7, 0, 0, 0), r"received word entry 0 must be an integer, got 1\.7"),
+        (_GAB42, (0, True, 0, 0), "received word entry 1 must be an integer, got True"),
+        (_GAB42, (0, 0, "3", 0), "received word entry 2 must be an integer, got '3'"),
+        # and must be elements of F_{q^m}
+        (_GAB42, (99, 0, 0, 0), r"received word entry 0 must lie in 0\.\.15, got 99"),
+        (_GAB42, (0, 0, 0, 16), r"received word entry 3 must lie in 0\.\.15, got 16"),
+        (_GAB42, (0, -1, 0, 0), r"received word entry 1 must lie in 0\.\.15, got -1"),
+        (_GAB21_F9, (50, 0), r"received word entry 0 must lie in 0\.\.8, got 50"),
+        # an entry is refused before the length
+        (_GAB42, (99, 0), r"received word entry 0 must lie in 0\.\.15, got 99"),
+    ],
+)
+def test_received_entries_follow_the_integer_rule(call, code, r, message):
+    with pytest.raises(ValueError, match=message):
+        call(code, r)
+
+
+@pytest.mark.parametrize("call", [list_codewords, max_list_size], ids=["list_codewords", "max_list_size"])
+@pytest.mark.parametrize("tau", [1.5, True, "1"])
+def test_tau_follows_the_integer_rule(call, tau):
+    args = (_GAB42, (0,) * 4, tau) if call is list_codewords else (_GAB42, tau)
+    with pytest.raises(ValueError, match=f"tau must be an integer, got {tau!r}"):
+        call(*args)
+
+
+def test_integer_entries_of_any_integer_type_are_accepted():
+    r = (np.int64(3), 0, np.uint8(15), 2)
+    assert list_codewords(_GAB42, r, 2) == list_codewords(_GAB42, (3, 0, 15, 2), 2)
+    assert list_codewords(_GAB42, (3, 0, 15, 2), np.int64(2)).received_word == (3, 0, 15, 2)
+    assert distance_counts(_GAB42, r) == distance_counts(_GAB42, (3, 0, 15, 2))
+    assert max_list_size(_GAB42, np.int64(1)) == max_list_size(_GAB42, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda code: list_codewords(code, (0, 0), 1), lambda code: distance_counts(code, (0, 0)),
+     lambda code: max_list_size(code, 1), lambda code: max_list_size(code, 1, mode="random", trials=1)],
+    ids=["list_codewords", "distance_counts", "max_list_size", "max_list_size-random"],
+)
+@pytest.mark.parametrize(
+    "code,name",
+    [([(0, 0), (1, 2)], "list"), (ConstantRankCode(F4, 2, 1, ((1, 0), (2, 0)), 1), "ConstantRankCode"), (None, "NoneType")],
+)
+def test_oracle_takes_gabidulin_codes_only(call, code, name):
+    with pytest.raises(TypeError, match=f"the oracle takes a GabidulinCode, got {name}$"):
+        call(code)
 
 
 def test_exhaustive_guard():
@@ -327,14 +387,7 @@ def test_coset_guard():
         max_list_size(code, 1)
 
 
-def test_plain_sequence_scan_guards_pairs():
-    words = [(0, 0), (1, 2), (2, 3)]
-    with pytest.raises(ValueError, match="guard"):
-        max_list_size(words, 1, field=F4, guard=47)  # 16 words x 3 codewords
-    assert max_list_size(words, 1, field=F4, guard=48).scanned == 16
-
-
-# --- coset histogram: cross-checks against the naive scan and closed forms ---------
+# --- coset histogram: cross-checks against the reference scan and closed forms ----
 
 
 @st.composite
@@ -353,9 +406,11 @@ def gabidulin_codes(draw):
 @given(gabidulin_codes())
 def test_coset_path_matches_naive_scan(case):
     code, tau = case
+    fld = code.field
     coset = max_list_size(code, tau)
-    naive = max_list_size(list(iter_codewords(code)), tau, field=code.field)
-    assert (coset.ell, coset.word, coset.scanned) == (naive.ell, naive.word, naive.scanned)
+    received = itertools.product(range(fld.order), repeat=code.n)
+    assert (coset.ell, coset.word) == max_list_scan(list(code.iter_codewords()), fld, tau, received)
+    assert coset.scanned == fld.order**code.n
 
 
 @pytest.mark.parametrize("q,m,n,k", [(2, 4, 4, 2), (2, 3, 3, 1), (3, 3, 3, 2), (4, 3, 2, 1), (5, 2, 2, 1)])
@@ -496,7 +551,7 @@ def _smallest_of_orbit(key, fld):
 def test_orbit_reduced_counts_match_naive_scan_at_every_coset(q, m, n, k, taus):
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     fld = code.field
-    words = list(iter_codewords(code))
+    words = list(code.iter_codewords())
     for tau in taus:
         acc = oracle._coset_histogram(code, tau)
         for key in itertools.product(range(fld.order), repeat=n - k):
@@ -506,7 +561,7 @@ def test_orbit_reduced_counts_match_naive_scan_at_every_coset(q, m, n, k, taus):
             else:
                 count = int(acc[0])
             # the coset's word that is zero on the first k positions
-            assert count == oracle._count_ball((0,) * k + key, words, fld, tau), (key, tau)
+            assert (count, (0,) * k + key) == max_list_scan(words, fld, tau, [(0,) * k + key]), (key, tau)
 
 
 @pytest.mark.parametrize(
@@ -559,16 +614,12 @@ def test_list_to_crc_single_member():
 
 
 def test_list_to_crc_recovers_existence_construction():
-    # scanning the constant-rank code around the zero word and translating
-    # back gives the code itself (q = 2: negation is the identity)
-    from rankmetric.codes import crc_theorem8
-
+    # the constant-rank code lies on the sphere of radius 2 around the zero
+    # word; the oracle, which lists Gabidulin codes only, refuses it
     crc = crc_theorem8(6, 6, 2, 3, 2)
-    res = list_codewords(crc, (0,) * 6, 2)
-    assert res.sphere_counts[2] == 16
-    back = _translates(res, 2)
-    assert set(back) == set(crc.words)
-    assert {rank_of_vector(w, crc.field) for w in back} == {crc.rank} == {2}
+    assert matfq.rank_distances((0,) * 6, crc.words, crc.field) == [crc.rank] * 16 == [2] * 16
+    with pytest.raises(TypeError, match="got ConstantRankCode"):
+        list_codewords(crc, (0,) * 6, 2)
 
 
 def test_list_sizes_never_exceed_upper_bound():
@@ -592,32 +643,6 @@ def test_ball_volume_bruteforce_matches_formula(q):
         for n in range(1, 4 if q == 2 else 3):
             for tau in range(min(m, n) + 1):
                 assert ball_volume_bruteforce(m, n, q, tau) == ball_volume(m, n, q, tau)
-
-
-def test_ball_volume_bruteforce_center_independent():
-    rng = random.Random(6)
-    for q, fld in ((2, F4), (3, F9)):
-        base = ball_volume_bruteforce(2, 2, q, 1)
-        for _ in range(3):
-            center = tuple(rng.randrange(fld.order) for _ in range(2))
-            assert ball_volume_bruteforce(2, 2, q, 1, center=center) == base
-
-
-def test_ball_volume_bruteforce_rejects_bad_center():
-    with pytest.raises(ValueError, match="length"):
-        ball_volume_bruteforce(2, 2, 2, 1, center=(1,))
-    with pytest.raises(ValueError, match="length"):
-        ball_volume_bruteforce(2, 2, 3, 1, center=(1, 2, 3))
-    with pytest.raises(ValueError, match="0..3"):
-        ball_volume_bruteforce(2, 2, 2, 1, center=(1, 4))
-    # entries are read as integers, not truncated: (0.5, 1.7) is not (0, 1)
-    with pytest.raises(ValueError, match=r"center entry 0 must be an integer, got 0\.5"):
-        ball_volume_bruteforce(2, 2, 2, 1, center=[0.5, 1.7])
-    with pytest.raises(ValueError, match=r"center entry 1 must be an integer, got 1\.0"):
-        ball_volume_bruteforce(2, 2, 2, 1, center=[1, 1.0])
-    with pytest.raises(ValueError, match="center entry 0 must be an integer, got True"):
-        ball_volume_bruteforce(2, 2, 2, 1, center=[True, 0])
-    assert ball_volume_bruteforce(2, 2, 2, 1, center=[np.int64(1), 2]) == 10
 
 
 def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
@@ -656,14 +681,10 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
 def test_ball_volume_bruteforce_paths_match_formula(q, batched, force_batching, monkeypatch):
     force_batching(batched)
     monkeypatch.setattr(oracle, "_column_rank" if batched else "_space_ranks", None)  # the other path
-    rng = random.Random(q)
     for m in range(1, 3 if q == 9 else 4):
         for n in range(1, 4 if q == 2 else 3):
             for tau in range(min(m, n) + 1):
-                center = tuple(rng.randrange(1, q**m) for _ in range(n))  # nonzero entries
-                closed = ball_volume(m, n, q, tau)
-                assert ball_volume_bruteforce(m, n, q, tau) == closed
-                assert ball_volume_bruteforce(m, n, q, tau, center=center) == closed
+                assert ball_volume_bruteforce(m, n, q, tau) == ball_volume(m, n, q, tau)
 
 
 def _peak_bytes(call):

@@ -86,10 +86,12 @@ DELETED = {
     "linpoly.LinearizedPoly": ["monomial", "to_jsonable"],
     "linpoly": ["poly_from_jsonable"],
     "codes": ["lift_untransposed_cdc", "gabidulin_to_jsonable"],
-    "oracle": ["list_to_crc"],
+    "codes.GabidulinCode": ["encode"],
+    "codes.ConstantRankCode": ["iter_codewords"],
+    "oracle": ["list_to_crc", "code_field", "code_size", "iter_codewords", "rank_leq"],
 }
 MOVED = ["rank_decompose", "distance_sandwich_check", "column_space", "expand_to_matrix", "vector_from_matrix",
-         "symbolic_product"]
+         "symbolic_product", "max_list_scan"]
 
 
 def _all_definitions(tree: ast.Module, prefix: str) -> set[str]:
