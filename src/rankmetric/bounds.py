@@ -35,6 +35,7 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     """[n; r]_q = prod_{i<r} (q^n - q^i) / (q^r - q^i), exactly."""
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
+    r = min(r, n - r)  # [n; r] = [n; n - r]
     num = 1
     den = 1
     for i in range(r):
@@ -191,17 +192,8 @@ def _smallest_tau_geq_root(shift: Fraction, radicand: Fraction) -> int:
         tau += 1
 
 
-def johnson_radii(
-    m: int | CodeParams, n: int | None = None, d: int | None = None, epsilon: Fraction | int = 0
-) -> JohnsonRadii:
-    """Johnson-type radii; takes a CodeParams or plain (m, n, d) integers.
-
-    epsilon is a rational in [0, 1).  The integer form accepts d = 0.
-    """
-    if isinstance(m, CodeParams):
-        if n is not None or d is not None:
-            raise TypeError("pass either CodeParams or plain integers, not both")
-        m, n, d = m.m, m.n, m.d
+def johnson_radii(m: int, n: int, d: int, epsilon: Fraction | int = 0) -> JohnsonRadii:
+    """Johnson-type radii of (m, n, d); accepts d = 0.  epsilon is a rational in [0, 1)."""
     eps = Fraction(epsilon)
     if not 0 <= eps < 1:
         raise ValueError(f"epsilon must lie in [0, 1), got {eps}")

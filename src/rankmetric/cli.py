@@ -18,6 +18,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -76,9 +77,28 @@ def _json_input(option: str, text: str | None = None, path: str | None = None):
 # --- bounds -----------------------------------------------------------------
 
 
+def _check_writable(params: bounds.CodeParams, tau: int) -> None:
+    """Refuse a report whose singleton q^{m(n-d+1)}, or whose sphere and ball
+    volumes (at least q^{tau(m+n-tau-1)}), have more decimal digits than
+    ``sys.get_int_max_str_digits()`` lets the writer print (0: no limit),
+    before any of it is computed."""
+    q, m, n, d = params.q, params.m, params.n, params.d
+    limit = sys.get_int_max_str_digits()
+    for name, relation, e in (("singleton", "=", m * (n - d + 1)), ("ball_volume", ">=", tau * (m + n - tau - 1))):
+        x = e * math.log10(q)  # the digits of q^e, exact near the limit
+        if limit and (x > limit + 1 or (x > limit - 1 and q**e >= 10**limit)):
+            raise ValueError(
+                f"{name} {relation} {q}^{e} has more decimal digits than the limit of {limit} "
+                "(sys.get_int_max_str_digits())"
+            )
+
+
 def _cmd_bounds(args) -> int:
     params = bounds.CodeParams(q=args.q, m=args.m, n=args.n, d=args.d, k=args.k)
-    report = bounds.compute_report(params, args.tau, _rational(args.epsilon, "--epsilon"))
+    epsilon = _rational(args.epsilon, "--epsilon")
+    if 0 <= args.tau < params.d:  # else compute_report refuses tau
+        _check_writable(params, args.tau)
+    report = bounds.compute_report(params, args.tau, epsilon)
     doc = bounds.report_to_jsonable(report)
     if args.format == "json":
         _emit(json_text(doc), args.out)

@@ -131,16 +131,16 @@ class GabidulinCode:
         for index in range(self.cardinality):
             yield _combine(F, ff._digits(index, F.order, self.k), rows, self.n)
 
-    def codeword_blocks(self, size: int = _BATCH_ROWS):
+    def codeword_blocks(self):
         """All codewords in the order of ``iter_codewords``, as int64 numpy
-        arrays of at most ``size`` rows, one codeword per row (``_encode``)."""
+        arrays of at most _BATCH_ROWS rows, one codeword per row (``_encode``)."""
         import numpy as np
 
         if self.cardinality > ENUMERATION_GUARD:
             raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
         tables = _row_tables(self.field, self._rows)
-        for lo in range(0, self.cardinality, size):
-            yield self._encode(tables, np.arange(lo, min(lo + size, self.cardinality)))
+        for lo in range(0, self.cardinality, _BATCH_ROWS):
+            yield self._encode(tables, np.arange(lo, min(lo + _BATCH_ROWS, self.cardinality)))
 
     def _encode(self, tables, indices):
         """The codewords of the int64 array of message ``indices``, one per
@@ -363,13 +363,7 @@ def _pair_word(fld: Field, U: Subspace, V: Subspace) -> tuple[int, ...]:
     return _combine(fld, [fld.from_coeffs(row) for row in U.basis], V.basis, V.ambient_dim)
 
 
-def crc_from_cdc_pair(
-    M: ConstantDimensionCode,
-    N: ConstantDimensionCode,
-    fld: Field,
-    min_rank_distance: int | None = None,
-    distance_exact: bool = False,
-) -> ConstantRankCode:
+def crc_from_cdc_pair(M: ConstantDimensionCode, N: ConstantDimensionCode, fld: Field) -> ConstantRankCode:
     """Constant-rank code from a pair of constant-dimension codes.
 
     Pairs the first min(|M|, |N|) words of each (canonical order) as
@@ -391,10 +385,7 @@ def crc_from_cdc_pair(
     if N.ambient > M.ambient:
         raise ValueError("need N.ambient <= M.ambient so the result has length n <= m")
     words = tuple(_pair_word(fld, U, V) for U, V in zip(M.words, N.words))
-    guaranteed = M.min_subspace_distance // 2 + N.min_subspace_distance // 2
-    if min_rank_distance is None:
-        min_rank_distance = guaranteed
-    return ConstantRankCode(fld, N.ambient, r, words, min_rank_distance, distance_exact)
+    return ConstantRankCode(fld, N.ambient, r, words, M.min_subspace_distance // 2 + N.min_subspace_distance // 2)
 
 
 def crc_theorem8(n: int, m: int, tau: int, d: int, q: int) -> ConstantRankCode:

@@ -220,15 +220,24 @@ def _ptrim(f: list[int]) -> list[int]:
     return f
 
 
-def _pmul(F: BaseField, f: Sequence[int], g: Sequence[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return _ptrim(out)
+def _mul_mod(F: BaseField, f: Sequence[int], g: Sequence[int], mod: Sequence[int]) -> list[int]:
+    """f g modulo the monic ``mod`` over F, as its deg(mod) low coefficients
+    (all polynomials low degree first): the product and the reduction in one
+    list, for ``Field`` multiplication and the irreducibility test."""
+    m = len(mod) - 1
+    out = [0] * max(len(f) + len(g) - 1, m)
+    for i, x in enumerate(f):
+        if x:
+            for j, y in enumerate(g):
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+    for i in range(len(out) - 1, m - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(m):
+                if mod[j]:
+                    out[i - m + j] = F.sub(out[i - m + j], F.mul(c, mod[j]))
+    return out[:m]
 
 
 def _pmod(F: BaseField, f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -258,8 +267,8 @@ def _ppow_mod(F: BaseField, f: Sequence[int], exp: int, mod: Sequence[int]) -> l
     base = _pmod(F, f, mod)
     while exp:
         if exp & 1:
-            result = _pmod(F, _pmul(F, result, base), mod)
-        base = _pmod(F, _pmul(F, base, base), mod)
+            result = _mul_mod(F, result, base, mod)
+        base = _mul_mod(F, base, base, mod)
         exp >>= 1
     return result
 
@@ -276,6 +285,7 @@ def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     m = len(f) - 1
     if m == 1:
         return True
+    f = [F.mul(F.inv(f[-1]), c) for c in f]  # its monic multiple, for _mul_mod
     h = [0, 1]
     for _ in range(m // 2):
         h = _ppow_mod(F, h, q, f)
@@ -439,23 +449,8 @@ class Field:
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
-        F, q, m = self.base, self.q, self.m
-        da, db = _digits(a, q, m), _digits(b, q, m)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        conv[i + j] = F.add(conv[i + j], F.mul(x, y))
-        for i in range(2 * m - 2, m - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j in range(m):
-                    mj = self.modulus[j]
-                    if mj:
-                        conv[i - m + j] = F.sub(conv[i - m + j], F.mul(c, mj))
-        return _undigits(conv[:m], q)
+        q, m = self.q, self.m
+        return _undigits(_mul_mod(self.base, _digits(a, q, m), _digits(b, q, m), self.modulus), q)
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -51,11 +51,6 @@ class LinearizedPoly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return LinearizedPoly(F, tuple(F.add(self.coeff(i), other.coeff(i)) for i in range(n)))
-
     def __sub__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         F = self.field
         n = max(len(self.coeffs), len(other.coeffs))
@@ -64,9 +59,6 @@ class LinearizedPoly:
     def scale(self, c: int) -> "LinearizedPoly":
         F = self.field
         return LinearizedPoly(F, tuple(F.mul(c, x) for x in self.coeffs))
-
-    def __call__(self, a: int) -> int:
-        return evaluate(self, a)
 
 
 def evaluate(f: LinearizedPoly, a: int) -> int:

@@ -16,9 +16,12 @@ rank question (``rank``, ``subspace_distance`` and the rank of a vector over
 F_{q^m}) is the XOR basis at q = 2 and the pivot count of ``_gauss_jordan``
 at q > 2: ``rank`` hands its rows to ``_gauss_jordan`` as they are, the rank
 of a vector goes through ``_column_rank``.  ``_column_ranks`` ranks a stack of
-words, at q > 2 by the pivot counts of ``_rrefs``.  ``_space_ranks`` ranks
-every matrix of a whole m x n space with no elimination, from span tables of
-the column prefixes the matrices share.  Over F_q both RREF kernels, the
+words, at q > 2 by the pivot counts of ``_rrefs``.  ``rank_distances`` is the
+one entry point for the rank distances of words to a word: ``_column_rank``
+per word, or in numpy ``_block_distances`` per block of words, the step that
+the oracle's decoding lists also take on their codeword blocks.
+``_space_ranks`` ranks every matrix of a whole m x n space with no
+elimination, from span tables of the column prefixes the matrices share.  Over F_q both RREF kernels, the
 span tables and the matrix product read one row-operation table per base
 field, ``BaseField._axpy[c][x][y] = x - c y``.
 """
@@ -29,7 +32,7 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import ff
 from .bounds import gaussian_binomial
@@ -424,33 +427,28 @@ def _batched(work: int, order: int) -> bool:
     return 0 < work and floor <= work and order <= _BATCH_ORDER
 
 
-def iter_rank_distances(
-    r: Sequence[int], words: Iterable[Sequence[int]], fld: Field, count: int
-) -> Iterator[tuple[Sequence[int], int]]:
-    """(w, rank(r - w)) for each w of ``words``, an iterable of ``count`` words.
-
-    Words are read _BATCH_ROWS at a time, so a stream is never held whole;
-    ``count`` only chooses the path: numpy from _BATCH_MIN words on, else the
-    scalar ``_column_rank`` loop (a wrong count costs time, not correctness).
-    """
-    r, q, m = tuple(r), fld.q, fld.m
-    words = iter(words)
-    if not _batched(count, fld.order):
-        shift = any(r)  # rank(0 - w) = rank(w)
-        for w in words:
-            yield w, _column_rank(tuple(fld.sub(x, y) for x, y in zip(r, w)) if shift else w, q, m, len(r))
-        return
-    import numpy as np
-
-    center = np.asarray(r, dtype=np.int64)
-    while block := list(itertools.islice(words, _BATCH_ROWS)):
-        diffs = _sub_words(center, np.asarray(block, dtype=np.int64), fld)
-        yield from zip(block, _column_ranks(diffs, q, m).tolist())
+def _block_distances(center, block, fld: Field):
+    """rank(center - w) for each row w of the int64 array ``block``, an int64
+    array from ``_column_ranks``; ``center`` is an int64 word."""
+    diffs = _sub_words(center, block, fld) if center.any() else block  # rank(0 - w) = rank(w)
+    return _column_ranks(diffs, fld.q, fld.m)
 
 
 def rank_distances(r: Sequence[int], words: Sequence[Sequence[int]], fld: Field) -> list[int]:
-    """[rank(r - w) for w in words], batched in numpy from _BATCH_MIN words on."""
-    return [dist for _, dist in iter_rank_distances(r, words, fld, len(words))]
+    """[rank(r - w) for w in words]: with enough words for ``_batched``,
+    _BATCH_ROWS at a time in numpy (``_block_distances``), else by the scalar
+    ``_column_rank``."""
+    if not _batched(len(words), fld.order):
+        shift = any(r)  # rank(0 - w) = rank(w)
+        return [_column_rank(tuple(map(fld.sub, r, w)) if shift else w, fld.q, fld.m, len(r)) for w in words]
+    import numpy as np
+
+    center = np.asarray(r, dtype=np.int64)
+    return [
+        dist
+        for lo in range(0, len(words), _BATCH_ROWS)
+        for dist in _block_distances(center, np.asarray(words[lo : lo + _BATCH_ROWS], dtype=np.int64), fld).tolist()
+    ]
 
 
 def min_pairwise_rank_distance(words: Sequence[Sequence[int]], fld: Field) -> int | None:

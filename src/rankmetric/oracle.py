@@ -22,8 +22,9 @@ Only ``mode="random"`` scans words, one drawn word at a time
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
 counts take Gabidulin codewords as blocks from ``GabidulinCode.codeword_blocks``
-(``matfq._row_tables``), ranked by ``matfq._column_ranks`` (XOR bit planes
-at q = 2, pivot counts of ``matfq._rrefs`` at q > 2).  Ball counts, like
+(``matfq._row_tables``), ranked by ``matfq._block_distances``, the numpy block
+of ``matfq.rank_distances`` (``matfq._column_ranks``: XOR bit planes at
+q = 2, pivot counts of ``matfq._rrefs`` at q > 2).  Ball counts, like
 the full-rank candidates of the coset histogram, rank the whole matrix space
 at once with ``matfq._space_ranks``, which shares the work on the first
 columns among the matrices that have them.  Below the numpy floor every path
@@ -51,16 +52,15 @@ from .matfq import (
     _CODEWORD_WORK,
     _addends,
     _batched,
+    _block_distances,
     _column_rank,
-    _column_ranks,
     _digits,
     _multiples,
     _singer_orbits,
     _space_ranks,
-    _sub_words,
     _table_sums,
     _undigits,
-    iter_rank_distances,
+    rank_distances,
 )
 
 EXHAUSTIVE_GUARD = 1 << 28
@@ -90,11 +90,9 @@ def _read_tau(tau, n: int) -> int:
 class ListResult:
     """Exact decoding list around one received word."""
 
-    field: Field
     received_word: tuple[int, ...]
     tau: int
     codewords: tuple[tuple[int, ...], ...]
-    distances: tuple[int, ...]
     sphere_counts: tuple[int, ...]
 
     @property
@@ -130,8 +128,12 @@ def _distance_blocks(code: GabidulinCode, r: tuple[int, ...]):
     ranks[i] = rank(r - words[i]) in a list.
 
     With enough work for ``matfq._batched`` they are int64 blocks of
-    ``codeword_blocks``; else tuples of the word tuples of ``iter_codewords``
-    from ``iter_rank_distances``.
+    ``codeword_blocks``, each ranked by ``matfq._block_distances``: not by
+    ``rank_distances``, which decides its path again and would send a small
+    block of numpy integers to the scalar loop.  Else they are lists of at
+    most _BATCH_ROWS word tuples of ``iter_codewords``, and ``rank_distances``
+    takes the scalar loop too, since a list has fewer words than the code
+    has work.
     """
     fld = code.field
     if _batched(code.cardinality * _CODEWORD_WORK, fld.order):
@@ -139,13 +141,11 @@ def _distance_blocks(code: GabidulinCode, r: tuple[int, ...]):
 
         center = np.asarray(r, dtype=np.int64)
         for block in code.codeword_blocks():
-            diffs = _sub_words(center, block, fld) if any(r) else block  # rank(0 - c) = rank(c)
-            yield block, _column_ranks(diffs, fld.q, fld.m).tolist()
+            yield block, _block_distances(center, block, fld).tolist()
         return
-    pairs = iter_rank_distances(r, code.iter_codewords(), fld, code.cardinality)
-    while chunk := list(itertools.islice(pairs, _BATCH_ROWS)):
-        words, ranks = zip(*chunk)
-        yield words, list(ranks)
+    codewords = code.iter_codewords()
+    while words := list(itertools.islice(codewords, _BATCH_ROWS)):
+        yield words, rank_distances(r, words, fld)
 
 
 def list_codewords(code: GabidulinCode, r: Sequence[int], tau: int) -> ListResult:
@@ -153,14 +153,13 @@ def list_codewords(code: GabidulinCode, r: Sequence[int], tau: int) -> ListResul
     r = _read_received(code, r)
     tau = _read_tau(tau, code.n)
     members = []
-    distances = []
+    counts = [0] * (tau + 1)
     for words, ranks in _distance_blocks(code, r):
         for i, dist in enumerate(ranks):
             if dist <= tau:
                 members.append(tuple(map(int, words[i])))
-                distances.append(dist)
-    counts = tuple(distances.count(t) for t in range(tau + 1))
-    return ListResult(code.field, r, tau, tuple(members), tuple(distances), counts)
+                counts[dist] += 1
+    return ListResult(r, tau, tuple(members), tuple(counts))
 
 
 def distance_counts(code: GabidulinCode, r: Sequence[int]) -> list[int]:
@@ -368,10 +367,14 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int) -> int:
     With enough of them for ``matfq._batched`` every matrix is ranked at
     once by ``matfq._space_ranks``; else they come one ``itertools.product``
     tuple of column values at a time, ranked by ``matfq._column_rank``.
+    The arguments follow the integer rule of ``ff.json_int``.
     """
+    m, n, q, tau = (json_int(v, name) for v, name in ((m, "m"), (n, "n"), (q, "q"), (tau, "tau")))
     total = q ** (m * n)
     if total > BRUTEFORCE_GUARD:
         raise ValueError(f"matrix space {total} exceeds guard {BRUTEFORCE_GUARD}")
+    if m < 0 or n < 0:
+        raise ValueError(f"need m >= 0 and n >= 0, got m={m}, n={n}")
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
     if _batched(total, q**m):

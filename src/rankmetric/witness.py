@@ -152,12 +152,12 @@ def certificate_from_jsonable(data: dict) -> WitnessCertificate:
     )
 
 
-def _cap_words(words: Sequence, cap: int) -> tuple[tuple, bool]:
-    """Deterministic evenly-strided sample of at most cap words (or messages)."""
-    if len(words) <= cap:
+def _cap_words(words: Sequence) -> tuple[tuple, bool]:
+    """Deterministic evenly-strided sample of at most CERTIFICATE_WORD_CAP words (or messages)."""
+    if len(words) <= CERTIFICATE_WORD_CAP:
         return tuple(words), False
-    stride = math.ceil(len(words) / cap)
-    return tuple(words[::stride][:cap]), True
+    stride = math.ceil(len(words) / CERTIFICATE_WORD_CAP)
+    return tuple(words[::stride][:CERTIFICATE_WORD_CAP]), True
 
 
 def _subspace_poly_buckets(
@@ -239,7 +239,7 @@ def _orbit_members(fld: Field, t: int, orbits: list, packed: list[int]) -> list[
     return list(map(tuple, scaled.tolist()))
 
 
-def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WORD_CAP) -> WitnessCertificate:
+def bound1_witness(code: GabidulinCode, tau: int) -> WitnessCertificate:
     """Pigeonhole witness for Gabidulin codes (requires n = m).
 
     Buckets the monic subspace polynomials of Gr(n, n-tau) by the coefficient
@@ -263,7 +263,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     rep = min(bucket)
     params = CodeParams(q=fld.q, m=fld.m, n=n, d=d, k=k)
     claimed = bound1_lower(params, tau).guarantee
-    sample, truncated = _cap_words(bucket, word_cap)
+    sample, truncated = _cap_words(bucket)
     return WitnessCertificate(
         kind=KIND_BOUND1,
         q=fld.q,
@@ -287,9 +287,7 @@ def bound1_witness(code: GabidulinCode, tau: int, word_cap: int = CERTIFICATE_WO
     )
 
 
-def bound1_alt_witness(
-    params: CodeParams, tau: int, word_cap: int = CERTIFICATE_WORD_CAP
-) -> WitnessCertificate:
+def bound1_alt_witness(params: CodeParams, tau: int) -> WitnessCertificate:
     """Coset witness via the direct sum of two Gabidulin codes (n = m).
 
     C = Gab[n, n-d+1] on the default points alpha_i; B = Gab[n, d-tau] on the
@@ -314,7 +312,7 @@ def bound1_alt_witness(
     best_index = _undigits(best_key + (1,), Q)
     messages = sorted(_undigits(map(fld.neg, P[: code_c.k]), Q) for P in bucket)
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
-    sample, truncated = _cap_words(messages, word_cap)
+    sample, truncated = _cap_words(messages)
     meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": best_index}
     if code_b.cardinality <= 4096:  # b's message digits, f_{d-tau-1} = x first, in message-index order
         meta["coset_counts"] = [
@@ -347,15 +345,7 @@ def _translated_words(crc, translate: int) -> list[tuple[int, ...]]:
     return [tuple(map(crc.field.sub, crc.words[translate], a)) for a in crc.words]
 
 
-def bound3_witness(
-    n: int,
-    m: int,
-    tau: int,
-    d: int,
-    q: int,
-    translate: int | None = None,
-    word_cap: int = CERTIFICATE_WORD_CAP,
-) -> WitnessCertificate:
+def bound3_witness(n: int, m: int, tau: int, d: int, q: int, translate: int | None = None) -> WitnessCertificate:
     """Existence witness: the crc_theorem8 code seen from r = 0.
 
     With ``translate = j`` the received word is the j-th code word a_j and
@@ -372,7 +362,7 @@ def bound3_witness(
         codewords = _translated_words(crc, translate)
         received = crc.words[translate]
     claimed = bound3_lower(CodeParams(q=q, m=m, n=n, d=d), tau)
-    stored, truncated = _cap_words(codewords, word_cap)
+    stored, truncated = _cap_words(codewords)
     return WitnessCertificate(
         kind=KIND_BOUND3,
         q=q,

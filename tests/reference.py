@@ -10,7 +10,8 @@ the library answers another way, written on the primitives it keeps (``rref``,
 * ``expand_to_matrix`` and ``vector_from_matrix`` are the references for
   ``rank_of_vector`` and, through ``slow_pair_words``, for the row-combination
   words of ``crc_from_cdc_pair``;
-* ``symbolic_product`` composes linearized polynomials;
+* ``symbolic_product`` composes linearized polynomials and ``poly_sum`` adds
+  them;
 * ``pack_word`` is the big-endian index that ``oracle.unpack_word`` reads and
   the coset histogram keys by;
 * ``max_list_scan`` counts the codewords around each received word, the
@@ -101,6 +102,12 @@ def symbolic_product(f: LinearizedPoly, g: LinearizedPoly) -> LinearizedPoly:
         for j, gj in enumerate(g.coeffs):
             out[i + j] = F.add(out[i + j], F.mul(fi, F.frobenius(gj, i)))
     return LinearizedPoly(F, tuple(out))
+
+
+def poly_sum(f: LinearizedPoly, g: LinearizedPoly) -> LinearizedPoly:
+    """f + g, coefficientwise; with ``symbolic_product`` the ring operations."""
+    F = f.field
+    return LinearizedPoly(F, tuple(F.add(f.coeff(i), g.coeff(i)) for i in range(max(len(f.coeffs), len(g.coeffs)))))
 
 
 def pack_word(vec: Sequence[int], order: int) -> int:

@@ -42,11 +42,16 @@ def test_gaussian_binomial_values(n, r, q, expected):
 
 
 def test_gaussian_binomial_symmetry_and_sandwich():
-    for q in (2, 3):
-        for n in range(9):
+    # row n of the q-Pascal rule [n; r] = [n-1; r-1] + q^r [n-1; r] checks
+    # every r independently, also r > n/2, which is computed as [n; n-r]
+    for q in (2, 3, 4, 9):
+        row = [1]
+        for n in range(13):
+            if n:
+                row = [(row[r - 1] if r else 0) + (q**r * row[r] if r < n else 0) for r in range(n + 1)]
             for r in range(n + 1):
                 v = gaussian_binomial(n, r, q)
-                assert v == gaussian_binomial(n, n - r, q)
+                assert v == gaussian_binomial(n, n - r, q) == row[r]
                 assert q ** (r * (n - r)) <= v <= 4 * q ** (r * (n - r))
 
 
@@ -180,14 +185,6 @@ def test_johnson_radii_values():
     j9 = johnson_radii(9, 9, 5, 0)
     assert j9.tau_j == pytest.approx(3.0, abs=1e-12) and j9.tau_j_int == 3
     assert johnson_radii(4, 4, 0, 0).tau_j == 0.0
-
-
-def test_johnson_radii_accepts_code_params():
-    p = CodeParams(q=2, m=4, n=4, d=3)
-    assert johnson_radii(p) == johnson_radii(4, 4, 3, 0)
-    assert johnson_radii(p, epsilon=Fraction(1, 4)).epsilon == Fraction(1, 4)
-    with pytest.raises(TypeError):
-        johnson_radii(p, 4, 3)
 
 
 def test_johnson_radii_rectangular_and_epsilon():

@@ -63,6 +63,41 @@ def test_bounds_precondition_exit_2(capsys):
     assert "prime power" in err
 
 
+@pytest.fixture
+def int_digit_limit():
+    """``sys.set_int_max_str_digits`` for one test, restored after it."""
+    limit = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (("--m", "3000", "--n", "3000", "--d", "3", "--tau", "1"), "singleton = 2^8994000"),
+        (("--m", "1000", "--n", "1000", "--d", "999", "--tau", "998"), "ball_volume >= 2^998998"),
+    ],
+)
+def test_bounds_refuses_integers_too_long_to_write_at_once(capsys, int_digit_limit, argv, value):
+    int_digit_limit(4300)  # Python's default
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--q", "2", *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert value in err and "limit of 4300" in err
+
+
+def test_bounds_digit_refusal_matches_the_writer(capsys, int_digit_limit):
+    # 2^2126 has 640 decimal digits and 2^2127 has 641: under a limit of 640
+    # the first report prints and the second is refused
+    int_digit_limit(640)
+    codes = {
+        m: run_cli(capsys, "bounds", "--q", "2", "--m", str(m), "--n", "1", "--d", "1", "--tau", "0")[0]
+        for m in (2126, 2127)
+    }
+    assert codes == {2126: 0, 2127: 2}
+
+
 def test_bounds_large_q(capsys):
     code, out, _ = run_cli(
         capsys, "bounds", "--q", str(10**18 + 3), "--m", "4", "--n", "4", "--d", "3", "--tau", "1"

@@ -147,7 +147,9 @@ def test_codeword_blocks_match_iter_codewords(q, seed):
     code = GabidulinCode(fld, n=n, k=k, alphas=alphas)
     # most sizes do not divide a power of q^m: blocks then start mid-way through message digits
     size = rng.choice([1, fld.order - 1, fld.order + 1, rng.randint(1, code.cardinality + 1)]) or 1
-    blocks = list(code.codeword_blocks(size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_BATCH_ROWS", size)
+        blocks = list(code.codeword_blocks())
     assert all(b.dtype == np.int64 and b.shape[1:] == (n,) and 0 < len(b) <= size for b in blocks)
     assert [tuple(w) for b in blocks for w in b.tolist()] == list(code.iter_codewords())
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -24,7 +25,7 @@ from rankmetric.codes import ConstantRankCode, GabidulinCode, crc_theorem8
 from rankmetric.ff import SUPPORTED_Q, base_field, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import grassmannian_enumerate, rank_of_vector
-from rankmetric import acceptance, matfq, oracle
+from rankmetric import acceptance, codes, matfq, oracle
 from rankmetric.oracle import (
     ball_volume_bruteforce,
     distance_counts,
@@ -106,7 +107,7 @@ def test_rank_leq_agrees_with_naive():
                 assert (matfq._column_rank(vec, fld.q, fld.m, tau) <= tau) == (r <= tau)
 
 
-def test_iter_codewords_matches_naive_enumeration():
+def test_iter_codewords_matches_naive_enumeration(monkeypatch):
     # every codeword path of the row-combination kernel, against polynomial
     # evaluation at random independent points, for every q
     rng = random.Random(5)
@@ -122,7 +123,8 @@ def test_iter_codewords_matches_naive_enumeration():
         naive = naive_codewords(code)
         assert list(code.iter_codewords()) == naive
         assert [code.codeword(i) for i in range(code.cardinality)] == naive
-        assert [tuple(w) for block in code.codeword_blocks(rng.randint(1, 999)) for w in block.tolist()] == naive
+        monkeypatch.setattr(codes, "_BATCH_ROWS", rng.randint(1, 999))
+        assert [tuple(w) for block in code.codeword_blocks() for w in block.tolist()] == naive
 
 
 def test_list_codewords_examples():
@@ -588,12 +590,10 @@ def test_max_list_size_beyond_word_space_scan(m, k, ell):
         assert list_codewords(code, res.word, 2).size == ell
 
 
-def _translates(res, tau):
-    """The words r - c over the listed codewords c at rank distance exactly tau from r."""
-    fld = res.field
-    return tuple(
-        tuple(map(fld.sub, res.received_word, cw)) for cw, dist in zip(res.codewords, res.distances) if dist == tau
-    )
+def _translates(code, res, tau):
+    """The words r - c over the codewords c that ``res`` lists for ``code``, at rank distance exactly tau from r."""
+    diffs = (tuple(map(code.field.sub, res.received_word, cw)) for cw in res.codewords)
+    return tuple(w for w in diffs if rank_of_vector(w, code.field) == tau)
 
 
 def test_list_to_crc_from_witness_list():
@@ -601,7 +601,7 @@ def test_list_to_crc_from_witness_list():
     code = GabidulinCode(F16, n=4, k=2)
     cert = bound1_witness(code, 2)
     res = list_codewords(code, cert.received_word, 2)
-    words = _translates(res, 2)
+    words = _translates(code, res, 2)
     assert len(words) == res.sphere_counts[2] == 35
     assert {rank_of_vector(w, F16) for w in words} == {2}
     assert matfq.min_pairwise_rank_distance(words, F16) >= 3
@@ -610,7 +610,7 @@ def test_list_to_crc_from_witness_list():
 def test_list_to_crc_single_member():
     code = GabidulinCode(F16, n=4, k=2)
     res = list_codewords(code, code.codeword(5), 0)
-    assert _translates(res, 0) == ((0, 0, 0, 0),)
+    assert _translates(code, res, 0) == ((0, 0, 0, 0),)
 
 
 def test_list_to_crc_recovers_existence_construction():
@@ -637,6 +637,28 @@ def test_ball_volume_bruteforce_values():
     assert ball_volume_bruteforce(2, 2, 2, 0) == 1
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((2, 2, 2, 1.5), "tau must be an integer, got 1.5"),
+        ((2, 2, 2, True), "tau must be an integer, got True"),
+        ((2.0, 2, 2, 1), "m must be an integer, got 2.0"),
+        ((2, "2", 2, 1), "n must be an integer, got '2'"),
+        ((2, 2, 2.0, 1), "q must be an integer, got 2.0"),
+        ((-1, 2, 2, 0), "need m >= 0 and n >= 0, got m=-1, n=2"),
+        ((2, -1, 2, 0), "need m >= 0 and n >= 0, got m=2, n=-1"),
+        # the refusals that came before keep their text and their order
+        ((5, 5, 2, 9), "matrix space 33554432 exceeds guard 16777216"),
+        ((-5, -5, 2, 0), "matrix space 33554432 exceeds guard 16777216"),
+        ((2, 2, 2, 3), "need 0 <= tau <= min(m, n), got tau=3"),
+        ((2, 2, 2, -1), "need 0 <= tau <= min(m, n), got tau=-1"),
+    ],
+)
+def test_ball_volume_bruteforce_refusals(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ball_volume_bruteforce(*args)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_ball_volume_bruteforce_matches_formula(q):
     for m in range(1, 4):
@@ -649,11 +671,12 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
     # each path forced through both floors of matfq._batched; the enumerator of
     # the other path is removed, so a wrong choice fails instead of agreeing
     F27, F16_2 = make_field(3, 3), make_field(4, 2)
+    gab42 = GabidulinCode(F16, n=4, k=2)
 
     def run():
         lists = [
             list_codewords(GabidulinCode(F9, n=2, k=1), (3, 7), 1),
-            list_codewords(GabidulinCode(F16, n=4, k=2), (1, 2, 3, 4), 2),
+            list_codewords(gab42, (1, 2, 3, 4), 2),
             list_codewords(GabidulinCode(F27, n=3, k=2), (0, 0, 0), 1),
             list_codewords(GabidulinCode(F27, n=3, k=1), (5, 0, 26), 2),
             list_codewords(GabidulinCode(F16_2, n=2, k=1), (5, 9), 1),
@@ -662,7 +685,7 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
             distance_counts(GabidulinCode(F16, n=4, k=2), (0, 0, 0, 0)),
             distance_counts(GabidulinCode(F27, n=3, k=2), (1, 2, 3)),
         ]
-        translates = _translates(lists[1], 2)
+        translates = _translates(gab42, lists[1], 2)
         return lists, counts, matfq.min_pairwise_rank_distance(translates, F16), acceptance._check_mrd()
 
     results = []
@@ -674,6 +697,31 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
     assert results[0] == results[1]
     assert results[0][3][0] is True  # criterion 6 passes on both paths
     assert results[0][1][0] == [1, 0, 0, 15 * 15, 255 - 15 * 15]  # Gab[4,2]: [4;3]*15 words of weight d = 3
+
+
+@pytest.mark.parametrize("fld", [make_field(2, 6), make_field(3, 3)], ids=["F64", "F27"])
+def test_batched_lists_rank_every_block_in_numpy(fld, force_batching, monkeypatch):
+    # Gab[3,1] has fewer codewords than _BATCH_MIN_LOADED: with the floor at
+    # the call's work, the call batches although its one block alone would
+    # not, and that block must still be ranked in numpy, not by the scalar
+    # loop on numpy integers
+    code = GabidulinCode(fld, n=3, k=1)
+    work = code.cardinality * matfq._CODEWORD_WORK
+    assert code.cardinality < matfq._BATCH_MIN_LOADED
+    words = [(0, 0, 0), (1, 2, 3), (fld.order - 1, 0, 5)]
+
+    def run():
+        return [list_codewords(code, r, 3) for r in words], [distance_counts(code, r) for r in words]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(matfq, "_BATCH_MIN", work)
+        mp.setattr(matfq, "_BATCH_MIN_LOADED", work)
+        mp.setattr(GabidulinCode, "iter_codewords", None)
+        batched = run()
+    force_batching(False)
+    monkeypatch.setattr(GabidulinCode, "codeword_blocks", None)
+    assert batched == run()
+    assert [res.size for res in batched[0]] == [code.cardinality] * 3
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

@@ -618,7 +618,8 @@ def test_word_cap_produces_sampled_certificate(monkeypatch):
     codeword = GabidulinCode.codeword
     monkeypatch.setattr(GabidulinCode, "codeword", lambda self, i: encoded.append(i) or codeword(self, i))
     monkeypatch.setattr(witness, "evaluate", lambda f, a: evaluated.append(a) or evaluate(f, a))
-    cert = bound1_witness(code, 2, word_cap=10)
+    monkeypatch.setattr(witness, "CERTIFICATE_WORD_CAP", 10)
+    cert = bound1_witness(code, 2)
     assert cert.truncated and 1 <= len(cert.codewords) <= 10
     assert len(encoded) == len(cert.codewords) and len(evaluated) == code.n
     assert cert.codewords == full.codewords[::4][:10]
