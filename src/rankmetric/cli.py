@@ -93,12 +93,37 @@ def _check_writable(params: bounds.CodeParams, tau: int) -> None:
             )
 
 
+def _check_fractions(report: bounds.BoundsReport) -> None:
+    """Refuse a report with a fraction whose numerator or denominator has
+    more decimal digits than ``sys.get_int_max_str_digits()`` lets the writer
+    print (0: no limit), as ``_check_writable`` refuses integers; the
+    fractions are known only once the report is computed.  johnson.epsilon,
+    when written, is epsilon."""
+    limit, b1 = sys.get_int_max_str_digits(), report.bound1
+    fractions = {
+        "epsilon": report.epsilon,
+        "bound1.exact_ratio": b1.exact_ratio,
+        "bound1.exp_form": b1.exp_form,
+        "bound1.exp_form_nm": b1.exp_form_nm,
+    }
+    for name, value in fractions.items():
+        for part in ("numerator", "denominator"):
+            x = abs(getattr(value, part, 0))
+            # None reads as 0; below 2^(3 limit) < 10^limit no power of 10 is built
+            if limit and x.bit_length() > 3 * limit and x >= 10**limit:
+                raise ValueError(
+                    f"the {part} of {name} has more decimal digits than the limit of {limit} "
+                    "(sys.get_int_max_str_digits())"
+                )
+
+
 def _cmd_bounds(args) -> int:
     params = bounds.CodeParams(q=args.q, m=args.m, n=args.n, d=args.d, k=args.k)
     epsilon = _rational(args.epsilon, "--epsilon")
     if 0 <= args.tau < params.d:  # else compute_report refuses tau
         _check_writable(params, args.tau)
     report = bounds.compute_report(params, args.tau, epsilon)
+    _check_fractions(report)
     doc = bounds.report_to_jsonable(report)
     if args.format == "json":
         _emit(json_text(doc), args.out)

@@ -26,6 +26,7 @@ construction and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from functools import lru_cache
@@ -162,7 +163,7 @@ def json_key(doc, key: str, name: str, read=None):
 
 _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode  # no indent, so the C encoder
-_INT_ONLY = {int}  # item types of a list written with one join
+_EXACT_INT, _ARRAYS = {int}, {list, tuple}  # leaf and node types of an integer grid
 
 
 def json_text(doc) -> str:
@@ -171,9 +172,11 @@ def json_text(doc) -> str:
 
     With an indent, ``json.dumps`` runs CPython's pure-Python encoder (the C
     encoder serves only unindented output); this writer builds the same text
-    with one join per container, and writes a list of exact ints with a
-    single join.  Unsupported types raise the same TypeError; a document
-    that contains itself ends in RecursionError, not json's ValueError.
+    with one join per container, and writes an integer grid, a rectangular
+    nest of lists and tuples of any depth whose leaves are all exact ints,
+    with one ``str.format`` call (``_int_grid``).  Unsupported types raise
+    the same TypeError; a document that contains itself ends in
+    RecursionError, not json's ValueError.
     """
     return _json_value(doc, "\n")
 
@@ -183,9 +186,10 @@ def _json_value(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        grid = _int_grid(value, newline)
+        if grid is not None:
+            return grid
         inner = newline + "  "
-        if set(map(type, value)) == _INT_ONLY:
-            return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]"
         return f"[{inner}{(',' + inner).join([_json_value(x, inner) for x in value])}{newline}]"
     if isinstance(value, str):
         return _encode_str(value)
@@ -200,6 +204,36 @@ def _json_value(value, newline: str) -> str:
     if value is None:
         return "null"
     return _encode_scalar(value)  # raises json's TypeError on an unsupported type
+
+
+def _int_grid(value, newline: str) -> str | None:
+    """The JSON text of the nonempty list or tuple ``value`` when it is an
+    integer grid: every level below it holds only lists and tuples of one
+    nonzero length, and the last only exact ints (``type(x) is int``, so no
+    bool, int subclass or numpy integer).  None for anything else, which
+    the recursive writer takes.
+
+    The shape is found level by level, flattening each with
+    ``itertools.chain``; then the text of the whole grid is one template,
+    with ``{}`` for each leaf, filled by one ``str.format`` call, which
+    writes an exact int as ``int.__repr__`` does.
+    """
+    shape, leaves = [len(value)], value
+    while (types := set(map(type, leaves))) != _EXACT_INT:
+        if not types <= _ARRAYS:
+            return None
+        widths = set(map(len, leaves))
+        if len(widths) != 1:  # an empty row leaves no items below, and so no width
+            return None
+        shape.append(widths.pop())
+        leaves = tuple(itertools.chain.from_iterable(leaves))  # passed on as the arguments, not copied
+    indent = newline + "  " * len(shape)  # the start of a leaf's line
+    text = "{}"
+    for width in reversed(shape):
+        outer = indent[:-2]
+        text = f"[{indent}{(',' + indent).join([text] * width)}{outer}]"
+        indent = outer
+    return text.format(*leaves)
 
 
 def _json_key(key) -> str:

@@ -10,8 +10,9 @@ Gr(m, m - t), for the oracle's coset histogram and the Gabidulin witnesses.
 
 Linear algebra runs on two elimination algorithms, each in a scalar form and
 a numpy form over a stack: Gauss-Jordan reduction to RREF for every q
-(``_gauss_jordan`` and ``_rrefs``), and an XOR basis keyed by leading bit at
-q = 2 (the q = 2 branches of ``_column_rank`` and ``_column_ranks``).  Every
+(``_gauss_jordan`` and ``_rrefs``), and an XOR basis at q = 2, keyed by
+leading bit in ``_column_rank``, and in ``_column_ranks`` one unsigned
+vector per column reduced by ``minimum(v, v ^ b)``.  Every
 rank question (``rank``, ``subspace_distance`` and the rank of a vector over
 F_{q^m}) is the XOR basis at q = 2 and the pivot count of ``_gauss_jordan``
 at q > 2: ``rank`` hands its rows to ``_gauss_jordan`` as they are, the rank
@@ -201,16 +202,18 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
 
 
 # _batched weighs the work a call's scalar path would do, in scalar rank
-# computations (1.25-1.8 us each at q=2, m=n<=3; 2.0-3.0 us at q=2, m=n=4;
-# 5-18 us at q>2), against a floor.  While numpy is not yet imported the floor
-# is _BATCH_MIN: a one-shot run must not pay numpy's import (0.14-0.17 s
-# measured, Python 3.11, numpy 2.4, 2-vCPU VM) to save less work than that.
-# Once numpy is loaded only its per-call overhead is left, 0.1-0.2 ms, which
-# _BATCH_MIN_LOADED covers: at q=2, m=n=4, 64 rank distances take 0.20 ms
-# either way and 128 take 0.38 ms scalar against 0.24 ms batched; a 16-word
-# decoding list (64 work) takes 0.11 ms scalar against 0.19 ms batched, a
-# 256-word one (1024 work) 1.06 against 0.19 ms.  Batched, a rank costs
-# 0.08-0.13 us (q=2) and 0.3-1.9 us (q>2).
+# computations (0.2-0.3 us each at q=2, m=n<=3; 0.4 us at q=2, m=n=4;
+# 1.8-3.8 us at q>2), against a floor.  While numpy is not yet imported the
+# floor is _BATCH_MIN: a one-shot run must not pay numpy's import (37-44 ms)
+# to save less work than that.  Once numpy is loaded only its per-call
+# overhead is left, about 0.015 ms at q=2 and 0.08 ms at q>2, and
+# _BATCH_MIN_LOADED lies above the crossover at every q measured: 128 rank
+# distances take 0.10 ms scalar against 0.03 ms batched at q=2, m=n=4 (32
+# take 0.025 against 0.016 ms), and 0.68 against 0.13 ms at q=3, m=n=3; a
+# 16-word decoding list (64 work) takes 0.035 ms scalar against 0.030 ms
+# batched, a 256-word one (1024 work) 0.68 against 0.05 ms.  Batched, a rank
+# costs 0.005-0.015 us (q=2, m=n=4..8) and 0.16-0.7 us (q>2).  Figures from
+# a 2-vCPU AMD EPYC VM, Python 3.11.7, numpy 2.4.6, file cache warm.
 _BATCH_MIN = 1 << 17
 _BATCH_MIN_LOADED = 128
 # scalar work per item, in ranks: one ``_combine`` call (a codeword from its
@@ -296,27 +299,28 @@ def _column_ranks(words, q: int, m: int):
     """``_column_rank`` of every row of the integer array ``words`` (one
     F_{q^m} word per row, q^m <= 2^32), as an int64 array.
 
-    q = 2 keeps one XOR basis per row in m bit planes (plane b holds the
-    basis vector led by bit b, 0 if none), reduced with 0/1 arithmetic masks.
-    q > 2 counts the pivots of ``_rrefs`` on the (rows, n, m) uint8 stack of
-    base-q digits.
+    q = 2 keeps, per row, an XOR basis of one unsigned integer per column.
+    Each column is reduced by the vectors before it, in order, with
+    ``minimum(v, v ^ b)``: v ^ b < v exactly when v has b's leading bit set,
+    so each step clears that bit.  Every vector was reduced so before it
+    joined, so it has none of the earlier vectors' leading bits, and no step
+    sets a bit that an earlier step cleared.  A column ends at zero exactly
+    when it depends on the columns before it, so the rank is the count of
+    nonzero vectors, after n(n - 1)/2 steps of two numpy calls each on
+    whole columns of the block, whatever m is.  q > 2 counts the pivots of
+    ``_rrefs`` on the (rows, n, m) uint8 stack of base-q digits.
     """
     import numpy as np
 
     words = np.asarray(words, dtype=np.int64)
-    rows, n = words.shape
     if q == 2:
         dtype = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
-        basis = np.zeros((m, rows), dtype=dtype)
-        for j in range(n):
-            v = words[:, j].astype(dtype)
-            for b in range(m - 1, -1, -1):
-                lead = (v >> b) & 1
-                plane = basis[b]
-                new = v * (lead * (plane == 0))  # v where it opens plane b, else 0
-                v = v ^ (plane * lead) ^ new
-                basis[b] |= new
-        return (basis != 0).sum(axis=0)
+        basis = []
+        for v in np.array(words.T, dtype=dtype, order="C"):  # one contiguous row per column
+            for b in basis:
+                np.minimum(v, v ^ b, out=v)
+            basis.append(v)
+        return np.count_nonzero(basis, axis=0) if basis else np.zeros(len(words), dtype=np.int64)
     return _rrefs(_digits(words, q, m), q)[1]
 
 

@@ -23,8 +23,11 @@ Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
 counts take Gabidulin codewords as blocks from ``GabidulinCode.codeword_blocks``
 (``matfq._row_tables``), ranked by ``matfq._block_distances``, the numpy block
-of ``matfq.rank_distances`` (``matfq._column_ranks``: XOR bit planes at
-q = 2, pivot counts of ``matfq._rrefs`` at q > 2).  Ball counts, like
+of ``matfq.rank_distances`` (``matfq._column_ranks``: an XOR basis of one
+unsigned vector per column at q = 2, pivot counts of
+``matfq._rrefs`` at q > 2); a mask keeps the words of a list and
+``np.bincount`` counts the distances, so a block costs a fixed number of
+numpy calls and only listed words become tuples.  Ball counts, like
 the full-rank candidates of the coset histogram, rank the whole matrix space
 at once with ``matfq._space_ranks``, which shares the work on the first
 columns among the matrices that have them.  Below the numpy floor every path
@@ -39,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,53 +125,53 @@ def _read_received(code, r: Sequence[int]) -> tuple[int, ...]:
     return r
 
 
-def _distance_blocks(code: GabidulinCode, r: tuple[int, ...]):
-    """(words, ranks) blocks covering the code in message-index order, with
-    ranks[i] = rank(r - words[i]) in a list.
+def _ranked(code: GabidulinCode, r: tuple[int, ...], tau: int) -> tuple[list, list[int]]:
+    """(near, counts) around r: the codewords within rank distance tau of r,
+    as int tuples in message-index order, and counts[t], the number of
+    codewords at rank distance t from r for t = 0..n.
 
-    With enough work for ``matfq._batched`` they are int64 blocks of
-    ``codeword_blocks``, each ranked by ``matfq._block_distances``: not by
+    With enough work for ``matfq._batched`` the int64 blocks of
+    ``codeword_blocks`` are ranked by ``matfq._block_distances``: not by
     ``rank_distances``, which decides its path again and would send a small
-    block of numpy integers to the scalar loop.  Else they are lists of at
-    most _BATCH_ROWS word tuples of ``iter_codewords``, and ``rank_distances``
-    takes the scalar loop too, since a list has fewer words than the code
-    has work.
+    block of numpy integers to the scalar loop.  A mask picks the words
+    within tau and ``np.bincount`` counts the ranks, so only the words kept
+    become tuples.  Else lists of at most _BATCH_ROWS word tuples of
+    ``iter_codewords`` are ranked by ``rank_distances``, which takes the
+    scalar loop too, since a list has fewer words than the code has work.
     """
-    fld = code.field
+    fld, n = code.field, code.n
+    near = []
     if _batched(code.cardinality * _CODEWORD_WORK, fld.order):
         import numpy as np
 
-        center = np.asarray(r, dtype=np.int64)
+        center, counts = np.asarray(r, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
         for block in code.codeword_blocks():
-            yield block, _block_distances(center, block, fld).tolist()
-        return
+            ranks = _block_distances(center, block, fld)
+            near += map(tuple, block[ranks <= tau].tolist())
+            counts += np.bincount(ranks, minlength=n + 1)
+        return near, counts.tolist()
+    counts = [0] * (n + 1)
     codewords = code.iter_codewords()
     while words := list(itertools.islice(codewords, _BATCH_ROWS)):
-        yield words, rank_distances(r, words, fld)
+        for word, dist in zip(words, rank_distances(r, words, fld)):
+            counts[dist] += 1
+            if dist <= tau:
+                near.append(word)
+    return near, counts
 
 
 def list_codewords(code: GabidulinCode, r: Sequence[int], tau: int) -> ListResult:
     """All codewords within rank distance tau of r, in message-index order."""
     r = _read_received(code, r)
     tau = _read_tau(tau, code.n)
-    members = []
-    counts = [0] * (tau + 1)
-    for words, ranks in _distance_blocks(code, r):
-        for i, dist in enumerate(ranks):
-            if dist <= tau:
-                members.append(tuple(map(int, words[i])))
-                counts[dist] += 1
-    return ListResult(r, tau, tuple(members), tuple(counts))
+    near, counts = _ranked(code, r, tau)
+    return ListResult(r, tau, tuple(near), tuple(counts[: tau + 1]))
 
 
 def distance_counts(code: GabidulinCode, r: Sequence[int]) -> list[int]:
     """counts[t] = number of codewords at rank distance t from r, t = 0..n."""
     r = _read_received(code, r)
-    counts = [0] * (len(r) + 1)
-    for _, ranks in _distance_blocks(code, r):
-        for t, count in Counter(ranks).items():
-            counts[t] += count
-    return counts
+    return _ranked(code, r, -1)[1]  # the ball of radius -1 is empty: no word becomes a tuple
 
 
 @dataclass(frozen=True)

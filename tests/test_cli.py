@@ -87,6 +87,31 @@ def test_bounds_refuses_integers_too_long_to_write_at_once(capsys, int_digit_lim
     assert value in err and "limit of 4300" in err
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        # singleton 2^600 and the sphere bound 2^2970 are short, the fractions are not
+        (("--m", "300", "--n", "300", "--d", "299", "--tau", "5"), "the denominator of bound1.exact_ratio"),
+        (("--m", "4", "--n", "4", "--d", "3", "--tau", "1", "--epsilon", "1e-4300"), "the denominator of epsilon"),
+    ],
+)
+def test_bounds_refuses_fractions_too_long_to_write(capsys, int_digit_limit, argv, field):
+    int_digit_limit(4300)  # Python's default
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "bounds", "--q", "2", *argv, "--format", fmt)
+        assert code == 2 and out == ""
+        assert f"{field} has more decimal digits than the limit of 4300" in err
+
+
+def test_bounds_fraction_refusal_matches_the_writer(capsys, int_digit_limit):
+    # 10^4299 has 4300 decimal digits and 10^4300 has 4301
+    int_digit_limit(4300)
+    argv = ["bounds", "--q", "2", "--m", "4", "--n", "4", "--d", "3", "--tau", "1", "--epsilon"]
+    code, out, _ = run_cli(capsys, *argv, "1e-4299")
+    assert code == 0 and json.loads(out)["epsilon"] == "1/1" + "0" * 4299
+    assert run_cli(capsys, *argv, "1e-4300")[0] == 2
+
+
 def test_bounds_digit_refusal_matches_the_writer(capsys, int_digit_limit):
     # 2^2126 has 640 decimal digits and 2^2127 has 641: under a limit of 640
     # the first report prints and the second is refused

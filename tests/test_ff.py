@@ -351,6 +351,62 @@ def test_json_text_is_json_dumps_with_sorted_keys_and_indent_2(doc):
     assert json_text(doc) == _dumps(doc)
 
 
+_GRID_INTS = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@st.composite
+def _int_grids(draw):
+    """A rectangular nest of depth 1-4 of lists and tuples, mixed at random, of exact ints."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+
+    def build(depth):
+        if depth == len(shape):
+            return draw(_GRID_INTS)
+        items = [build(depth + 1) for _ in range(shape[depth])]
+        return items if draw(st.booleans()) else tuple(items)
+
+    return build(0)
+
+
+def _replaced(node, path, value):
+    """``node`` with the item at ``path`` (a list of indices) replaced by ``value``."""
+    if not path:
+        return value
+    items = list(node)
+    items[path[0]] = _replaced(items[path[0]], path[1:], value)
+    return type(node)(items)
+
+
+@given(_int_grids())
+def test_json_text_writes_integer_grids_as_json_dumps(grid):
+    assert json_text(grid) == _dumps(grid)
+    doc = {"grid": grid, "rows": [grid, grid]}
+    assert json_text(doc) == _dumps(doc)
+
+
+@given(_int_grids(), st.data())
+def test_json_text_writes_spoiled_grids_as_json_dumps(grid, data):
+    # one bool, numpy integer, empty list or ragged row anywhere in a grid:
+    # the same text as json.dumps, or its TypeError
+    np = pytest.importorskip("numpy")
+    path, node = [], grid
+    while isinstance(node, (list, tuple)) and (not path or data.draw(st.booleans())):
+        path.append(data.draw(st.integers(0, len(node) - 1)))
+        node = node[path[-1]]
+    spoiler = data.draw(st.sampled_from(["bool", "int64", "empty", "ragged"]))
+    if spoiler == "ragged":  # a row one item longer, or a row where a leaf was
+        value = [*node, 0] if isinstance(node, (list, tuple)) else [node]
+    else:
+        value = {"bool": True, "int64": np.int64(3), "empty": []}[spoiler]
+    doc = _replaced(grid, path, value)
+    try:
+        expected = _dumps(doc)
+    except TypeError:
+        assert _type_error(json_text, doc) == _type_error(_dumps, doc)
+    else:
+        assert json_text(doc) == expected
+
+
 def test_json_text_layout():
     doc = {"b": [[0, -1], (), True], "a": {}, "c": {2.5: "é\"", 1: None}}
     assert json_text(doc) == _dumps(doc) == (

@@ -699,6 +699,38 @@ def test_oracle_batched_path_matches_scalar(force_batching, monkeypatch):
     assert results[0][1][0] == [1, 0, 0, 15 * 15, 255 - 15 * 15]  # Gab[4,2]: [4;3]*15 words of weight d = 3
 
 
+@pytest.mark.parametrize("q,m,n", [(2, 5, 3), (3, 3, 3), (4, 2, 2)])
+def test_list_and_count_paths_agree(q, m, n, force_batching, monkeypatch):
+    # the scalar path (word tuples and lists of ranks) against the numpy one
+    # (a mask and np.bincount per int64 block), over several blocks: the code
+    # has more words than _BATCH_ROWS
+    for module in (codes, matfq, oracle):
+        monkeypatch.setattr(module, "_BATCH_ROWS", 100)
+    code = GabidulinCode(make_field(q, m), n=n, k=2)
+    assert code.cardinality > 2 * 100
+    rng = random.Random(q)
+    codewords = [(0,) * n, code.codeword(code.cardinality - 1)]
+    other = tuple(rng.randrange(code.field.order) for _ in range(n))
+    cases = [(r, tau) for r in [*codewords, other] for tau in (0, 1, n)]
+
+    def run():
+        return [(list_codewords(code, r, tau), distance_counts(code, r)) for r, tau in cases]
+
+    results = []
+    for batched, unused in ((False, "codeword_blocks"), (True, "iter_codewords")):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            mp.setattr(GabidulinCode, unused, None)  # a wrong path fails instead of agreeing
+            results.append(run())
+    assert results[0] == results[1]
+    for (listed, counts), (r, tau) in zip(results[1], cases):
+        assert sum(counts) == code.cardinality and listed.sphere_counts == tuple(counts[: tau + 1])
+        assert listed.size == sum(listed.sphere_counts)
+        assert (listed.size == code.cardinality) == (tau == n)
+        if r in codewords:  # a codeword lists itself at distance 0
+            assert counts[0] == 1 and r in listed.codewords
+
+
 @pytest.mark.parametrize("fld", [make_field(2, 6), make_field(3, 3)], ids=["F64", "F27"])
 def test_batched_lists_rank_every_block_in_numpy(fld, force_batching, monkeypatch):
     # Gab[3,1] has fewer codewords than _BATCH_MIN_LOADED: with the floor at
