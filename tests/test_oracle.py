@@ -731,6 +731,21 @@ def test_list_and_count_paths_agree(q, m, n, force_batching, monkeypatch):
             assert counts[0] == 1 and r in listed.codewords
 
 
+def test_list_paths_agree_across_full_blocks(force_batching, monkeypatch):
+    # 2^14 codewords: four blocks of _BATCH_ROWS on the numpy path
+    code = GabidulinCode(make_field(2, 7), n=2, k=2)
+    assert code.cardinality == 4 * matfq._BATCH_ROWS
+    results = []
+    for batched, unused in ((False, "codeword_blocks"), (True, "iter_codewords")):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            mp.setattr(GabidulinCode, unused, None)
+            results.append((list_codewords(code, (5, 77), 1), distance_counts(code, (5, 77))))
+    assert results[0] == results[1]
+    rank1 = (2**7 - 1) * (2**2 - 1)  # the code is all of F_128^2: rank-1 words are 7 x 2 rank-1 matrices
+    assert results[0][1] == [1, rank1, 16384 - 1 - rank1]
+
+
 @pytest.mark.parametrize("fld", [make_field(2, 6), make_field(3, 3)], ids=["F64", "F27"])
 def test_batched_lists_rank_every_block_in_numpy(fld, force_batching, monkeypatch):
     # Gab[3,1] has fewer codewords than _BATCH_MIN_LOADED: with the floor at
