@@ -26,6 +26,7 @@ The implemented quantities:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -60,6 +61,28 @@ def ball_volume(m: int, n: int, q: int, tau: int) -> int:
     if not 0 <= tau <= min(m, n):
         raise ValueError(f"need 0 <= tau <= min(m, n), got tau={tau}")
     return sum(sphere_volume(m, n, q, i) for i in range(tau + 1))
+
+
+def rank_krawtchouk(m: int, n: int, q: int) -> list[list[int]]:
+    """P[i][x] = P_i(x) for 0 <= i, x <= n <= m, the Krawtchouk polynomials of
+    the bilinear forms scheme of m x n matrices over F_q (Delsarte, JCTA 1978):
+    the sum of psi(<A, B>) over the A of rank i, for any B of rank x,
+
+        P_i(x) = sum_j (-1)^{i-j} q^{mj + C(i-j, 2)} [n-j; i-j] [n-x; j],
+
+    so P_i(0) = ``sphere_volume(m, n, q, i)``.  The Gaussian binomials come
+    from the q-Pascal rule, which gives [n-x; j] = 0 for j > n - x, where
+    ``gaussian_binomial`` raises."""
+    if not 0 <= n <= m:
+        raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
+    binom = [[1] + [0] * n]
+    for _ in range(n):  # [a; b] = [a-1; b-1] + q^b [a-1; b]
+        binom.append([1] + [binom[-1][b - 1] + q**b * binom[-1][b] for b in range(1, n + 1)])
+    weights = (  # term j of P_i without its factor [n-x; j]
+        [(-1) ** (i - j) * q ** (m * j + (i - j) * (i - j - 1) // 2) * binom[n - j][i - j] for j in range(i + 1)]
+        for i in range(n + 1)
+    )
+    return [[sum(map(operator.mul, row, binom[n - x])) for x in range(n + 1)] for row in weights]
 
 
 @dataclass(frozen=True)
@@ -183,13 +206,12 @@ class JohnsonRadii:
 
 
 def _smallest_tau_geq_root(shift: Fraction, radicand: Fraction) -> int:
-    """Smallest integer tau with shift - tau <= sqrt(radicand)."""
-    tau = 0
-    while True:
-        gap = shift - tau
-        if gap <= 0 or gap * gap <= radicand:
-            return tau
-        tau += 1
+    """Smallest integer tau >= 0 with shift - tau <= sqrt(radicand), for
+    radicand >= 0.  With shift = S/D and radicand = P/D^2 in integers, S - D
+    tau <= sqrt(P) exactly when S - D tau <= isqrt(P)."""
+    D = math.lcm(shift.denominator, radicand.denominator)
+    S, P = shift.numerator * D // shift.denominator, radicand.numerator * D * D // radicand.denominator
+    return max(0, -((math.isqrt(P) - S) // D))
 
 
 def johnson_radii(m: int, n: int, d: int, epsilon: Fraction | int = 0) -> JohnsonRadii:

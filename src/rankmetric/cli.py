@@ -373,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--guard",
         type=int,
         default=None,
-        help="override the work guard (2^28): candidate matrices, subspaces in the keyed orbits, "
-        "orbit-reduced errors keyed and cosets; in random mode, trials times codewords",
+        help="override the work guard (2^28): points of PG(n-k-1, q^m) ranked plus the reads "
+        "or Walsh butterfly steps of the coset transform; in random mode, trials times codewords",
     )
 
     p_con = sub.add_parser("construct", help="build constant-dimension / constant-rank codes")

@@ -6,7 +6,7 @@ echelon form, so equal subspaces compare equal and enumeration is canonical.
 ``grassmannian_order_key`` places a subspace in that enumeration order, and
 ``_singer_orbits`` lists one subspace of F_{q^m} per orbit of Gr(m, t) under
 multiplication by F_{q^m}^*, walking the smaller of Gr(m, t) and
-Gr(m, m - t), for the oracle's coset histogram and the Gabidulin witnesses.
+Gr(m, m - t), for the Gabidulin witnesses.
 
 Linear algebra runs on two elimination algorithms, each in a scalar form and
 a numpy form over a stack: Gauss-Jordan reduction to RREF for every q
@@ -33,6 +33,7 @@ import itertools
 import operator
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import ff
@@ -249,11 +250,30 @@ def _sub_words(a, b, fld: Field):
     return _undigits((_digits(a, p, width) + (p - _digits(b, p, width))) % p, p)
 
 
-def _multiples(fld: Field, xs: Iterable[int], vec: Sequence[int]):
-    """int64 array with one row [x * v for v in vec] per x of ``xs``."""
+@lru_cache(maxsize=64)
+def _log_arrays(fld: Field):
+    """(log, exp) of ``fld`` as read-only int64 arrays, kept per field, with
+    log 0 pointing past two periods of exp, into zeros: exp[log a + log b] = a b."""
     import numpy as np
 
-    return np.array([[fld.mul(x, v) for v in vec] for x in xs], dtype=np.int64)
+    n1 = fld.order - 1
+    log, exp = np.asarray(fld._log, dtype=np.int64), np.zeros(4 * n1 + 1, dtype=np.int64)
+    log[0], exp[:n1], exp[n1 : 2 * n1] = 2 * n1, fld._exp, fld._exp
+    log.flags.writeable = exp.flags.writeable = False
+    return log, exp
+
+
+def _products(fld: Field, a, b):
+    """a * b over F_{q^m} for integer arrays a and b, broadcast, as int64:
+    from ``_log_arrays`` when ``fld`` has log tables, else one ``Field.mul``
+    per entry."""
+    import numpy as np
+
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if fld._exp is None:
+        return np.frompyfunc(fld.mul, 2, 1)(a, b).astype(np.int64)
+    log, exp = _log_arrays(fld)
+    return exp[log[a] + log[b]]
 
 
 def _combine(fld: Field, coeffs: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
@@ -267,21 +287,20 @@ def _combine(fld: Field, coeffs: Sequence[int], rows: Sequence[Sequence[int]], w
 
 
 def _row_tables(fld: Field, rows: Sequence[Sequence[int]]) -> list:
-    """Per row of ``rows``, the ``_table_sums`` table of its multiples x row,
-    x in F_{q^m}: ``_table_sums(_row_tables(fld, rows), c, p)`` is the
-    ``_combine`` of every coefficient row of the array c."""
-    return [_addends(_multiples(fld, range(fld.order), row), fld.char, fld.m * fld.base.e) for row in rows]
+    """Per row of ``rows``, the table of its multiples x row, x in F_{q^m},
+    in the form ``_table_sums`` adds in characteristic p (the integers for
+    p = 2, else their base-p digits): ``_table_sums(_row_tables(fld, rows),
+    c, p)`` is the ``_combine`` of every coefficient row of the array c."""
+    import numpy as np
 
-
-def _addends(values, p: int, width: int):
-    """The integer array ``values`` in the form ``_table_sums`` adds in
-    characteristic p: unchanged for p = 2, else its ``width`` base-p digits."""
-    return values if p == 2 else _digits(values, p, width)
+    p, xs = fld.char, np.arange(fld.order)[:, None]
+    tables = [_products(fld, xs, row) for row in rows]
+    return tables if p == 2 else [_digits(table, p, fld.m * fld.base.e) for table in tables]
 
 
 def _table_sums(tables, index, p: int):
     """sum over j of tables[j][index[..., j]] in characteristic p, for tables
-    made by ``_addends``: XOR for p = 2, else digitwise mod p and packed back.
+    made by ``_row_tables``: XOR for p = 2, else digitwise mod p and packed back.
 
     F_{q^m} addition is exactly this on the integer encoding of
     :mod:`rankmetric.ff`, also for integers that pack several elements.

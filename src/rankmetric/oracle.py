@@ -11,13 +11,14 @@ is lexicographic order on word tuples.  Every maximum is exact, with the
 lexicographically smallest argmax.
 
 The list size of r depends only on the coset r + C, so the maximum is the
-fullest coset of the rank ball of radius tau, counted by
-``_coset_histogram`` without enumerating received words or codewords.  Coset
-counts are constant on the orbits of F_{q^m}^*, so it keys the errors of one
-column space per orbit of the Singer cycle (``matfq._singer_orbits``),
-weighted by the orbit size; its guard counts those steps, not the ball.
-Only ``mode="random"`` scans words, one drawn word at a time
-(``_count_ball``).
+fullest coset of the rank ball of radius tau, counted by ``_coset_counts``
+without enumerating received words, codewords or errors: by the MacWilliams
+transform of the bilinear forms scheme, every coset count follows from one
+F_q-rank per point of PG(n - k - 1, q^m) and one point-hyperplane incidence
+sum (``_hyperplane_sums``), a Walsh-Hadamard transform at characteristic 2
+and a gather at odd characteristic.  Neither depends on tau, and the guard
+counts those steps.  Only ``mode="random"`` scans words, one drawn word at
+a time (``_count_ball``).
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
@@ -27,10 +28,9 @@ of ``matfq.rank_distances`` (``matfq._column_ranks``: an XOR basis of one
 unsigned vector per column at q = 2, pivot counts of
 ``matfq._rrefs`` at q > 2); a mask keeps the words of a list and
 ``np.bincount`` counts the distances, so a block costs a fixed number of
-numpy calls and only listed words become tuples.  Ball counts, like
-the full-rank candidates of the coset histogram, rank the whole matrix space
-at once with ``matfq._space_ranks``, which shares the work on the first
-columns among the matrices that have them.  Below the numpy floor every path
+numpy calls and only listed words become tuples.  Ball counts rank the
+whole matrix space at once with ``matfq._space_ranks``, which shares the
+work on the first columns among the matrices that have them.  Below the numpy floor every path
 builds one tuple per word (``GabidulinCode.iter_codewords``,
 ``matfq._combine``) and ranks it with the scalar ``matfq._column_rank`` (an
 XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
@@ -39,35 +39,36 @@ XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import ff
-from .bounds import gaussian_binomial, sphere_volume
+from .bounds import rank_krawtchouk
 from .codes import ENUMERATION_GUARD, GabidulinCode
 from .ff import Field, json_int
 from .matfq import (
     _BATCH_ROWS,
     _CODEWORD_WORK,
-    _addends,
     _batched,
     _block_distances,
     _column_rank,
+    _column_ranks,
     _digits,
-    _multiples,
-    _singer_orbits,
+    _products,
+    _row_tables,
     _space_ranks,
+    _sub_words,
     _table_sums,
-    _undigits,
     rank_distances,
 )
 
 EXHAUSTIVE_GUARD = 1 << 28
 BRUTEFORCE_GUARD = 1 << 24
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # points ranked, or entries gathered, per numpy block of ``_coset_counts``
 
 
 def unpack_word(index: int, order: int, n: int) -> tuple[int, ...]:
@@ -188,128 +189,169 @@ def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
     return sum(_column_rank(tuple(map(sub, r, cw)), q, m, tau) <= tau for cw in words)
 
 
-def _orbit_count(m: int, t: int, q: int) -> int:
-    """Number of orbits of Gr(m, t) under multiplication by F_{q^m}^*.
-
-    The stabilizer of U is F_{q^s}^* for the largest s such that U is an
-    F_{q^s}-subspace (s divides m and t), and its orbit has (q^m - 1)/(q^s - 1)
-    subspaces.  The F_{q^s}-subspaces number [m/s; t/s]_{q^s}, so those whose
-    largest such s is exactly s follow by inclusion-exclusion over the
-    multiples of s.
-    """
-    g = math.gcd(m, t)
-    exact: dict[int, int] = {}
-    for s in sorted((s for s in range(1, g + 1) if g % s == 0), reverse=True):
-        exact[s] = gaussian_binomial(m // s, t // s, q**s) - sum(c for r, c in exact.items() if r % s == 0)
-    return sum(c * (q**s - 1) for s, c in exact.items()) // (q**m - 1)
-
-
-def _coset_work(code: GabidulinCode, tau: int) -> int:
-    """Steps of ``_coset_histogram``: per rank t, the q^{tn} candidate
-    matrices A, the [m; t]_q subspaces the orbit representatives stand for
-    and the errors keyed (orbits times full-rank A); then the bins."""
-    q, m, n = code.q, code.m, code.n
-    steps = code.field.order ** (n - code.k)
-    for t in range(1, tau + 1):
-        steps += q ** (t * n) + gaussian_binomial(m, t, q) + _orbit_count(m, t, q) * sphere_volume(t, n, q, t)
-    return steps
-
-
-def _key_normalizer(fld: Field, width: int):
-    """A function scaling each packed key of ``width`` coordinates by the
-    inverse of its first nonzero coordinate (0 stays 0): the smallest key of
-    its orbit under F_{q^m}^*.  Reads the log tables of ``fld``."""
+def _points(order: int, r: int):
+    """The points of PG(r - 1, Q), Q = ``order``, one vector per F_Q^* line,
+    as rows in chart order: row i Q + x is (x, z') for row i = z' of the
+    chart of PG(r - 2, Q), and the last row is e_1 = (1, 0, ..., 0)."""
     import numpy as np
 
-    if width <= 1:
-        return lambda keys: np.minimum(keys, 1)
-    order, n1 = fld.order, fld.order - 1
-    log = np.asarray(fld._log, dtype=np.int64)
-    # two periods of the antilog table, then zeros, which the log of 0 points into
-    exp = np.concatenate([fld._exp, fld._exp, np.zeros(order, dtype=np.int64)])
-    log_or_zero = log.copy()
-    log_or_zero[0] = 2 * n1
-
-    def normalize(keys):
-        digits = [keys // order**j % order for j in range(width)]  # last coordinate first
-        lead = digits[0]
-        for d in digits[1:]:
-            lead = np.where(d != 0, d, lead)
-        shift = n1 - log[lead]  # exp[log[d] + shift] = d / lead
-        out = exp[log_or_zero[digits[0]] + shift]
-        for j in range(1, width):
-            out += exp[log_or_zero[digits[j]] + shift] * order**j
-        return out
-
-    return normalize
+    if r == 0:
+        return np.zeros((0, 0), dtype=np.min_scalar_type(order - 1))
+    lower = _points(order, r - 1)
+    first = np.tile(np.arange(order, dtype=lower.dtype), len(lower))[:, None]
+    return np.vstack([np.hstack([first, np.repeat(lower, order, axis=0)]), np.eye(1, r, dtype=lower.dtype)])
 
 
-def _coset_histogram(code: GabidulinCode, tau: int, guard: int = EXHAUSTIVE_GUARD):
-    """Orbit-reduced coset counts of the rank ball of radius tau.
+def _transform_work(order: int, r: int, p: int) -> int:
+    """Steps of ``_coset_counts``: a rank per point, then per level j = r..2 of
+    ``_hyperplane_sums`` the Q^{j-1} c_{j-1} reads of ``_gather_sums`` (c_j =
+    (Q^j - 1)/(Q - 1) points) or the butterflies of ``_walsh_sums`` at p = 2."""
+    bits, work = order.bit_length() - 1, (order**r - 1) // (order - 1)
+    for j in range(2, r + 1):
+        lower = (order ** (j - 1) - 1) // (order - 1)
+        work += (lower * order + order ** (j - 1) * (j - 1)) * bits if p == 2 else order ** (j - 1) * lower
+    return work
 
-    Returns acc, indexed by coset key: acc[0] is the number of errors e with
-    rank(e) <= tau in the code itself; for a key whose first nonzero
-    coordinate is 1, acc[key] is q^m - 1 times the number of such errors in
-    each coset of the orbit {x key : x in F_{q^m}^*}; every other bin is 0.
-    So acc sums to the ball volume, and key is the smallest of its orbit.
 
-    The key of a coset is the big-endian index (``unpack_word``) of its one
-    word that is zero on the first k positions, the reduction of any of its
-    words modulo the generator rows; for an MRD code that word is also the
-    lexicographically smallest of the coset.  The key is F_{q^m}-linear, so
-    key(e) is the sum over j of e_j key(u_j) (``GabidulinCode._unit_keys``),
-    and key(x e) = x key(e): coset counts are constant on orbits.  Rank-t
-    errors are e_j = sum_i A_ij b_i over the full-rank t x n matrices A and a
-    basis b_1..b_t of their column space U; multiplying by x maps U to xU and
-    keeps A.  The A are the matrices of rank t in ``matfq._space_ranks``,
-    which ranks all q^{tn} of them from shared column prefixes.  So only one
-    U per orbit of Gr(m, t) under F_{q^m}^* is keyed (``_singer_orbits``),
-    read from one table per coordinate j by ``matfq._table_sums``, and each
-    error adds its orbit size at its normalized key (``_key_normalizer``).
+def _walsh(values):
+    """Walsh-Hadamard transform along the last axis (a power of 2) in place:
+    entry u becomes the sum over w of values[w] (-1)^{popcount(u & w)}."""
+    size, half = values.shape[-1], 1
+    while half < size:
+        pairs = values.reshape(*values.shape[:-1], -1, 2, half)
+        low, high = pairs[..., 0, :], pairs[..., 1, :]
+        diff = low - high
+        low += high
+        high[...] = diff
+        half *= 2
+    return values
 
-    Refuses, before any work, more than ENUMERATION_GUARD cosets or more
-    than ``guard`` steps (``_coset_work``); the counts are checked against
-    the closed form sphere volumes.
+
+@functools.lru_cache(maxsize=64)
+def _trace_masks(fld: Field):
+    """A read-only array, per field of order Q = 2^b: bit k of masks[x] is
+    Tr(x 2^k), Tr the absolute trace to F_2 (``matfq._trace`` is the trace to
+    F_q), so Tr(x y) is the parity of masks[x] & y."""
+    import numpy as np
+
+    b = fld.order.bit_length() - 1
+    ones = sum(functools.reduce(operator.xor, (fld.pow(1 << k, 1 << i) for i in range(b))) << k for k in range(b))
+    parity, bits = np.zeros(1, dtype=np.int64), np.arange(b)
+    for _ in range(b):
+        parity = np.concatenate([parity, parity ^ 1])  # parity[y] = popcount(y) mod 2
+    masks = (parity[_products(fld, np.arange(fld.order)[:, None], 1 << bits) & ones] << bits).sum(axis=1)
+    masks.flags.writeable = False
+    return masks
+
+
+def _walsh_sums(fld: Field, table, lower):
+    """Q H(1, a) for every a in F_Q^w ascending, at p = 2: H(1, a) sums
+    table[z', <a, z'>] over the rows z' of ``lower``, a chart of PG(w - 1, Q).
+    With chi(u) = (-1)^{Tr u}, Q H(1, a) = sum over b, z' of ghat_z'(b)
+    chi(<a, b z'>), ghat_z' the Walsh transform of table[z'] read at the
+    masks of b (``_trace_masks``), and b z' meets each nonzero w once: so a
+    Walsh transform of G[b z'] = ghat_z'(b), G[0] = the table's sum.
+    """
+    import numpy as np
+
+    order, width = fld.order, lower.shape[1]
+    masks, spectra = _trace_masks(fld), _walsh(table.copy())
+    sums = np.empty(order**width, dtype=table.dtype)
+    sums[0] = spectra[:, 0].sum()
+    scaled = sum(_products(fld, lower[:, i, None], np.arange(1, order)) * order ** (width - 1 - i) for i in range(width))
+    sums[scaled] = spectra[:, masks[1:]]
+    at = masks
+    for _ in range(width - 1):
+        at = (at[:, None] * order + masks).reshape(-1)
+    return _walsh(sums)[at]
+
+
+def _gather_sums(fld: Field, table, lower):
+    """Q H(1, a) for every a in F_Q^w ascending, at odd p: the sum of
+    table[z', -<a, z'>] over the rows z' of ``lower``, _CHUNK reads at a
+    time, from a Q x (rows) product table per coordinate and, for w > 1, a
+    Q x Q subtraction table."""
+    import numpy as np
+
+    order, (count, width) = fld.order, lower.shape
+    values = np.arange(order)
+    products = [_products(fld, values[:, None], lower[:, i]) for i in range(width)]
+    products[0] = _sub_words(0, products[0], fld)
+    minus = _sub_words(values[:, None], values, fld).reshape(-1) if width > 1 else None  # [u Q + v] = u - v
+    flat, offsets = table.reshape(-1), np.arange(count) * order
+    sums = np.empty(order**width, dtype=table.dtype)
+    step = max(1, _CHUNK // count)
+    for lo in range(0, order**width, step):
+        a = _digits(np.arange(lo, min(lo + step, order**width)), order, width)  # a_1 is the last digit
+        neg = products[0][a[:, -1]]
+        for i in range(1, width):
+            neg = minus[neg * order + products[i][a[:, -1 - i]]]
+        sums[lo : lo + step] = flat[offsets + neg].sum(axis=1)
+    return order * sums
+
+
+def _hyperplane_sums(fld: Field, f, points):
+    """Q H(s) for the s != 0 of F_Q^r with first nonzero coordinate 1, in
+    ascending key order, H(s) the sum of f over the ``points`` P (chart
+    order) with <s, P> = 0.  The hyperplane of (0, s') holds e_1 and every
+    (x, z') with z' on the hyperplane of s', so those recurse on the sums of
+    table[z', x] = f(x, z') over x; that of (1, a) holds the (-<a, z'>, z')."""
+    import numpy as np
+
+    order, r = fld.order, points.shape[1]
+    if r <= 1:
+        return np.zeros(r, dtype=f.dtype)  # the one point of PG(0, Q) lies on no hyperplane
+    table, lower = f[:-1].reshape(-1, order), points[:-1:order, 1:]
+    first = _hyperplane_sums(fld, table.sum(axis=1), lower) + order * f[-1:]
+    return np.concatenate([first, (_walsh_sums if fld.char == 2 else _gather_sums)(fld, table, lower)])
+
+
+def _coset_counts(code: GabidulinCode, tau: int, guard: int):
+    """(N(0), N): the number of errors e with rank(e) <= tau in the code, and
+    in the coset of key s for each s != 0 with first nonzero coordinate 1,
+    ascending (the keys x s, x in F_Q^*, count alike).  The key of a coset is
+    the big-endian index (``unpack_word``) of its word that is zero on the
+    first k positions, and the key of e is eK, K the n x r matrix of
+    ``_unit_keys``, r = n - k, Q = q^m.
+
+    By the MacWilliams transform of the bilinear forms scheme (Delsarte,
+    JCTA 1978; Gadouleau and Yan, 2008), with f(z) = Lambda(rank Kz),
+    Lambda(x) the sum of the ``rank_krawtchouk`` P_i(x) over i <= tau, V =
+    Lambda(0), F the sum of f over PG(r - 1, Q) and H(s) over its points on
+    <s, z> = 0: N(0) = (V + (Q - 1) F) / Q^r and N(s) = (V - F + Q H(s)) / Q^r.
+    Only sums and integer multiples, so int64 gives each numerator, which
+    lies in [0, Q^r V], mod 2^64: exactly while Q^r V < 2^63, else Python
+    ints serve.  Every run checks that the counts are nonnegative integers
+    adding up to V.  Refuses, before any work, more than ENUMERATION_GUARD
+    cosets or ``guard`` steps.
     """
     import numpy as np
 
     fld = code.field
-    q, m, n, k, p = fld.q, fld.m, code.n, code.k, fld.char
-    bins = fld.order ** (n - k)
-    if bins > ENUMERATION_GUARD:
-        raise ValueError(f"{bins} cosets exceed the coset guard {ENUMERATION_GUARD}")
-    work = _coset_work(code, tau)
+    q, m, n, order, r = fld.q, fld.m, code.n, fld.order, code.n - code.k
+    scale, work = order**r, _transform_work(order, r, fld.char)
+    if scale > ENUMERATION_GUARD:
+        raise ValueError(f"{scale} cosets exceed the coset guard {ENUMERATION_GUARD}")
     if work > guard:
         raise ValueError(f"coset count of {work} steps exceeds exhaustive guard {guard}")
-    # a key packs (n-k) m e base-p digits (q = p^e)
-    width = (n - k) * m * fld.base.e
-    # key(x u_j) = x key(u_j), packed big-endian as unpack_word reads it
-    unit_keys = code._unit_keys
-    normalize = _key_normalizer(fld, n - k)
-    acc = np.zeros(bins, dtype=np.int64)
-    acc[0] = 1
-    for t in range(1, tau + 1):
-        # every full-rank t x n matrix A over F_q, one per row: entry j is
-        # column j of A, the integer whose base-q digit i is A_ij
-        full = _space_ranks(q, t, n) == t
-        # filled in place: a list of blocks and their concatenation would hold every row twice
-        cols = np.empty((np.count_nonzero(full), n), dtype=np.min_scalar_type(q**t - 1))
-        end = 0
-        for lo in range(0, len(full), _CHUNK):
-            block = _digits(lo + np.flatnonzero(full[lo : lo + _CHUNK]), q**t, n)
-            cols[end : end + len(block)] = block
-            end += len(block)
-        for span, size in _singer_orbits(fld, t):
-            tables = [
-                _addends(_undigits(_multiples(fld, span, key)[:, ::-1], fld.order), p, width) for key in unit_keys
-            ]
-            for start in range(0, len(cols), _CHUNK):
-                keys = _table_sums(tables, cols[start : start + _CHUNK], p)
-                np.add.at(acc, normalize(keys), size)
-    volume = sum(sphere_volume(m, n, q, t) for t in range(tau + 1))
-    if acc.sum() != volume:
-        raise AssertionError(f"coset counts add up to {acc.sum()}, not the ball volume {volume}")
-    return acc
+    lam = [sum(column) for column in zip(*rank_krawtchouk(m, n, q)[: tau + 1])]
+    points, columns = _points(order, r), list(zip(*code._unit_keys))
+    if r == 1:  # Kz is K's one column; the field may have no log tables
+        ranks = np.array(rank_distances((0,) * n, columns, fld))
+    else:
+        tables, ranks = _row_tables(fld, columns), np.empty(len(points), dtype=np.uint8)
+        for lo in range(0, len(points), _CHUNK):
+            ranks[lo : lo + _CHUNK] = _column_ranks(_table_sums(tables, points[lo : lo + _CHUNK], fld.char), q, m)
+    f = np.array(lam, dtype=np.int64 if scale * lam[0] < 1 << 63 else object)[ranks]
+    total = int(f.sum())
+    own, rest = divmod(lam[0] + (order - 1) * total, scale)
+    sums = _hyperplane_sums(fld, f, points) + (lam[0] - total)
+    counts = sums // scale
+    if rest or (sums % scale).any() or own < 0 or (counts < 0).any():
+        raise AssertionError("the transform gave a coset count that is not a nonnegative integer")
+    if (added := own + (order - 1) * int(counts.sum())) != lam[0]:
+        raise AssertionError(f"coset counts add up to {added}, not the ball volume {lam[0]}")
+    return own, counts
 
 
 def max_list_size(
@@ -324,10 +366,12 @@ def max_list_size(
 
     mode "exhaustive" returns the exact maximum with the lexicographically
     smallest argmax: the fullest coset of the rank ball (see
-    ``_coset_histogram``), refused when counting it takes more than
-    ``guard`` (default EXHAUSTIVE_GUARD) steps.  mode "random" draws
-    ``trials`` big-endian word indices from ``random.Random(seed)``, counts
-    the codewords around each word and returns the largest count, with the
+    ``_coset_counts``), refused for more than ENUMERATION_GUARD cosets or
+    when the transform takes more than ``guard`` (default EXHAUSTIVE_GUARD)
+    steps: the points ranked plus the reads or Walsh butterfly steps of the
+    incidence sums (``_transform_work``).  mode "random" draws ``trials``
+    big-endian word indices from ``random.Random(seed)``, counts the
+    codewords around each word and returns the largest count, with the
     smallest index drawn that reaches it: a lower estimate, refused when
     trials times codewords exceed ``guard``.  ``scanned`` is the number of
     received words the maximum covers.
@@ -339,14 +383,17 @@ def max_list_size(
     tau = _read_tau(tau, code.n)
     fld, n = code.field, code.n
     if mode == "exhaustive":
-        acc = _coset_histogram(code, tau, guard)
-        # coset 0 against the fullest orbit; the first argmax is the smallest key
-        ell, key = int(acc[0]), 0
-        if len(acc) > 1:
-            best = 1 + int(acc[1:].argmax())
-            if acc[best] // (fld.order - 1) > ell:
-                ell, key = int(acc[best]) // (fld.order - 1), best
-        return MaxListResult(ell, unpack_word(key, fld.order, n), fld.order**n, True)
+        own, counts = _coset_counts(code, tau, guard)
+        # the code's own coset against the fullest other orbit; the first argmax is the smallest key
+        ell, key, order = own, 0, fld.order
+        if len(counts):
+            best = int(counts.argmax())
+            if counts[best] > own:
+                j = 0  # the keys ascend in blocks Q^j + t, t < Q^j, from index (Q^j - 1)/(Q - 1)
+                while (order ** (j + 1) - 1) // (order - 1) <= best:
+                    j += 1
+                ell, key = int(counts[best]), order**j + best - (order**j - 1) // (order - 1)
+        return MaxListResult(ell, unpack_word(key, order, n), order**n, True)
     size = _enumerable_size(code)
     if trials is None or trials < 1:
         raise ValueError("random mode requires trials >= 1")

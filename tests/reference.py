@@ -13,16 +13,25 @@ the library answers another way, written on the primitives it keeps (``rref``,
 * ``symbolic_product`` composes linearized polynomials and ``poly_sum`` adds
   them;
 * ``pack_word`` is the big-endian index that ``oracle.unpack_word`` reads and
-  the coset histogram keys by;
+  the coset counts are keyed by;
 * ``max_list_scan`` counts the codewords around each received word, the
-  reference for the coset histogram of ``oracle.max_list_size`` and for its
-  random mode.
+  reference for the coset counts of ``oracle.max_list_size`` and for its
+  random mode;
+* ``orbit_count`` counts the orbits of a Grassmannian under F_{q^m}^* in
+  closed form, the reference for ``matfq._singer_orbits``;
+* ``krawtchouk`` is one entry of ``bounds.rank_krawtchouk``, from
+  ``gaussian_binomial`` term by term;
+* ``smallest_tau_geq_root`` walks tau = 0, 1, ... in fractions, the reference
+  for the closed form of ``bounds._smallest_tau_geq_root``.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
+from rankmetric.bounds import gaussian_binomial
 from rankmetric.ff import Field, base_field
 from rankmetric.linpoly import LinearizedPoly
 from rankmetric.matfq import MatrixFq, Subspace, rank, rank_of_vector, row_space, rref, subspace_distance
@@ -131,3 +140,39 @@ def max_list_scan(
         if count > best or (count == best and r < best_word):
             best, best_word = count, r
     return best, best_word
+
+
+def orbit_count(m: int, t: int, q: int) -> int:
+    """Number of orbits of Gr(m, t) under multiplication by F_{q^m}^*.
+
+    The stabilizer of U is F_{q^s}^* for the largest s such that U is an
+    F_{q^s}-subspace (s divides m and t), and its orbit has (q^m - 1)/(q^s - 1)
+    subspaces.  The F_{q^s}-subspaces number [m/s; t/s]_{q^s}, so those whose
+    largest such s is exactly s follow by inclusion-exclusion over the
+    multiples of s.
+    """
+    g = math.gcd(m, t)
+    exact: dict[int, int] = {}
+    for s in sorted((s for s in range(1, g + 1) if g % s == 0), reverse=True):
+        exact[s] = gaussian_binomial(m // s, t // s, q**s) - sum(c for r, c in exact.items() if r % s == 0)
+    return sum(c * (q**s - 1) for s, c in exact.items()) // (q**m - 1)
+
+
+def krawtchouk(m: int, n: int, q: int, i: int, x: int) -> int:
+    """P_i(x) = sum_j (-1)^{i-j} q^{mj + C(i-j, 2)} [n-j; i-j] [n-x; j], with
+    [n-x; j] = 0 for j > n - x."""
+    return sum(
+        (-1) ** (i - j) * q ** (m * j + (i - j) * (i - j - 1) // 2)
+        * gaussian_binomial(n - j, i - j, q) * gaussian_binomial(n - x, j, q)
+        for j in range(min(i, n - x) + 1)
+    )
+
+
+def smallest_tau_geq_root(shift: Fraction, radicand: Fraction) -> int:
+    """Smallest integer tau >= 0 with shift - tau <= sqrt(radicand), found by walking tau up."""
+    tau = 0
+    while True:
+        gap = shift - tau
+        if gap <= 0 or gap * gap <= radicand:
+            return tau
+        tau += 1

@@ -4,9 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rankmetric.bounds import (
     _MR_LIMIT,
+    _smallest_tau_geq_root,
     Bound2Values,
     CodeParams,
     anticode_bound,
@@ -22,12 +24,14 @@ from rankmetric.bounds import (
     gaussian_binomial,
     johnson_radii,
     mrd_weight_tau,
+    rank_krawtchouk,
     regions_table,
     report_to_jsonable,
     singleton_max,
     _is_prime_power,
     sphere_volume,
 )
+from reference import krawtchouk, smallest_tau_geq_root
 
 
 # --- Gaussian binomials ---------------------------------------------------------
@@ -203,6 +207,59 @@ def test_johnson_radii_integer_threshold_is_exact():
     assert j_eps.tau_j_int == 3  # radicand grows, threshold unchanged
     with pytest.raises(ValueError, match="epsilon"):
         johnson_radii(4, 4, 3, 1)
+
+
+@given(
+    st.integers(1, 200).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))).flatmap(
+        lambda mn: st.tuples(st.just(mn), st.integers(0, mn[1]))
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda e: e < 1),
+)
+def test_johnson_thresholds_match_the_walk(mnd, eps):
+    # the closed form against walking tau = 0, 1, ... on the shift and radicand of johnson_radii
+    (m, n), d = mnd
+    for shift, radicand in [
+        (Fraction(m + n, 2), Fraction((m + n) ** 2, 4) - m * (d - eps)),
+        (Fraction(n), n * (n - d + eps)),
+    ]:
+        if radicand >= 0:
+            assert _smallest_tau_geq_root(shift, radicand) == smallest_tau_geq_root(shift, radicand)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=1000), st.fractions(0, 3000, max_denominator=1000))
+def test_smallest_tau_geq_root_matches_the_walk(shift, radicand):
+    assert _smallest_tau_geq_root(shift, radicand) == smallest_tau_geq_root(shift, radicand)
+
+
+# --- Krawtchouk polynomials of the bilinear forms scheme ---------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_rank_krawtchouk_against_its_formula_and_identities(q):
+    for m in range(0, 5):
+        for n in range(0, m + 1):
+            P = rank_krawtchouk(m, n, q)
+            assert len(P) == n + 1 and all(len(row) == n + 1 for row in P)
+            for i in range(n + 1):
+                assert P[i][0] == sphere_volume(m, n, q, i)  # the ball's valencies
+                assert P[i] == [krawtchouk(m, n, q, i, x) for x in range(n + 1)]
+            # the characters of the whole space sum to q^{mn} at rank 0 and cancel elsewhere
+            assert [sum(column) for column in zip(*P)] == [q ** (m * n)] + [0] * n
+
+
+def test_rank_krawtchouk_orthogonality():
+    # sum_x v_x P_i(x) P_j(x) = q^{mn} v_i [i = j], with v_x = P_x(0) the number of rank-x matrices
+    m, n, q = 5, 4, 3
+    P = rank_krawtchouk(m, n, q)
+    v = [row[0] for row in P]
+    for i in range(n + 1):
+        for j in range(n + 1):
+            assert sum(v[x] * P[i][x] * P[j][x] for x in range(n + 1)) == (q ** (m * n) * v[i] if i == j else 0)
+
+
+def test_rank_krawtchouk_refuses_n_above_m():
+    with pytest.raises(ValueError, match="n <= m"):
+        rank_krawtchouk(3, 4, 2)
 
 
 # --- anticode and bound 2 -----------------------------------------------------------------

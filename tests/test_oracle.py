@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from rankmetric.oracle import (
     unpack_word,
 )
 from rankmetric.witness import bound1_witness
-from reference import max_list_scan, pack_word
+from reference import max_list_scan, orbit_count, pack_word
 
 F4 = make_field(2, 2)
 F16 = make_field(2, 4)
@@ -359,10 +360,10 @@ def test_exhaustive_guard():
 
 def test_exhaustive_guard_override():
     code = GabidulinCode(F4, n=2, k=1)
-    # 14 steps: 4 candidate matrices A, 3 subspaces the one orbit stands for, 1 orbit x 3 errors, 4 bins
+    # 1 step: the rank of the one point of PG(0, 4); at r = 1 there is no hyperplane sum
     with pytest.raises(ValueError, match="guard"):
-        max_list_size(code, 1, guard=13)
-    assert max_list_size(code, 1, guard=14).ell == 3
+        max_list_size(code, 1, guard=0)
+    assert max_list_size(code, 1, guard=1).ell == 3
 
 
 def test_enumeration_guard():
@@ -376,10 +377,15 @@ def test_enumeration_guard():
 
 
 def test_exhaustive_guard_refuses_before_work():
-    code = GabidulinCode(make_field(2, 6), n=6, k=3)  # 7.8e8 orbit-reduced errors at tau = 5
+    # the transform's work does not grow with tau: Gab[6,3]/F_64 at tau = 5 answers at once
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="guard"):
-        max_list_size(code, 5)
+    assert max_list_size(GabidulinCode(make_field(2, 6), n=6, k=3), 5).ell == 185880
+    assert time.perf_counter() - start < 1.0
+    # 266 305 points of PG(3, 64) and their Walsh transforms, refused before any of it
+    code = GabidulinCode(make_field(2, 6), n=6, k=2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds exhaustive guard 1000"):
+        max_list_size(code, 4, guard=1000)
     assert time.perf_counter() - start < 1.0
 
 
@@ -389,7 +395,7 @@ def test_coset_guard():
         max_list_size(code, 1)
 
 
-# --- coset histogram: cross-checks against the reference scan and closed forms ----
+# --- coset counts: cross-checks against the reference scan and closed forms ----
 
 
 @st.composite
@@ -416,15 +422,60 @@ def test_coset_path_matches_naive_scan(case):
 
 
 @pytest.mark.parametrize("q,m,n,k", [(2, 4, 4, 2), (2, 3, 3, 1), (3, 3, 3, 2), (4, 3, 2, 1), (5, 2, 2, 1)])
-def test_coset_histogram_totals(q, m, n, k):
+def test_coset_count_totals(q, m, n, k):
     code = GabidulinCode(make_field(q, m), n=n, k=k)
+    order = code.field.order
     for tau in range(n + 1):
-        counts = oracle._coset_histogram(code, tau)
-        assert len(counts) == code.field.order ** (n - k)
-        assert counts.sum() == ball_volume(m, n, q, tau)
+        own, counts = oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)
+        assert len(counts) == (order ** (n - k) - 1) // (order - 1)  # one count per orbit of nonzero keys
+        assert own + (order - 1) * int(counts.sum()) == ball_volume(m, n, q, tau)
     # coset 0 is the code itself: the zero word and the minimum-weight codewords
-    counts = oracle._coset_histogram(code, code.d)
-    assert counts[0] == 1 + mrd_weight_tau(n, m, code.d, q)
+    own, _ = oracle._coset_counts(code, code.d, oracle.EXHAUSTIVE_GUARD)
+    assert own == 1 + mrd_weight_tau(n, m, code.d, q)
+
+
+@pytest.mark.parametrize(
+    "q,m,n,k", [(2, 4, 4, 2), (2, 4, 4, 1), (2, 3, 3, 2), (3, 3, 3, 1), (3, 3, 2, 1), (4, 2, 2, 1), (5, 2, 2, 1), (2, 5, 5, 2)]
+)
+def test_own_coset_counts_the_codewords_of_each_rank(q, m, n, k):
+    # N(0) at radius tau is the number of codewords of rank <= tau, which distance_counts ranks one by one
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    weights = distance_counts(code, (0,) * n)
+    for tau in range(n + 1):
+        assert oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)[0] == sum(weights[: tau + 1])
+
+
+def test_max_list_size_beyond_int64():
+    # V Q^r = 5.8e19 * 2^20 >= 2^63, so the transform runs on Python ints.  No
+    # independent path can count 2^100 words or 2^20 cosets of a 2^80-word code;
+    # what holds is what every run checks: integral, nonnegative counts that add
+    # up to the ball volume
+    code = GabidulinCode(make_field(2, 10), n=10, k=8)
+    assert ball_volume(10, 10, 2, 4) * 2**20 >= 2**63
+    res = max_list_size(code, 4)
+    assert (res.ell, res.word) == (55_539_365_151_688, (0,) * 8 + (1, 270))
+
+
+_SANDWICH = [
+    (q, m, n, k, tau)
+    for q in SUPPORTED_Q
+    for m in range(1, 13)
+    if q**m <= 1 << 12
+    for n in range(2, m + 1)
+    for k in range(1, n)
+    if q ** (m * (n - k)) <= 1 << 12
+    for tau in range(n - k + 1)
+]
+
+
+@pytest.mark.parametrize("q,m,n,k,tau", _SANDWICH)
+def test_max_list_size_lies_in_the_bound_sandwich(q, m, n, k, tau):
+    # every default-point Gabidulin code with at most 2^12 cosets, at every tau < d
+    res = max_list_size(GabidulinCode(make_field(q, m), n=n, k=k), tau)
+    params = CodeParams(q=q, m=m, n=n, d=n - k + 1, k=k)
+    assert bound1_lower(params, tau).guarantee <= res.ell
+    if (params.d - 1) // 2 <= tau:  # bound2 applies
+        assert res.ell <= bound2_upper(params, tau).anticode_sum
 
 
 @pytest.mark.parametrize(
@@ -435,7 +486,7 @@ def test_singer_orbits_partition_the_grassmannian(q, m, t):
     orbits = matfq._singer_orbits(fld, t)
     sizes = [size for _, size in orbits]
     assert sum(sizes) == gaussian_binomial(m, t, q)
-    assert len(orbits) == oracle._orbit_count(m, t, q)
+    assert len(orbits) == orbit_count(m, t, q)
     # the stabilizer of U is F_{q^s}^* for some s dividing m and t
     assert set(sizes) <= {(q**m - 1) // (q**s - 1) for s in range(1, t + 1) if m % s == 0 and t % s == 0}
     for span, _ in orbits:
@@ -554,16 +605,57 @@ def test_orbit_reduced_counts_match_naive_scan_at_every_coset(q, m, n, k, taus):
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     fld = code.field
     words = list(code.iter_codewords())
+    keys = list(itertools.product(range(fld.order), repeat=n - k))
+    # the keys whose first nonzero coordinate is 1, ascending, as the counts list them
+    normalized = [pack_word(key, fld.order) for key in keys if any(key) and next(x for x in key if x) == 1]
     for tau in taus:
-        acc = oracle._coset_histogram(code, tau)
-        for key in itertools.product(range(fld.order), repeat=n - k):
-            if any(key):
-                count, rest = divmod(int(acc[pack_word(_smallest_of_orbit(key, fld), fld.order)]), fld.order - 1)
-                assert rest == 0
-            else:
-                count = int(acc[0])
+        own, counts = oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)
+        assert len(counts) == len(normalized)
+        for key in keys:
+            count = int(counts[normalized.index(pack_word(_smallest_of_orbit(key, fld), fld.order))]) if any(key) else own
             # the coset's word that is zero on the first k positions
             assert (count, (0,) * k + key) == max_list_scan(words, fld, tau, [(0,) * k + key]), (key, tau)
+
+
+def _check_against_the_errors(code, tau, errors):
+    """``_coset_counts`` against a histogram of ``errors`` (every word of
+    rank <= tau) by coset key: e minus the codeword that agrees with it on
+    the first k positions, read on the last n - k (``_unit_keys`` is not used)."""
+    fld, k, r, order = code.field, code.k, code.n - code.k, code.field.order
+    by_prefix = {cw[:k]: cw for cw in code.iter_codewords()}
+    hist = Counter(tuple(map(fld.sub, e[k:], by_prefix[e[:k]][k:])) for e in errors)
+    own, counts = oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)
+    assert own == hist.pop((0,) * r)
+    normalized = {}
+    for key, count in hist.items():
+        unit = tuple(fld.mul(fld.inv(next(x for x in key if x)), x) for x in key)
+        assert normalized.setdefault(unit, count) == count  # constant on F_Q^* orbits
+    for unit, count in normalized.items():
+        j = r - 1 - unit.index(1)  # the blocks of normalized keys, Q^j + t, start at (Q^j - 1)/(Q - 1)
+        assert counts[(order**j - 1) // (order - 1) + pack_word(unit, order) - order**j] == count, unit
+    assert int(counts.sum()) == sum(normalized.values())  # and 0 at every other key
+
+
+@pytest.mark.parametrize("q,m,n,k", [(3, 3, 3, 1), (2, 3, 3, 1), (2, 4, 4, 1), (2, 4, 4, 2)])
+def test_coset_counts_match_every_error_of_the_word_space(q, m, n, k):
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    words = list(itertools.product(range(code.field.order), repeat=n))
+    ranks = [rank_of_vector(w, code.field) for w in words]
+    for tau in range(n + 1):
+        _check_against_the_errors(code, tau, [w for w, rank in zip(words, ranks) if rank <= tau])
+
+
+@pytest.mark.parametrize(
+    "q,m,n,k", [(3, 4, 4, 1), (5, 3, 3, 1), (7, 3, 3, 1), (2, 5, 5, 1), (2, 6, 6, 2), (4, 4, 4, 1), (8, 3, 3, 1)]
+)
+def test_coset_counts_match_the_rank_one_errors(q, m, n, k):
+    # the gather at odd p (r = 3 on F_81) and the Walsh path at q = 2, 4, 8 up to r = 4, at tau = 1:
+    # the errors of rank 1 are the b c, b in F_{q^m}^*, c in F_q^n nonzero
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    fld = code.field
+    units = [c for c in itertools.product(range(q), repeat=n) if any(c)]
+    errors = {tuple(fld.mul(b, x) for x in c) for b in range(1, fld.order) for c in units}
+    _check_against_the_errors(code, 1, errors | {(0,) * n})
 
 
 @pytest.mark.parametrize(
@@ -797,12 +889,16 @@ def test_space_scans_take_a_few_bytes_per_matrix(monkeypatch):
     # an int64 array over the whole space alone takes 8 bytes per matrix
     total = 3**12
     assert _peak_bytes(lambda: matfq._space_ranks(3, 3, 4)) < 4 * total  # uint8 ranks, the last bool table
-    # the histogram keeps a rank-t mask (1 byte per matrix) and the n = 4 byte
-    # rows of the full-rank A (85 % of them); with small blocks that is its peak
-    code = GabidulinCode(make_field(3, 4), n=4, k=3)
-    oracle._coset_histogram(code, 1)  # field tables and orbits, outside the count
-    monkeypatch.setattr(oracle, "_CHUNK", 1 << 10)
-    assert _peak_bytes(lambda: oracle._coset_histogram(code, 3)) < 6 * total
+    # the coset counts hold arrays over the points of PG(r - 1, Q), about
+    # bins/Q of them, never one over the bins: the odd-p gather reads
+    # _CHUNK entries at a time, and the Walsh transforms at p = 2 span Q^{r-1} entries
+    gather = GabidulinCode(make_field(3, 5), n=5, k=2)  # 243^3 cosets, 59 293 points
+    walsh = GabidulinCode(make_field(2, 6), n=6, k=2)  # 64^4 cosets, 266 305 points
+    for code in (gather, walsh):
+        oracle._coset_counts(code, 1, oracle.EXHAUSTIVE_GUARD)  # field tables, outside the count
+    monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
+    assert _peak_bytes(lambda: oracle._coset_counts(gather, 3, oracle.EXHAUSTIVE_GUARD)) < 243**3
+    assert _peak_bytes(lambda: oracle._coset_counts(walsh, 4, oracle.EXHAUSTIVE_GUARD)) < 64**4
 
 
 def test_ball_volume_bruteforce_guard():
