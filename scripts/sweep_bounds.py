@@ -29,7 +29,7 @@ def main() -> int:
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--d", type=int, required=True)
-    parser.add_argument("--oracle", action="store_true", help="also run the exhaustive scan (desk scale only)")
+    parser.add_argument("--oracle", action="store_true", help="also compute the exact maximum list size (oracle max)")
     args = parser.parse_args()
 
     params = CodeParams(q=args.q, m=args.m, n=args.n, d=args.d)
@@ -52,7 +52,7 @@ def main() -> int:
         if args.oracle:
             try:
                 row.append(fmt(max_list_size(code, tau).ell))
-            except ValueError:  # the oracle's guards refuse this radius
+            except ValueError:  # the coset guard refuses this code
                 row.append(fmt("refused"))
         print("  ".join(row))
     j = report.johnson

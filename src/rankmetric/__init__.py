@@ -39,7 +39,7 @@ from .codes import (
 from .ff import Field, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly, root_space
 from .matfq import MatrixFq, Subspace, grassmannian_enumerate, rank, rank_of_vector, subspace_distance
-from .oracle import ball_volume_bruteforce, list_codewords, max_list_size
+from .oracle import ball_volume_bruteforce, list_codewords, max_list_size, sampled_max_list_size
 from .witness import (
     WitnessCertificate,
     bound1_alt_witness,

@@ -210,9 +210,10 @@ def _cmd_oracle(args) -> int:
             "elapsed_ms": elapsed,
         }
     else:
-        result = oracle.max_list_size(
-            code, args.tau, mode=args.mode, seed=args.seed, trials=args.trials, guard=args.guard
-        )
+        if args.mode == "random":
+            result = oracle.sampled_max_list_size(code, args.tau, args.trials, args.seed, args.guard)
+        else:
+            result = oracle.max_list_size(code, args.tau)
         elapsed = int((time.perf_counter() - start) * 1000)
         doc = {
             "ell": result.ell,
@@ -373,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--guard",
         type=int,
         default=None,
-        help="override the work guard (2^28): points of PG(n-k-1, q^m) ranked plus the reads "
-        "or Walsh butterfly steps of the coset transform; in random mode, trials times codewords",
+        help="random mode only: the limit on trials times codewords (default 2^28)",
     )
 
     p_con = sub.add_parser("construct", help="build constant-dimension / constant-rank codes")

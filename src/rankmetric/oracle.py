@@ -16,9 +16,9 @@ without enumerating received words, codewords or errors: by the MacWilliams
 transform of the bilinear forms scheme, every coset count follows from one
 F_q-rank per point of PG(n - k - 1, q^m) and one point-hyperplane incidence
 sum (``_hyperplane_sums``), a Walsh-Hadamard transform at characteristic 2
-and a gather at odd characteristic.  Neither depends on tau, and the guard
-counts those steps.  Only ``mode="random"`` scans words, one drawn word at
-a time (``_count_ball``).
+and a gather at odd characteristic.  Neither depends on tau.  Only
+``sampled_max_list_size`` scans words, one drawn word at a time
+(``_count_ball``).
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
@@ -202,17 +202,6 @@ def _points(order: int, r: int):
     return np.vstack([np.hstack([first, np.repeat(lower, order, axis=0)]), np.eye(1, r, dtype=lower.dtype)])
 
 
-def _transform_work(order: int, r: int, p: int) -> int:
-    """Steps of ``_coset_counts``: a rank per point, then per level j = r..2 of
-    ``_hyperplane_sums`` the Q^{j-1} c_{j-1} reads of ``_gather_sums`` (c_j =
-    (Q^j - 1)/(Q - 1) points) or the butterflies of ``_walsh_sums`` at p = 2."""
-    bits, work = order.bit_length() - 1, (order**r - 1) // (order - 1)
-    for j in range(2, r + 1):
-        lower = (order ** (j - 1) - 1) // (order - 1)
-        work += (lower * order + order ** (j - 1) * (j - 1)) * bits if p == 2 else order ** (j - 1) * lower
-    return work
-
-
 def _walsh(values):
     """Walsh-Hadamard transform along the last axis (a power of 2) in place:
     entry u becomes the sum over w of values[w] (-1)^{popcount(u & w)}."""
@@ -306,7 +295,7 @@ def _hyperplane_sums(fld: Field, f, points):
     return np.concatenate([first, (_walsh_sums if fld.char == 2 else _gather_sums)(fld, table, lower)])
 
 
-def _coset_counts(code: GabidulinCode, tau: int, guard: int):
+def _coset_counts(code: GabidulinCode, tau: int):
     """(N(0), N): the number of errors e with rank(e) <= tau in the code, and
     in the coset of key s for each s != 0 with first nonzero coordinate 1,
     ascending (the keys x s, x in F_Q^*, count alike).  The key of a coset is
@@ -323,17 +312,14 @@ def _coset_counts(code: GabidulinCode, tau: int, guard: int):
     lies in [0, Q^r V], mod 2^64: exactly while Q^r V < 2^63, else Python
     ints serve.  Every run checks that the counts are nonnegative integers
     adding up to V.  Refuses, before any work, more than ENUMERATION_GUARD
-    cosets or ``guard`` steps.
+    cosets.
     """
     import numpy as np
 
     fld = code.field
     q, m, n, order, r = fld.q, fld.m, code.n, fld.order, code.n - code.k
-    scale, work = order**r, _transform_work(order, r, fld.char)
-    if scale > ENUMERATION_GUARD:
+    if (scale := order**r) > ENUMERATION_GUARD:
         raise ValueError(f"{scale} cosets exceed the coset guard {ENUMERATION_GUARD}")
-    if work > guard:
-        raise ValueError(f"coset count of {work} steps exceeds exhaustive guard {guard}")
     lam = [sum(column) for column in zip(*rank_krawtchouk(m, n, q)[: tau + 1])]
     points, columns = _points(order, r), list(zip(*code._unit_keys))
     if r == 1:  # Kz is K's one column; the field may have no log tables
@@ -354,46 +340,42 @@ def _coset_counts(code: GabidulinCode, tau: int, guard: int):
     return own, counts
 
 
-def max_list_size(
-    code: GabidulinCode,
-    tau: int,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-    trials: int | None = None,
-    guard: int | None = None,
-) -> MaxListResult:
-    """max over received words r of |{c in code : rank(r - c) <= tau}|.
-
-    mode "exhaustive" returns the exact maximum with the lexicographically
-    smallest argmax: the fullest coset of the rank ball (see
-    ``_coset_counts``), refused for more than ENUMERATION_GUARD cosets or
-    when the transform takes more than ``guard`` (default EXHAUSTIVE_GUARD)
-    steps: the points ranked plus the reads or Walsh butterfly steps of the
-    incidence sums (``_transform_work``).  mode "random" draws ``trials``
-    big-endian word indices from ``random.Random(seed)``, counts the
-    codewords around each word and returns the largest count, with the
-    smallest index drawn that reaches it: a lower estimate, refused when
-    trials times codewords exceed ``guard``.  ``scanned`` is the number of
-    received words the maximum covers.
+def max_list_size(code: GabidulinCode, tau: int) -> MaxListResult:
+    """max over received words r of |{c in code : rank(r - c) <= tau}|,
+    exact, with the lexicographically smallest argmax: the fullest coset of
+    the rank ball (see ``_coset_counts``), refused for more than
+    ENUMERATION_GUARD cosets.  ``scanned`` is the number of received words
+    the maximum covers, all of F_{q^m}^n.
     """
-    if mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_code(code)
+    tau = _read_tau(tau, code.n)
+    order, n = code.field.order, code.n
+    own, counts = _coset_counts(code, tau)
+    # the code's own coset against the fullest other one; the first argmax is the smallest key
+    ell, key = own, 0
+    if len(counts):
+        best = int(counts.argmax())
+        if counts[best] > own:
+            j = 0  # the keys ascend in blocks Q^j + t, t < Q^j, from index (Q^j - 1)/(Q - 1)
+            while (order ** (j + 1) - 1) // (order - 1) <= best:
+                j += 1
+            ell, key = int(counts[best]), order**j + best - (order**j - 1) // (order - 1)
+    return MaxListResult(ell, unpack_word(key, order, n), order**n, True)
+
+
+def sampled_max_list_size(
+    code: GabidulinCode, tau: int, trials: int, seed: int | None = None, guard: int | None = None
+) -> MaxListResult:
+    """A lower estimate of ``max_list_size``: draws ``trials`` big-endian word
+    indices from ``random.Random(seed)``, counts the codewords around each
+    word and returns the largest count, with the smallest index drawn that
+    reaches it.  Refused, before any word is drawn, when trials times
+    codewords exceed ``guard`` (default EXHAUSTIVE_GUARD).
+    """
     guard = EXHAUSTIVE_GUARD if guard is None else guard
     _check_code(code)
     tau = _read_tau(tau, code.n)
     fld, n = code.field, code.n
-    if mode == "exhaustive":
-        own, counts = _coset_counts(code, tau, guard)
-        # the code's own coset against the fullest other orbit; the first argmax is the smallest key
-        ell, key, order = own, 0, fld.order
-        if len(counts):
-            best = int(counts.argmax())
-            if counts[best] > own:
-                j = 0  # the keys ascend in blocks Q^j + t, t < Q^j, from index (Q^j - 1)/(Q - 1)
-                while (order ** (j + 1) - 1) // (order - 1) <= best:
-                    j += 1
-                ell, key = int(counts[best]), order**j + best - (order**j - 1) // (order - 1)
-        return MaxListResult(ell, unpack_word(key, order, n), order**n, True)
     size = _enumerable_size(code)
     if trials is None or trials < 1:
         raise ValueError("random mode requires trials >= 1")

@@ -46,6 +46,7 @@ from .matfq import (
     MatrixFq,
     _batched,
     _digits,
+    _log_arrays,
     _rrefs,
     _singer_orbits,
     grassmannian_order_key,
@@ -226,16 +227,16 @@ def _orbit_members(fld: Field, t: int, orbits: list, packed: list[int]) -> list[
     import numpy as np
 
     q, n, cycle = fld.q, fld.m, fld.order - 1
-    exp, log = np.array(fld._exp, dtype=np.int64), np.array(fld._log, dtype=np.int64)
+    log, exp = _log_arrays(fld)
     o, j = np.divmod(np.array(packed, dtype=np.int64), fld.order)
     spans = np.array([[span[q**i] for i in range(t)] for span, _ in orbits], dtype=np.int64)
-    reduced, _ = _rrefs(_digits(exp[(log[spans[o]] + j[:, None]) % cycle], q, n), q)
+    reduced, _ = _rrefs(_digits(exp[log[spans[o]] + j[:, None]], q, n), q)
     pivots = (reduced != 0).argmax(axis=2)
     ordered = np.lexsort(np.hstack([pivots, reduced.reshape(len(packed), -1)]).T[::-1])
-    # coefficient i of P_{xU} is a_i x^{q^t - q^i}, x = g^j, and 0 where a_i = 0
+    # coefficient i of P_{xU} is a_i x^{q^t - q^i}, x = g^j; log 0 reads a zero
     coeffs = np.array([c for _, c in orbits], dtype=np.int64)[o[ordered]]
     shifts = np.array([(q**t - q**i) % cycle for i in range(t + 1)], dtype=np.int64)
-    scaled = exp[(log[coeffs] + j[ordered, None] * shifts) % cycle] * (coeffs != 0)
+    scaled = exp[log[coeffs] + j[ordered, None] * shifts % cycle]
     return list(map(tuple, scaled.tolist()))
 
 

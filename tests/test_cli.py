@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -677,3 +678,17 @@ def test_setup_does_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
     count, loaded = proc.stdout.split()
     assert int(count) > 0 and loaded == "False"
+
+
+def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):
+    # every command of README's CLI block, in order, in one directory: the
+    # files that one example writes (cert.json, N.json, M.json) another reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [argv for line in block.splitlines() if (argv := shlex.split(line, comments=True))]
+    assert commands and all(argv[0] == "rankmetric" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code = main(argv[1:])
+        assert code == 0, (argv, code, capsys.readouterr().err)
+        capsys.readouterr()

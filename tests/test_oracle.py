@@ -32,6 +32,7 @@ from rankmetric.oracle import (
     distance_counts,
     list_codewords,
     max_list_size,
+    sampled_max_list_size,
     unpack_word,
 )
 from rankmetric.witness import bound1_witness
@@ -221,17 +222,19 @@ def test_max_list_size_caps_jobs_at_cpu_count(monkeypatch, capsys):
     assert not hasattr(oracle, "ProcessPoolExecutor")
 
 
-def test_max_list_size_random_mode():
+def test_max_list_size_random_mode(capsys):
     code = GabidulinCode(F16, n=4, k=2)
-    r1 = max_list_size(code, 2, mode="random", seed=11, trials=300)
-    r2 = max_list_size(code, 2, mode="random", seed=11, trials=300)
+    r1 = sampled_max_list_size(code, 2, 300, seed=11)
+    r2 = sampled_max_list_size(code, 2, 300, seed=11)
     assert r1 == r2 and not r1.exhaustive
     full = max_list_size(code, 2)
     assert r1.ell <= full.ell
-    with pytest.raises(ValueError, match="trials"):
-        max_list_size(code, 2, mode="random", seed=1)
-    with pytest.raises(ValueError, match="mode"):
-        max_list_size(code, 2, mode="greedy")
+    for trials in (None, 0):
+        with pytest.raises(ValueError, match="trials"):
+            sampled_max_list_size(code, 2, trials, seed=1)
+    # `oracle max --mode random` without --trials is refused with exit 2
+    assert main(["oracle", "max", "--q", "2", "--m", "4", "--n", "4", "--k", "2", "--tau", "2", "--mode", "random"]) == 2
+    assert "random mode requires trials >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -241,7 +244,7 @@ def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed):
     # count the smallest index, which is not always the first one drawn
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     fld, trials = code.field, 40
-    res = max_list_size(code, tau, mode="random", seed=seed, trials=trials)
+    res = sampled_max_list_size(code, tau, trials, seed=seed)
     rng = random.Random(seed)
     drawn = [unpack_word(rng.randrange(fld.order**n), fld.order, n) for _ in range(trials)]
     assert (res.ell, res.word) == max_list_scan(list(code.iter_codewords()), fld, tau, drawn)
@@ -251,9 +254,9 @@ def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed):
 def test_random_mode_obeys_the_guard(monkeypatch, capsys):
     code = GabidulinCode(F16, n=4, k=2)  # 256 codewords: 5 trials are 1280 steps
     with pytest.raises(ValueError, match="scan of 5 words against 256 codewords exceeds exhaustive guard 1279"):
-        max_list_size(code, 2, mode="random", seed=4, trials=5, guard=1279)
-    answered = max_list_size(code, 2, mode="random", seed=4, trials=5, guard=1280)
-    assert answered == max_list_size(code, 2, mode="random", seed=4, trials=5) and answered.scanned == 5
+        sampled_max_list_size(code, 2, 5, seed=4, guard=1279)
+    answered = sampled_max_list_size(code, 2, 5, seed=4, guard=1280)
+    assert answered == sampled_max_list_size(code, 2, 5, seed=4) and answered.scanned == 5
     # README's example is answered; 10^9 trials are refused before any word is drawn or counted
     base = ["oracle", "max", "--q", "2", "--m", "4", "--n", "4", "--k", "2", "--tau", "2", "--mode", "random"]
     assert main([*base, "--trials", "1000", "--seed", "7"]) == 0
@@ -340,7 +343,7 @@ def test_integer_entries_of_any_integer_type_are_accepted():
 @pytest.mark.parametrize(
     "call",
     [lambda code: list_codewords(code, (0, 0), 1), lambda code: distance_counts(code, (0, 0)),
-     lambda code: max_list_size(code, 1), lambda code: max_list_size(code, 1, mode="random", trials=1)],
+     lambda code: max_list_size(code, 1), lambda code: sampled_max_list_size(code, 1, 1)],
     ids=["list_codewords", "distance_counts", "max_list_size", "max_list_size-random"],
 )
 @pytest.mark.parametrize(
@@ -358,12 +361,18 @@ def test_exhaustive_guard():
         max_list_size(code, 2)
 
 
-def test_exhaustive_guard_override():
-    code = GabidulinCode(F4, n=2, k=1)
-    # 1 step: the rank of the one point of PG(0, 4); at r = 1 there is no hyperplane sum
-    with pytest.raises(ValueError, match="guard"):
-        max_list_size(code, 1, guard=0)
-    assert max_list_size(code, 1, guard=1).ell == 3
+def _oracle_max_stdout(capsys, *args):
+    """(exit code, stdout with elapsed_ms masked) of one `oracle max` run."""
+    code = main(["oracle", "max", *args])
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+
+
+def test_exhaustive_guard_override(capsys):
+    # --guard bounds random mode only: an exhaustive run ignores it, as it ignores --jobs
+    args = ["--q", "2", "--m", "2", "--n", "2", "--k", "1", "--tau", "1"]
+    guarded = _oracle_max_stdout(capsys, *args, "--guard", "0")
+    assert guarded == _oracle_max_stdout(capsys, *args)
+    assert guarded[0] == 0 and json.loads(guarded[1])["ell"] == 3
 
 
 def test_enumeration_guard():
@@ -371,22 +380,21 @@ def test_enumeration_guard():
     # the coset count enumerates no codeword: 3970 errors over 64 cosets
     assert max_list_size(big, 1).ell == 63
     with pytest.raises(ValueError, match="too large"):
-        max_list_size(big, 1, mode="random", trials=1)
+        sampled_max_list_size(big, 1, 1)
     with pytest.raises(ValueError, match="too large"):
         list_codewords(big, (0,) * 6, 1)
 
 
-def test_exhaustive_guard_refuses_before_work():
+def test_exhaustive_guard_refuses_before_work(capsys):
     # the transform's work does not grow with tau: Gab[6,3]/F_64 at tau = 5 answers at once
     start = time.perf_counter()
     assert max_list_size(GabidulinCode(make_field(2, 6), n=6, k=3), 5).ell == 185880
     assert time.perf_counter() - start < 1.0
-    # 266 305 points of PG(3, 64) and their Walsh transforms, refused before any of it
-    code = GabidulinCode(make_field(2, 6), n=6, k=2)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds exhaustive guard 1000"):
-        max_list_size(code, 4, guard=1000)
-    assert time.perf_counter() - start < 1.0
+    # 266 305 points of PG(3, 64) and their Walsh transforms: answered, whatever --guard says
+    args = ["--q", "2", "--m", "6", "--n", "6", "--k", "2", "--tau", "4"]
+    guarded = _oracle_max_stdout(capsys, *args, "--guard", "1000")
+    assert guarded == _oracle_max_stdout(capsys, *args)
+    assert guarded[0] == 0 and json.loads(guarded[1])["ell"] == 651
 
 
 def test_coset_guard():
@@ -426,11 +434,11 @@ def test_coset_count_totals(q, m, n, k):
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     order = code.field.order
     for tau in range(n + 1):
-        own, counts = oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)
+        own, counts = oracle._coset_counts(code, tau)
         assert len(counts) == (order ** (n - k) - 1) // (order - 1)  # one count per orbit of nonzero keys
         assert own + (order - 1) * int(counts.sum()) == ball_volume(m, n, q, tau)
     # coset 0 is the code itself: the zero word and the minimum-weight codewords
-    own, _ = oracle._coset_counts(code, code.d, oracle.EXHAUSTIVE_GUARD)
+    own, _ = oracle._coset_counts(code, code.d)
     assert own == 1 + mrd_weight_tau(n, m, code.d, q)
 
 
@@ -442,7 +450,7 @@ def test_own_coset_counts_the_codewords_of_each_rank(q, m, n, k):
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     weights = distance_counts(code, (0,) * n)
     for tau in range(n + 1):
-        assert oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)[0] == sum(weights[: tau + 1])
+        assert oracle._coset_counts(code, tau)[0] == sum(weights[: tau + 1])
 
 
 def test_max_list_size_beyond_int64():
@@ -609,7 +617,7 @@ def test_orbit_reduced_counts_match_naive_scan_at_every_coset(q, m, n, k, taus):
     # the keys whose first nonzero coordinate is 1, ascending, as the counts list them
     normalized = [pack_word(key, fld.order) for key in keys if any(key) and next(x for x in key if x) == 1]
     for tau in taus:
-        own, counts = oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)
+        own, counts = oracle._coset_counts(code, tau)
         assert len(counts) == len(normalized)
         for key in keys:
             count = int(counts[normalized.index(pack_word(_smallest_of_orbit(key, fld), fld.order))]) if any(key) else own
@@ -624,7 +632,7 @@ def _check_against_the_errors(code, tau, errors):
     fld, k, r, order = code.field, code.k, code.n - code.k, code.field.order
     by_prefix = {cw[:k]: cw for cw in code.iter_codewords()}
     hist = Counter(tuple(map(fld.sub, e[k:], by_prefix[e[:k]][k:])) for e in errors)
-    own, counts = oracle._coset_counts(code, tau, oracle.EXHAUSTIVE_GUARD)
+    own, counts = oracle._coset_counts(code, tau)
     assert own == hist.pop((0,) * r)
     normalized = {}
     for key, count in hist.items():
@@ -895,10 +903,10 @@ def test_space_scans_take_a_few_bytes_per_matrix(monkeypatch):
     gather = GabidulinCode(make_field(3, 5), n=5, k=2)  # 243^3 cosets, 59 293 points
     walsh = GabidulinCode(make_field(2, 6), n=6, k=2)  # 64^4 cosets, 266 305 points
     for code in (gather, walsh):
-        oracle._coset_counts(code, 1, oracle.EXHAUSTIVE_GUARD)  # field tables, outside the count
+        oracle._coset_counts(code, 1)  # field tables, outside the count
     monkeypatch.setattr(oracle, "_CHUNK", 1 << 12)
-    assert _peak_bytes(lambda: oracle._coset_counts(gather, 3, oracle.EXHAUSTIVE_GUARD)) < 243**3
-    assert _peak_bytes(lambda: oracle._coset_counts(walsh, 4, oracle.EXHAUSTIVE_GUARD)) < 64**4
+    assert _peak_bytes(lambda: oracle._coset_counts(gather, 3)) < 243**3
+    assert _peak_bytes(lambda: oracle._coset_counts(walsh, 4)) < 64**4
 
 
 def test_ball_volume_bruteforce_guard():

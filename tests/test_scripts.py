@@ -23,7 +23,7 @@ def test_scripts_run_and_refuse_without_traceback():
     assert proc.returncode == 0, proc.stderr
     assert "refused" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr
-    # the orbit-reduced count answers Gab[6,3]/F_64 at tau = 3
+    # the coset counts by the MacWilliams transform answer Gab[6,3]/F_64 at tau = 3
     proc = run_script("sweep_bounds.py", "--q", "2", "--m", "6", "--n", "6", "--d", "4", "--oracle")
     assert proc.returncode == 0, proc.stderr
     row = next(line.split() for line in proc.stdout.splitlines() if line.split()[:1] == ["3"])

@@ -92,7 +92,7 @@ DELETED = {
     "codes": ["lift_untransposed_cdc", "gabidulin_to_jsonable"],
     "codes.GabidulinCode": ["encode"],
     "codes.ConstantRankCode": ["iter_codewords"],
-    "oracle": ["list_to_crc", "code_field", "code_size", "iter_codewords", "rank_leq"],
+    "oracle": ["list_to_crc", "code_field", "code_size", "iter_codewords", "rank_leq", "_transform_work"],
 }
 MOVED = ["rank_decompose", "distance_sandwich_check", "column_space", "expand_to_matrix", "vector_from_matrix",
          "symbolic_product", "poly_sum", "max_list_scan"]
