@@ -18,7 +18,7 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 from . import ff
@@ -32,8 +32,10 @@ from .matfq import (
     _combine,
     _digits,
     _gauss_jordan,
+    _outer_sums,
     _row_tables,
     _table_sums,
+    _undigits,
     rank_of_vector,
     subspace_from_jsonable,
 )
@@ -106,11 +108,11 @@ class GabidulinCode:
     def codewords(self, indices: Sequence[int]) -> list[tuple[int, ...]]:
         """[self.codeword(i) for i in indices].
 
-        Enough indices (see ``matfq._batched``) are encoded in one pass, as
-        ``codeword_blocks`` encodes them (``_encode``).  Fields with more
-        elements than there are indices keep the scalar loop, since their
-        tables would cost more than the scalar sums they replace, and so do
-        codes whose message indices do not fit in int64.
+        Enough indices (see ``matfq._batched``) are encoded in one numpy pass
+        (``matfq._table_sums``).  Fields with more elements than there are
+        indices keep the scalar loop, since their tables would cost more than
+        the scalar sums they replace, and so do codes whose message indices
+        do not fit in int64.
         """
         F = self.field
         batched = _batched(len(indices) * _CODEWORD_WORK, F.order) and F.order <= len(indices)
@@ -121,7 +123,8 @@ class GabidulinCode:
         index = np.asarray(indices, dtype=np.int64)
         if index.min() < 0 or index.max() >= self.cardinality:
             raise ValueError("message index out of range")
-        return list(map(tuple, self._encode(_row_tables(F, self._rows), index).tolist()))
+        words = _table_sums(_row_tables(F, self._rows), _digits(index, F.order, self.k), F.char)
+        return list(map(tuple, words.tolist()))
 
     def iter_codewords(self) -> Iterator[tuple[int, ...]]:
         """All codewords in message-index order."""
@@ -133,21 +136,27 @@ class GabidulinCode:
 
     def codeword_blocks(self):
         """All codewords in the order of ``iter_codewords``, as int64 numpy
-        arrays of at most _BATCH_ROWS rows, one codeword per row (``_encode``)."""
+        arrays of at most _BATCH_ROWS rows, one codeword per row: codeword
+        i L + j is codeword j plus codeword i L.  The first L = Q^d, d >= 1
+        the most low digits (at most k) with L <= _BATCH_ROWS, are the outer
+        sums of the first d ``_row_tables`` (``tables[0]`` itself at d = 1),
+        and a block adds _BATCH_ROWS // L rows i L to them."""
         import numpy as np
 
         if self.cardinality > ENUMERATION_GUARD:
             raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
-        tables = _row_tables(self.field, self._rows)
-        for lo in range(0, self.cardinality, _BATCH_ROWS):
-            yield self._encode(tables, np.arange(lo, min(lo + _BATCH_ROWS, self.cardinality)))
-
-    def _encode(self, tables, indices):
-        """The codewords of the int64 array of message ``indices``, one per
-        row: the sum over generator rows g_j of f_j g_j, f_j digit j of the
-        index, read from ``tables = matfq._row_tables(field, _rows)``."""
-        F = self.field
-        return _table_sums(tables, _digits(indices, F.order, self.k), F.char)
+        F, p, size = self.field, self.field.char, self.cardinality
+        d = next(d for d in range(self.k, 0, -1) if d == 1 or F.order**d <= _BATCH_ROWS)
+        tables = _row_tables(F, self._rows)
+        low = reduce(lambda low, table: _outer_sums(table, low, p), tables[1:d], tables[0])
+        step = max(1, _BATCH_ROWS // len(low)) * len(low)
+        for lo in range(0, size, step):
+            sums = low
+            if len(low) < size:
+                highs = _table_sums(tables, _digits(np.arange(lo, min(lo + step, size), len(low)), F.order, self.k), p)
+                sums = _outer_sums(highs if p == 2 else _digits(highs, p, F.m * F.base.e), low, p)
+            for block in (sums[start : start + _BATCH_ROWS] for start in range(0, len(sums), _BATCH_ROWS)):
+                yield block if p == 2 else _undigits(block, p)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Membership test: the coset key sum_j w_j key(u_j) is 0 (``_unit_keys``);

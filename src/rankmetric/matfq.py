@@ -314,6 +314,13 @@ def _table_sums(tables, index, p: int):
     return total if p == 2 else _undigits(total % p, p)
 
 
+def _outer_sums(a, b, p: int):
+    """a[i] + b[j] in characteristic p at row i len(b) + j, for arrays in the
+    form of ``_row_tables`` (integers at p = 2, else base-p digits)."""
+    total = a[:, None] ^ b if p == 2 else (a[:, None] + b) % p
+    return total.reshape(-1, *b.shape[1:])
+
+
 def _column_ranks(words, q: int, m: int):
     """``_column_rank`` of every row of the integer array ``words`` (one
     F_{q^m} word per row, q^m <= 2^32), as an int64 array.
@@ -575,7 +582,8 @@ def grassmannian_enumerate(n: int, r: int, q: int) -> list[Subspace]:
 
     Order: lexicographic by pivot pattern, then by the free entries read
     row-major with the last position varying fastest.  The length of the
-    result is the Gaussian binomial [n; r]_q.
+    result is the Gaussian binomial [n; r]_q: per pivot pattern, the
+    ``itertools.product`` of the lists of each row's RREF rows, in this order.
     """
     if not 0 <= r <= n:
         raise ValueError(f"dimension r={r} out of range for ambient n={n}")
@@ -584,15 +592,10 @@ def grassmannian_enumerate(n: int, r: int, q: int) -> list[Subspace]:
         raise ValueError(f"Grassmannian size {total} exceeds guard {GRASSMANNIAN_GUARD}")
     out = []
     for piv in itertools.combinations(range(n), r):
-        pivot_set = set(piv)
-        free = [(i, j) for i in range(r) for j in range(piv[i] + 1, n) if j not in pivot_set]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(r)]
-            for i, p in enumerate(piv):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            out.append(Subspace._canonical(q, n, tuple(tuple(row) for row in rows)))
+        # the entries of row p's RREF rows: 1 at p, any value at a later non-pivot column, else 0
+        rows = [[(1,) if j == p else (0,) if j < p or j in piv else range(q) for j in range(n)] for p in piv]
+        bases = itertools.product(*(itertools.product(*row) for row in rows))
+        out += (Subspace._canonical(q, n, basis) for basis in bases)
     return out
 
 

@@ -17,15 +17,15 @@ transform of the bilinear forms scheme, every coset count follows from one
 F_q-rank per point of PG(n - k - 1, q^m) and one point-hyperplane incidence
 sum (``_hyperplane_sums``), a Walsh-Hadamard transform at characteristic 2
 and a gather at odd characteristic.  Neither depends on tau.  Only
-``sampled_max_list_size`` scans words, one drawn word at a time
-(``_count_ball``).
+``sampled_max_list_size`` scans words, one drawn word at a time, on the
+path that trials times codewords selects once.
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
 counts take Gabidulin codewords as blocks from ``GabidulinCode.codeword_blocks``
-(``matfq._row_tables``), ranked by ``matfq._block_distances``, the numpy block
-of ``matfq.rank_distances`` (``matfq._column_ranks``: an XOR basis of one
-unsigned vector per column at q = 2, pivot counts of
+(outer sums of ``matfq._row_tables``), ranked by ``matfq._block_distances``,
+the numpy block of ``matfq.rank_distances`` (``matfq._column_ranks``: an XOR
+basis of one unsigned vector per column at q = 2, pivot counts of
 ``matfq._rrefs`` at q > 2); a mask keeps the words of a list and
 ``np.bincount`` counts the distances, so a block costs a fixed number of
 numpy calls and only listed words become tuples.  Ball counts rank the
@@ -34,7 +34,7 @@ work on the first columns among the matrices that have them.  Below the numpy fl
 builds one tuple per word (``GabidulinCode.iter_codewords``,
 ``matfq._combine``) and ranks it with the scalar ``matfq._column_rank`` (an
 XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
-``_count_ball`` always does.
+``_count_ball`` does, which at q = 2 stops each rank once it exceeds tau.
 """
 
 from __future__ import annotations
@@ -183,8 +183,14 @@ class MaxListResult:
     exhaustive: bool
 
 
-def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int) -> int:
-    """|{w in words : rank(r - w) <= tau}|; at q = 2 each rank stops once it exceeds tau."""
+def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int, batched: bool) -> int:
+    """|{w in words : rank(r - w) <= tau}|, for int64 blocks of codewords if
+    ``batched``, else for word tuples, whose rank at q = 2 stops above tau."""
+    if batched:
+        import numpy as np
+
+        center = np.asarray(r, dtype=np.int64)
+        return sum(int(np.count_nonzero(_block_distances(center, block, fld) <= tau)) for block in words)
     q, m, sub = fld.q, fld.m, fld.sub
     return sum(_column_rank(tuple(map(sub, r, cw)), q, m, tau) <= tau for cw in words)
 
@@ -370,7 +376,8 @@ def sampled_max_list_size(
     indices from ``random.Random(seed)``, counts the codewords around each
     word and returns the largest count, with the smallest index drawn that
     reaches it.  Refused, before any word is drawn, when trials times
-    codewords exceed ``guard`` (default EXHAUSTIVE_GUARD).
+    codewords exceed ``guard`` (default EXHAUSTIVE_GUARD).  The words are
+    counted in numpy once that work is enough for ``matfq._batched``.
     """
     guard = EXHAUSTIVE_GUARD if guard is None else guard
     _check_code(code)
@@ -381,12 +388,13 @@ def sampled_max_list_size(
         raise ValueError("random mode requires trials >= 1")
     if trials * size > guard:
         raise ValueError(f"scan of {trials} words against {size} codewords exceeds exhaustive guard {guard}")
-    words, total = list(code.iter_codewords()), fld.order**n
+    batched = _batched(trials * size, fld.order)  # decided once, for every trial
+    words, total = list(code.codeword_blocks() if batched else code.iter_codewords()), fld.order**n
     rng = random.Random(seed)
     best_count, best_index = -1, -1
     for _ in range(trials):
         index = rng.randrange(total)
-        count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau)
+        count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau, batched)
         if count > best_count or (count == best_count and index < best_index):
             best_count, best_index = count, index
     return MaxListResult(best_count, unpack_word(best_index, fld.order, n), trials, False)

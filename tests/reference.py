@@ -22,11 +22,15 @@ the library answers another way, written on the primitives it keeps (``rref``,
 * ``krawtchouk`` is one entry of ``bounds.rank_krawtchouk``, from
   ``gaussian_binomial`` term by term;
 * ``smallest_tau_geq_root`` walks tau = 0, 1, ... in fractions, the reference
-  for the closed form of ``bounds._smallest_tau_geq_root``.
+  for the closed form of ``bounds._smallest_tau_geq_root``;
+* ``grassmannian_rref_bases`` fills one r x n RREF basis per tuple of free
+  values, the reference for the row products of
+  ``matfq.grassmannian_enumerate``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -176,3 +180,19 @@ def smallest_tau_geq_root(shift: Fraction, radicand: Fraction) -> int:
         if gap <= 0 or gap * gap <= radicand:
             return tau
         tau += 1
+
+
+def grassmannian_rref_bases(n: int, r: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The RREF bases of Gr(n, r) over F_q: pivot patterns in lexicographic
+    order, then the free entries read row-major, the last position fastest."""
+    out = []
+    for piv in itertools.combinations(range(n), r):
+        free = [(i, j) for i in range(r) for j in range(piv[i] + 1, n) if j not in piv]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(r)]
+            for i, p in enumerate(piv):
+                rows[i][p] = 1
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            out.append(tuple(tuple(row) for row in rows))
+    return out

@@ -80,7 +80,7 @@ def test_criterion_3_batched_decomposition_matches_the_scalar_functions():
     for (q, shapes, X), (q_scalar, mats) in zip(batched, _scalar_rank_decompose_samples(), strict=True):
         assert q == q_scalar and shapes == [m.shape for m in mats]
         G, H = acceptance._rank_decompositions(X, q)
-        product = acceptance._table_products(G, H, q)
+        product = acceptance._prime_products(G, H, q)
         reduced = {name: matfq._rrefs(stack, q)[0] for name, stack in (("G", G), ("H", H), ("XT", X.transpose(0, 2, 1)))}
         for i, mat in enumerate(mats):
             rows, cols = mat.shape

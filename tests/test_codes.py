@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankmetric import codes
+from rankmetric import codes, matfq
 from rankmetric.bounds import singleton_max, CodeParams
 from rankmetric.codes import (
     ConstantDimensionCode,
@@ -152,6 +152,26 @@ def test_codeword_blocks_match_iter_codewords(q, seed):
         blocks = list(code.codeword_blocks())
     assert all(b.dtype == np.int64 and b.shape[1:] == (n,) and 0 < len(b) <= size for b in blocks)
     assert [tuple(w) for b in blocks for w in b.tolist()] == list(code.iter_codewords())
+
+
+@pytest.mark.parametrize(
+    "q, m, n, k", [(3, 3, 3, 3), (9, 2, 2, 2), (5, 2, 2, 2), (4, 3, 3, 2), (2, 4, 4, 4), (2, 13, 2, 1), (2, 13, 13, 1)]
+)
+def test_codeword_blocks_across_low_tables(q, m, n, k, monkeypatch):
+    # odd p with k >= 3, fields with more elements than _BATCH_ROWS, and
+    # _BATCH_ROWS below Q, where a block is a slice of one low table plus a
+    # high row; at k = 1 the blocks are slices of the one row table itself
+    code = GabidulinCode(make_field(q, m), n=n, k=k)
+    Q, expected = code.field.order, list(code.iter_codewords())
+    made = []
+    monkeypatch.setattr(codes, "_row_tables", lambda *args: made.append(matfq._row_tables(*args)) or made[-1])
+    for size in sorted({matfq._BATCH_ROWS, Q - 1, Q + 1, 2 * Q * Q + 1}):
+        monkeypatch.setattr(codes, "_BATCH_ROWS", size)
+        blocks = list(code.codeword_blocks())
+        assert all(b.dtype == np.int64 and b.shape[1:] == (n,) and 0 < len(b) <= size for b in blocks)
+        assert [tuple(w) for b in blocks for w in b.tolist()] == expected, size
+        if k == 1 and q == 2:
+            assert all(np.shares_memory(b, made[-1][0]) for b in blocks)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)

@@ -34,7 +34,14 @@ from rankmetric.matfq import (
     subspace_distance,
     subspace_from_jsonable,
 )
-from reference import column_space, distance_sandwich_check, expand_to_matrix, rank_decompose, transpose
+from reference import (
+    column_space,
+    distance_sandwich_check,
+    expand_to_matrix,
+    grassmannian_rref_bases,
+    rank_decompose,
+    transpose,
+)
 
 
 def random_matrix(rng, q, rows, cols):
@@ -535,6 +542,23 @@ def test_grassmannian_counts_sweep():
         for n in range(nmax + 1):
             for r in range(n + 1):
                 assert len(grassmannian_enumerate(n, r, q)) == gaussian_binomial(n, r, q)
+
+
+def test_grassmannian_enumerate_matches_the_reference_loop():
+    # the row products against one filled basis per free-value tuple, for
+    # every q and every (n, r) with [n; r]_q <= 5000
+    checked = 0
+    for q in SUPPORTED_Q:
+        n = 0
+        while n == 0 or gaussian_binomial(n, 1, q) <= 5000:
+            for r in range(n + 1):
+                if gaussian_binomial(n, r, q) <= 5000:
+                    subspaces = grassmannian_enumerate(n, r, q)
+                    assert [U.basis for U in subspaces] == grassmannian_rref_bases(n, r, q), (n, r, q)
+                    assert all(U.q == q and U.ambient_dim == n for U in subspaces)
+                    checked += 1
+            n += 1
+    assert checked > 100
 
 
 def test_grassmannian_guard():

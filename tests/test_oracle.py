@@ -238,17 +238,23 @@ def test_max_list_size_random_mode(capsys):
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-@pytest.mark.parametrize("q,m,n,k,tau", [(2, 3, 3, 1, 2), (3, 2, 2, 1, 1), (4, 2, 2, 1, 1)])
-def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed):
+@pytest.mark.parametrize("q,m,n,k,tau", [(2, 3, 3, 1, 2), (3, 2, 2, 1, 1), (4, 2, 2, 1, 1), (3, 3, 3, 1, 1)])
+def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed, force_batching, monkeypatch):
     # the same draws of random.Random(seed), and among the words of the largest
-    # count the smallest index, which is not always the first one drawn
+    # count the smallest index, which is not always the first one drawn; on
+    # each path, with the other path's rank function removed
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     fld, trials = code.field, 40
-    res = sampled_max_list_size(code, tau, trials, seed=seed)
     rng = random.Random(seed)
     drawn = [unpack_word(rng.randrange(fld.order**n), fld.order, n) for _ in range(trials)]
-    assert (res.ell, res.word) == max_list_scan(list(code.iter_codewords()), fld, tau, drawn)
-    assert res.scanned == trials and not res.exhaustive
+    expected = max_list_scan(list(code.iter_codewords()), fld, tau, drawn)
+    for batched, unused in ((False, "_block_distances"), (True, "_column_rank")):
+        force_batching(batched)
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, unused, None)
+            res = sampled_max_list_size(code, tau, trials, seed=seed)
+        assert (res.ell, res.word) == expected
+        assert res.scanned == trials and not res.exhaustive
 
 
 def test_random_mode_obeys_the_guard(monkeypatch, capsys):
@@ -269,6 +275,14 @@ def test_random_mode_obeys_the_guard(monkeypatch, capsys):
     monkeypatch.setattr(oracle.random.Random, "randrange", refuse)
     assert main([*base, "--trials", "1000000000"]) == 2
     assert "exceeds exhaustive guard" in capsys.readouterr().err
+
+
+def test_random_mode_decides_its_path_once_for_all_trials(monkeypatch):
+    # trials times codewords, so a one-shot run batches as an in-process one does
+    calls = []
+    monkeypatch.setattr(oracle, "_batched", lambda work, order: calls.append((work, order)) or True)
+    sampled_max_list_size(GabidulinCode(F16, n=4, k=2), 2, 7, seed=1)
+    assert calls == [(7 * 256, 16)]
 
 
 def test_max_list_size_translation_invariance():
