@@ -35,6 +35,9 @@ from typing import Iterable, Sequence
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
 _LOG_TABLE_LIMIT = 1 << 16
+# fields of at most this many elements write their words' digits from a
+# cached table, at most 0.6 MB (q = 2, m = 12)
+_DIGIT_TABLE_MAX = 1 << 12
 # Largest extension degree m a Field accepts, checked before q**m or the
 # modulus search.  On a 2-vCPU VM the slowest default modulus up to it,
 # q = 8 and m = 32, takes about 4 s; q = 8, m = 58 takes 17 s, and m = 1000
@@ -125,6 +128,12 @@ def _digits(v: int, base: int, width: int) -> list[int]:
         out.append(v % base)
         v //= base
     return out
+
+
+@lru_cache(maxsize=16)
+def _digit_table(q: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """``_digits(x, q, m)`` as a tuple at index x, for every x < q^m."""
+    return tuple(digits[::-1] for digits in itertools.product(range(q), repeat=m))
 
 
 def _undigits(digits: Iterable[int], base: int) -> int:
@@ -398,26 +407,30 @@ class Field:
     def words_to_jsonable(self, words: Sequence[Sequence[int]]) -> list[list[list[int]]]:
         """[self.word_to_jsonable(w) for w in words].
 
-        Enough words of one length (see ``matfq._batched``; the digits of an
+        In a field of at most _DIGIT_TABLE_MAX elements each element's list
+        is a fresh copy of its row of ``_digit_table``.  In a larger one,
+        enough words of one length (see ``matfq._batched``; the digits of an
         element cost the scalar loop about one rank computation) take their
-        digits from one ``matfq._digits`` call; no table is kept.  An element
-        outside 0..q^m - 1 raises the ValueError of ``coeffs``, naming the
-        first one.
+        digits from one ``matfq._digits`` call, and fewer one ``_digits``
+        call per element.  An element outside 0..q^m - 1 raises the
+        ValueError of ``coeffs``, naming the first one.
         """
-        from .matfq import _batched, _digits as digit_array
+        q, m, order = self.q, self.m, self.order
+        if order > _DIGIT_TABLE_MAX:
+            from .matfq import _batched, _digits as digit_array
 
-        lengths = set(map(len, words))
-        if len(lengths) == 1 and _batched(len(words) * min(lengths), self.order):
-            import numpy as np
+            lengths = set(map(len, words))
+            if len(lengths) == 1 and _batched(len(words) * min(lengths), order):
+                import numpy as np
 
-            block = np.asarray(words)
-            if block.dtype.kind in "iu" and block.min() >= 0 and block.max() < self.order:
-                return digit_array(block, self.q, self.m).tolist()
-        q, m, out = self.q, self.m, []
+                block = np.asarray(words)
+                if block.dtype.kind in "iu" and block.min() >= 0 and block.max() < order:
+                    return digit_array(block, q, m).tolist()
+        table, out = _digit_table(q, m) if order <= _DIGIT_TABLE_MAX else None, []
         for word in words:
-            if word and not (0 <= min(word) and max(word) < self.order):
-                self.coeffs(next(x for x in word if not 0 <= x < self.order))  # raises, naming it
-            out.append([_digits(x, q, m) for x in word])
+            if word and not (0 <= min(word) and max(word) < order):  # a negative index would wrap
+                self.coeffs(next(x for x in word if not 0 <= x < order))  # raises, naming it
+            out.append([list(table[x]) for x in word] if table else [_digits(x, q, m) for x in word])
         return out
 
     def word_from_jsonable(self, data, name: str) -> tuple[int, ...]:

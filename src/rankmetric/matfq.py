@@ -11,20 +11,25 @@ Gr(m, m - t), for the Gabidulin witnesses.
 Linear algebra runs on two elimination algorithms, each in a scalar form and
 a numpy form over a stack: Gauss-Jordan reduction to RREF for every q
 (``_gauss_jordan`` and ``_rrefs``), and an XOR basis at q = 2, keyed by
-leading bit in ``_column_rank``, and in ``_column_ranks`` one unsigned
+leading bit in ``_column_rank``, and in ``_elimination_ranks`` one unsigned
 vector per column reduced by ``minimum(v, v ^ b)``.  Every
 rank question (``rank``, ``subspace_distance`` and the rank of a vector over
 F_{q^m}) is the XOR basis at q = 2 and the pivot count of ``_gauss_jordan``
 at q > 2: ``rank`` hands its rows to ``_gauss_jordan`` as they are, the rank
 of a vector goes through ``_column_rank``.  ``_column_ranks`` ranks a stack of
-words, at q > 2 by the pivot counts of ``_rrefs``.  ``rank_distances`` is the
-one entry point for the rank distances of words to a word: ``_column_rank``
-per word, or in numpy ``_block_distances`` per block of words, the step that
-the oracle's decoding lists also take on their codeword blocks.
-``_space_ranks`` ranks every matrix of a whole m x n space with no
-elimination, from span tables of the column prefixes the matrices share.  Over F_q both RREF kernels, the
-span tables and the matrix product read one row-operation table per base
-field, ``BaseField._axpy[c][x][y] = x - c y``.
+words of n entries: while the space has q^{mn} <= _RANK_TABLE_MAX (2^16)
+matrices by one gather from ``_rank_table``, a cached read-only copy of
+``_space_ranks``, which ranks every matrix of a whole m x n space with no
+elimination, from span tables of the column prefixes the matrices share;
+above that by ``_elimination_ranks`` (the XOR basis at q = 2, the pivot
+counts of ``_rrefs`` at q > 2).  ``rank_distances`` is the one entry point
+for the rank distances of words to a word: ``_column_rank`` per word, or in
+numpy ``_block_distances`` per block of words, the step that the oracle's
+decoding lists also take on their codeword blocks.  At odd characteristic
+``_sub_words`` subtracts by one read of a cached difference table while
+q^{2m} <= _RANK_TABLE_MAX.  Over F_q both RREF kernels, the span tables and
+the matrix product read one row-operation table per base field,
+``BaseField._axpy[c][x][y] = x - c y``.
 """
 
 from __future__ import annotations
@@ -203,18 +208,19 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
 
 
 # _batched weighs the work a call's scalar path would do, in scalar rank
-# computations (0.2-0.3 us each at q=2, m=n<=3; 0.4 us at q=2, m=n=4;
-# 1.8-3.8 us at q>2), against a floor.  While numpy is not yet imported the
-# floor is _BATCH_MIN: a one-shot run must not pay numpy's import (37-44 ms)
-# to save less work than that.  Once numpy is loaded only its per-call
-# overhead is left, about 0.015 ms at q=2 and 0.08 ms at q>2, and
-# _BATCH_MIN_LOADED lies above the crossover at every q measured: 128 rank
-# distances take 0.10 ms scalar against 0.03 ms batched at q=2, m=n=4 (32
-# take 0.025 against 0.016 ms), and 0.68 against 0.13 ms at q=3, m=n=3; a
-# 16-word decoding list (64 work) takes 0.035 ms scalar against 0.030 ms
-# batched, a 256-word one (1024 work) 0.68 against 0.05 ms.  Batched, a rank
-# costs 0.005-0.015 us (q=2, m=n=4..8) and 0.16-0.7 us (q>2).  Figures from
-# a 2-vCPU AMD EPYC VM, Python 3.11.7, numpy 2.4.6, file cache warm.
+# computations, against a floor.  While numpy is not yet imported the floor
+# is _BATCH_MIN: a one-shot run must not pay numpy's import (37-62 ms) to
+# save less work than that.  Once numpy is loaded only its per-call overhead
+# is left, and _BATCH_MIN_LOADED lies above the crossover at every q
+# measured: 128 rank distances take 0.17 ms scalar against 0.04 ms batched
+# at q=2, m=n=4 (32 take 0.04 against 0.015 ms), and 1.1 against 0.04 ms at
+# q=3, m=n=3 (32 take 0.29 against 0.015 ms); a 16-word decoding list (64
+# work) takes 0.06 ms scalar against 0.02 ms batched, a 256-word one (1024
+# work) 1.15 against 0.035 ms.  Batched, a rank read from a rank table
+# (q^{mn} <= _RANK_TABLE_MAX) costs 0.005-0.008 us at every q once the table
+# is built (0.01-8 ms per space); by elimination it costs 0.007-0.02 us at
+# q=2 (m=n=4..8) and 0.37-0.82 us at q>2.  Figures from a 2-vCPU Intel Xeon
+# VM, Python 3.11.7, numpy 2.4.6.
 _BATCH_MIN = 1 << 17
 _BATCH_MIN_LOADED = 128
 # scalar work per item, in ranks: one ``_combine`` call (a codeword from its
@@ -222,6 +228,10 @@ _BATCH_MIN_LOADED = 128
 _CODEWORD_WORK = 4
 _BATCH_ROWS = 1 << 12  # words ranked per numpy block
 _BATCH_ORDER = 1 << 32  # larger fields keep to the scalar loop
+# spaces of at most this many matrices are ranked from a cached table (one
+# byte per matrix), and odd-p fields of at most its square root elements
+# subtract from a cached difference table
+_RANK_TABLE_MAX = 1 << 16
 
 
 def _digits(a, base: int, width: int):
@@ -241,13 +251,38 @@ def _undigits(digits, base: int):
 
 
 def _sub_words(a, b, fld: Field):
-    """a - b entrywise for integer arrays of F_{q^m} elements: XOR for p = 2,
-    digitwise mod p on the base-p digits otherwise."""
+    """a - b entrywise for integer arrays of F_{q^m} elements: XOR for p = 2;
+    at odd p one read of ``_difference_table`` while it has at most
+    _RANK_TABLE_MAX entries, else digitwise mod p on the base-p digits."""
     p = fld.char
     if p == 2:
         return a ^ b
     width = fld.m * fld.base.e
+    if fld.order**2 <= _RANK_TABLE_MAX:
+        return _difference_table(p, width)[a, b]
+    return _digit_differences(a, b, p, width)
+
+
+def _digit_differences(a, b, p: int, width: int):
+    """a - b for integer arrays of elements of F_{p^width}, digitwise mod p."""
     return _undigits((_digits(a, p, width) + (p - _digits(b, p, width))) % p, p)
+
+
+@lru_cache(maxsize=16)
+def _difference_table(p: int, width: int):
+    """x - y at [x, y] for x, y in F_{p^width}, p^width <= 256, a read-only
+    int64 array kept per (p, width): subtraction is digitwise mod p, so it
+    ignores the modulus.  The ten odd-p tables take 0.7 MB together.  Built
+    one digit at a time in int16."""
+    import numpy as np
+
+    values = np.arange(p**width, dtype=np.int16)
+    table = np.zeros((len(values), len(values)), dtype=np.int64)
+    for i in range(width):
+        digit = values // p**i % p
+        table += (digit[:, None] - digit) % p * p**i
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -323,7 +358,23 @@ def _outer_sums(a, b, p: int):
 
 def _column_ranks(words, q: int, m: int):
     """``_column_rank`` of every row of the integer array ``words`` (one
-    F_{q^m} word per row, q^m <= 2^32), as an int64 array.
+    F_{q^m} word of n entries per row, q^m <= 2^32), as an int64 array.
+
+    While the space has q^{mn} <= _RANK_TABLE_MAX matrices the ranks are one
+    gather from ``_rank_table``, at the index sum_j w_j (q^m)^j of each
+    word w; larger spaces are ranked by ``_elimination_ranks``.
+    """
+    import numpy as np
+
+    words = np.asarray(words, dtype=np.int64)
+    n = words.shape[1]
+    if q ** (m * n) > _RANK_TABLE_MAX:
+        return _elimination_ranks(words, q, m)
+    return _rank_table(q, m, n)[words @ (q**m) ** np.arange(n, dtype=np.int64)].astype(np.int64)
+
+
+def _elimination_ranks(words, q: int, m: int):
+    """``_column_ranks`` by elimination, for a space of any size.
 
     q = 2 keeps, per row, an XOR basis of one unsigned integer per column.
     Each column is reduced by the vectors before it, in order, with
@@ -348,6 +399,16 @@ def _column_ranks(words, q: int, m: int):
             basis.append(v)
         return np.count_nonzero(basis, axis=0) if basis else np.zeros(len(words), dtype=np.int64)
     return _rrefs(_digits(words, q, m), q)[1]
+
+
+@lru_cache(maxsize=16)
+def _rank_table(q: int, m: int, n: int):
+    """``_space_ranks(q, m, n)`` made read-only, kept for the last 16 spaces
+    asked for; ``_column_ranks`` reads it for spaces of at most
+    _RANK_TABLE_MAX matrices, so the tables hold at most 1 MB together."""
+    ranks = _space_ranks(q, m, n)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _space_ranks(q: int, m: int, n: int):

@@ -24,17 +24,22 @@ Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
 once ``matfq._batched`` finds enough work.  Decoding lists and distance
 counts take Gabidulin codewords as blocks from ``GabidulinCode.codeword_blocks``
 (outer sums of ``matfq._row_tables``), ranked by ``matfq._block_distances``,
-the numpy block of ``matfq.rank_distances`` (``matfq._column_ranks``: an XOR
-basis of one unsigned vector per column at q = 2, pivot counts of
-``matfq._rrefs`` at q > 2); a mask keeps the words of a list and
-``np.bincount`` counts the distances, so a block costs a fixed number of
-numpy calls and only listed words become tuples.  Ball counts rank the
-whole matrix space at once with ``matfq._space_ranks``, which shares the
-work on the first columns among the matrices that have them.  Below the numpy floor every path
-builds one tuple per word (``GabidulinCode.iter_codewords``,
-``matfq._combine``) and ranks it with the scalar ``matfq._column_rank`` (an
-XOR basis at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2), as
-``_count_ball`` does, which at q = 2 stops each rank once it exceeds tau.
+the numpy block of ``matfq.rank_distances``; a mask keeps the words of a list
+and ``np.bincount`` counts the distances, so a block costs a fixed number of
+numpy calls and only listed words become tuples.  Every numpy rank, here and
+in the rank pass of ``_coset_counts``, goes through ``matfq._column_ranks``:
+while the word space has q^{mn} <= 2^16 matrices, one gather from the
+cached rank table of the whole space (``matfq._rank_table``), else an XOR
+basis of one unsigned vector per column at q = 2 and pivot counts of
+``matfq._rrefs`` at q > 2.  At odd characteristic the received word is
+subtracted from a block by one read of a cached Q x Q difference table
+while Q^2 <= 2^16, Q = q^m.  Ball counts read the same rank tables, and
+``matfq._space_ranks`` directly for spaces above 2^16 matrices.  Below the
+numpy floor every path builds one tuple per word
+(``GabidulinCode.iter_codewords``, ``matfq._combine``) and ranks it with the
+scalar ``matfq._column_rank`` (an XOR basis at q = 2, pivot counts of
+``matfq._gauss_jordan`` at q > 2), as ``_count_ball`` does, which at q = 2
+stops each rank once it exceeds tau.
 """
 
 from __future__ import annotations
@@ -53,12 +58,14 @@ from .ff import Field, json_int
 from .matfq import (
     _BATCH_ROWS,
     _CODEWORD_WORK,
+    _RANK_TABLE_MAX,
     _batched,
     _block_distances,
     _column_rank,
     _column_ranks,
     _digits,
     _products,
+    _rank_table,
     _row_tables,
     _space_ranks,
     _sub_words,
@@ -404,8 +411,10 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int) -> int:
     """Count the m x n matrices over F_q of rank at most tau.
 
     With enough of them for ``matfq._batched`` every matrix is ranked at
-    once by ``matfq._space_ranks``; else they come one ``itertools.product``
-    tuple of column values at a time, ranked by ``matfq._column_rank``.
+    once by ``matfq._space_ranks``, read from the cached ``matfq._rank_table``
+    for spaces of at most _RANK_TABLE_MAX matrices; else they come one
+    ``itertools.product`` tuple of column values at a time, ranked by
+    ``matfq._column_rank``.
     The arguments follow the integer rule of ``ff.json_int``.
     """
     m, n, q, tau = (json_int(v, name) for v, name in ((m, "m"), (n, "n"), (q, "q"), (tau, "tau")))
@@ -419,5 +428,6 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int) -> int:
     if _batched(total, q**m):
         import numpy as np
 
-        return int(np.count_nonzero(_space_ranks(q, m, n) <= tau))
+        ranks = _rank_table(q, m, n) if total <= _RANK_TABLE_MAX else _space_ranks(q, m, n)
+        return int(np.count_nonzero(ranks <= tau))
     return sum(_column_rank(w, q, m, tau) <= tau for w in itertools.product(range(q**m), repeat=n))

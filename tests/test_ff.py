@@ -284,22 +284,44 @@ def test_words_to_jsonable_matches_the_word_form(q, force_batching, monkeypatch)
     F = make_field(q, 2)
     rng = random.Random(q)
     words = [tuple(rng.randrange(F.order) for _ in range(3)) for _ in range(20)] + [(0, F.order - 1, 1)]
-    expected = [F.word_to_jsonable(w) for w in words]
-    for batched in (True, False):
-        force_batching(batched)
+    expected = [[ff._digits(x, q, 2) for x in w] for w in words]
+    # the digit table, then, above its limit, one numpy call and the scalar loop
+    for path in ("table", "numpy", "scalar"):
+        force_batching(path == "numpy")
         with monkeypatch.context() as mp:
-            if batched:
-                mp.setattr(ff, "_digits", None)  # the digits come from one numpy call
-            got = F.words_to_jsonable(words)
+            if path != "table":
+                mp.setattr(ff, "_DIGIT_TABLE_MAX", F.order - 1)
+            with monkeypatch.context() as no_digits:
+                if path != "scalar":
+                    no_digits.setattr(ff, "_digits", None)  # the digits come from the table or one numpy call
+                got = F.words_to_jsonable(words)
             assert got == expected and all(type(c) is int for w in got for x in w for c in x)
-        assert F.words_to_jsonable([]) == [] and F.words_to_jsonable([(), ()]) == [[], []]
-        assert F.words_to_jsonable(words[:2] + [words[2][:1]]) == expected[:2] + [expected[2][:1]]
-        for bad in (F.order, -1):
-            broken = words[:5] + [(1, bad, F.order + 7)] + words[5:]
-            with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order {F.order}$"):
-                F.words_to_jsonable(broken)
-            with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order {F.order}$"):
-                F.word_to_jsonable(broken[5])
+            assert F.words_to_jsonable([]) == [] and F.words_to_jsonable([(), ()]) == [[], []]
+            assert F.words_to_jsonable(words[:2] + [words[2][:1]]) == expected[:2] + [expected[2][:1]]
+            # -1 would read the table's last row; alone in its word, or before a larger one
+            for bad, after in itertools.product((F.order, -1), (0, F.order + 7)):
+                broken = words[:5] + [(1, bad, after)] + words[5:]
+                with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order {F.order}$"):
+                    F.words_to_jsonable(broken)
+                with pytest.raises(ValueError, match=f"^{bad} is not an element of a field of order {F.order}$"):
+                    F.word_to_jsonable(broken[5])
+        got[0][0][0] += 1  # every element's list is its own
+        assert F.words_to_jsonable(words) == expected
+        assert [F.word_to_jsonable(w) for w in words] == expected
+
+
+def test_digit_table_limit():
+    import rankmetric.ff as ff
+
+    # the largest field that has a table, and its first row and last rows
+    q, m = 2, ff._DIGIT_TABLE_MAX.bit_length() - 1
+    table = ff._digit_table(q, m)
+    assert len(table) == ff._DIGIT_TABLE_MAX and table[0] == (0,) * m and table[-1] == (1,) * m
+    assert [list(row) for row in table[:: 97]] == [ff._digits(x, q, m) for x in range(0, q**m, 97)]
+    ff._digit_table.cache_clear()
+    F = make_field(2, m + 1)  # one step above: no table is built
+    assert F.words_to_jsonable([(F.order - 1, 1)]) == [[[1] * (m + 1), [1] + [0] * m]]
+    assert ff._digit_table.cache_info().currsize == 0
 
 
 def test_field_degree_limit_refuses_before_the_modulus_search(monkeypatch):

@@ -18,6 +18,8 @@ from rankmetric.matfq import (
     _column_rank,
     _column_ranks,
     _digits,
+    _elimination_ranks,
+    _rank_table,
     _rrefs,
     _space_ranks,
     _sub_words,
@@ -121,24 +123,27 @@ def test_column_ranks_match_column_rank(q, seed):
 
     words = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(1, 24))]
     expected = [_column_rank(w, q, m, n) for w in words]
-    assert _column_ranks(np.array(words), q, m).tolist() == expected
     r = tuple(rng.randrange(fld.order) for _ in range(n))
-    diffs = _sub_words(np.array(r), np.array(words), fld).tolist()
-    assert diffs == [[fld.sub(x, y) for x, y in zip(r, w)] for w in words]
     results = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matfq, "_BATCH_ROWS", 16)  # pair blocks cross rows of pairs
-        for batch_min in (0, 1 << 60):
-            mp.setattr(matfq, "_BATCH_MIN", batch_min)
-            mp.setattr(matfq, "_BATCH_MIN_LOADED", batch_min)
-            results.append(
-                (
-                    rank_distances((0,) * n, words, fld),
-                    rank_distances(r, words, fld),
-                    min_pairwise_rank_distance(words, fld),
+        # the rank and difference tables, then elimination and digit subtraction
+        for table_max in (matfq._RANK_TABLE_MAX, 0):
+            mp.setattr(matfq, "_RANK_TABLE_MAX", table_max)
+            assert _column_ranks(np.array(words), q, m).tolist() == expected
+            diffs = _sub_words(np.array(r), np.array(words), fld).tolist()
+            assert diffs == [[fld.sub(x, y) for x, y in zip(r, w)] for w in words]
+            for batch_min in (0, 1 << 60):
+                mp.setattr(matfq, "_BATCH_MIN", batch_min)
+                mp.setattr(matfq, "_BATCH_MIN_LOADED", batch_min)
+                results.append(
+                    (
+                        rank_distances((0,) * n, words, fld),
+                        rank_distances(r, words, fld),
+                        min_pairwise_rank_distance(words, fld),
+                    )
                 )
-            )
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2] == results[3]
     assert results[0][0] == expected
     table = [[_column_rank(tuple(fld.sub(a, b) for a, b in zip(u, v)), q, m, n) for v in words] for u in words]
     pairwise = [table[i][j] for i in range(len(words)) for j in range(i + 1, len(words))]
@@ -159,8 +164,94 @@ def test_space_ranks_match_the_rank_kernels(q, m, n):
     ranks = _space_ranks(q, m, n)
     assert ranks.dtype == np.uint8 and ranks.shape == (total,)
     words = _digits(np.arange(total), q**m, n)
-    assert ranks.tolist() == _column_ranks(words, q, m).tolist()
+    assert ranks.tolist() == _elimination_ranks(words, q, m).tolist()
     assert ranks.tolist() == [_column_rank(w, q, m, n) for w in words.tolist()]
+
+
+def _small_spaces():
+    """(q, m, n) for every q in SUPPORTED_Q and n >= 1 with q^{mn} <= _RANK_TABLE_MAX."""
+    return [
+        (q, m, n)
+        for q in SUPPORTED_Q
+        for m in range(1, 17)
+        for n in range(1, 17)
+        if q ** (m * n) <= matfq._RANK_TABLE_MAX
+    ]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_rank_tables_match_elimination_on_every_small_space(q):
+    # all words of a space of at most 4096, else 4096 random ones with a few of
+    # low rank, through the table of _column_ranks and through elimination
+    rng = np.random.default_rng(q)
+    for _, m, n in (s for s in _small_spaces() if s[0] == q):
+        order, total = q**m, q ** (m * n)
+        if total <= 4096:
+            words = _digits(np.arange(total), order, n)
+        else:
+            words = rng.integers(0, order, (4096, n))
+            words[:64] = words[:64, :1] * (np.arange(n) % 2)  # rank <= 1: each column 0 or the first
+        ranks = _column_ranks(words, q, m)
+        assert ranks.dtype == np.int64, (q, m, n)
+        assert np.array_equal(ranks, _elimination_ranks(words, q, m)), (q, m, n)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_block_distances_subtract_the_block_from_the_centre(q):
+    # rank(c - w) for a nonzero centre c, on the table path and off it, against
+    # scalar subtraction and ranks; the differences themselves are checked
+    # too, since rank(c - w) = rank(w - c) hides a swapped difference table
+    fld = make_field(q, 2)
+    n = 2 if q > 3 else 3
+    rng = random.Random(q)
+    block = np.array([[rng.randrange(fld.order) for _ in range(n)] for _ in range(300)] + [[0] * n, [1] * n])
+    for centre in ([1] + [0] * (n - 1), [rng.randrange(fld.order) for _ in range(n)]):
+        expected_diffs = [[fld.sub(c, w) for c, w in zip(centre, word)] for word in block.tolist()]
+        expected = [_column_rank(d, q, 2, n) for d in expected_diffs]
+        with pytest.MonkeyPatch.context() as mp:
+            for table_max in (matfq._RANK_TABLE_MAX, 0):
+                mp.setattr(matfq, "_RANK_TABLE_MAX", table_max)
+                center = np.array(centre, dtype=np.int64)
+                assert _sub_words(center, block, fld).tolist() == expected_diffs
+                assert matfq._block_distances(center, block, fld).tolist() == expected
+
+
+def test_difference_tables_match_digit_subtraction():
+    for p, width in [(3, w) for w in range(1, 6)] + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]:
+        values = np.arange(p**width)
+        expected = matfq._digit_differences(values[:, None], values, p, width)
+        assert np.array_equal(matfq._difference_table(p, width), expected), (p, width)
+    fld = make_field(3, 3)
+    assert matfq._difference_table(3, 3)[5, 7] == fld.sub(5, 7) == 7  # (2, 1, 0) - (1, 2, 0) = (1, 2, 0)
+
+
+def test_rank_tables_are_cached_read_only_and_bounded(monkeypatch):
+    table = _rank_table(3, 2, 2)
+    assert _rank_table(3, 2, 2) is table and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1
+    for p, width in ((3, 2), (5, 1)):
+        assert not matfq._difference_table(p, width).flags.writeable
+    _rank_table.cache_clear()
+    for q, m, n in _small_spaces()[:40]:
+        _rank_table(q, m, n)
+    info = _rank_table.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 4, 4), (3, 3, 2), (5, 2, 3), (9, 1, 3)])
+def test_rank_table_cap_is_honoured(q, m, n, monkeypatch):
+    # a space of exactly _RANK_TABLE_MAX matrices reads the table, one more
+    # is eliminated, and the ranks agree
+    total = q ** (m * n)
+    words = _digits(np.random.default_rng(total).integers(0, total, 500), q**m, n)
+    results = []
+    for table_max, unused in ((total, "_elimination_ranks"), (total - 1, "_rank_table")):
+        with monkeypatch.context() as mp:
+            mp.setattr(matfq, "_RANK_TABLE_MAX", table_max)
+            mp.setattr(matfq, unused, None)
+            results.append(_column_ranks(words, q, m).tolist())
+    assert results[0] == results[1] == [_column_rank(w, q, m, n) for w in words.tolist()]
 
 
 @pytest.mark.parametrize("m", [9, 16, 17, 32])

@@ -923,6 +923,26 @@ def test_space_scans_take_a_few_bytes_per_matrix(monkeypatch):
     assert _peak_bytes(lambda: oracle._coset_counts(walsh, 4)) < 64**4
 
 
+def test_rank_tables_take_a_few_bytes_per_matrix():
+    # building any largest admitted table (one more column would pass the cap)
+    # peaks below 5 bytes per matrix of the cap: the uint8 ranks, the last bool
+    # span table and the field-sized digit arrays
+    cap = matfq._RANK_TABLE_MAX
+    largest = [
+        (q, m, n)
+        for q in SUPPORTED_Q
+        for m in range(1, 17)
+        for n in range(1, 17)
+        if q ** (m * n) <= cap < q ** (m * (n + 1))
+    ]
+    assert (2, 4, 4) in largest and (3, 5, 2) in largest and (9, 1, 5) in largest
+    for q, m, n in largest:
+        matfq._rank_table.cache_clear()
+        assert _peak_bytes(lambda: matfq._rank_table(q, m, n)) < 5 * cap, (q, m, n)
+    matfq._difference_table.cache_clear()
+    assert _peak_bytes(lambda: matfq._difference_table(3, 5)) < 16 * 243**2  # int64 entries, int16 digits
+
+
 def test_ball_volume_bruteforce_guard():
     with pytest.raises(ValueError, match="guard"):
         ball_volume_bruteforce(5, 6, 2, 2)
