@@ -411,9 +411,9 @@ class Field:
         is a fresh copy of its row of ``_digit_table``.  In a larger one,
         enough words of one length (see ``matfq._batched``; the digits of an
         element cost the scalar loop about one rank computation) take their
-        digits from one ``matfq._digits`` call, and fewer one ``_digits``
-        call per element.  An element outside 0..q^m - 1 raises the
-        ValueError of ``coeffs``, naming the first one.
+        digits from one ``matfq._digits`` call, and fewer words take one
+        ``_digits`` call per element.  An element outside 0..q^m - 1 raises
+        the ValueError of ``coeffs``, naming the first one.
         """
         q, m, order = self.q, self.m, self.order
         if order > _DIGIT_TABLE_MAX:

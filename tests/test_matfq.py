@@ -225,7 +225,7 @@ def test_difference_tables_match_digit_subtraction():
     assert matfq._difference_table(3, 3)[5, 7] == fld.sub(5, 7) == 7  # (2, 1, 0) - (1, 2, 0) = (1, 2, 0)
 
 
-def test_rank_tables_are_cached_read_only_and_bounded(monkeypatch):
+def test_rank_tables_are_cached_read_only_and_bounded():
     table = _rank_table(3, 2, 2)
     assert _rank_table(3, 2, 2) is table and not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
