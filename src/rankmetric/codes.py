@@ -26,6 +26,7 @@ from .ff import Field, json_bool, json_int, json_key, json_list, make_field
 from .matfq import (
     _BATCH_ROWS,
     _CODEWORD_WORK,
+    ENUMERATION_GUARD,
     MatrixFq,
     Subspace,
     _batched,
@@ -39,8 +40,6 @@ from .matfq import (
     rank_of_vector,
     subspace_from_jsonable,
 )
-
-ENUMERATION_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)

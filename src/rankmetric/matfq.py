@@ -45,7 +45,8 @@ from . import ff
 from .bounds import gaussian_binomial
 from .ff import Field, base_field, json_int, json_key, json_list
 
-GRASSMANNIAN_GUARD = 1 << 24
+# the most items one call walks: codewords, cosets, subspaces or matrices
+ENUMERATION_GUARD = 1 << 24
 
 
 def _entries(row: Iterable) -> tuple[int, ...]:
@@ -649,8 +650,8 @@ def grassmannian_enumerate(n: int, r: int, q: int) -> list[Subspace]:
     if not 0 <= r <= n:
         raise ValueError(f"dimension r={r} out of range for ambient n={n}")
     total = gaussian_binomial(n, r, q)
-    if total > GRASSMANNIAN_GUARD:
-        raise ValueError(f"Grassmannian size {total} exceeds guard {GRASSMANNIAN_GUARD}")
+    if total > ENUMERATION_GUARD:
+        raise ValueError(f"Grassmannian size {total} exceeds guard {ENUMERATION_GUARD}")
     out = []
     for piv in itertools.combinations(range(n), r):
         # the entries of row p's RREF rows: 1 at p, any value at a later non-pivot column, else 0

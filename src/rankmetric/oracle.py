@@ -17,29 +17,30 @@ transform of the bilinear forms scheme, every coset count follows from one
 F_q-rank per point of PG(n - k - 1, q^m) and one point-hyperplane incidence
 sum (``_hyperplane_sums``), a Walsh-Hadamard transform at characteristic 2
 and a gather at odd characteristic.  Neither depends on tau.  Only
-``sampled_max_list_size`` scans words, one drawn word at a time, on the
-path that trials times codewords selects once.
+``sampled_max_list_size`` scans words, one drawn word at a time, always in
+numpy on the codeword blocks of the decoding lists, so ``oracle max`` loads
+numpy in both modes.
 
 Decoding lists, distance counts and ``ball_volume_bruteforce`` run in numpy
-once ``matfq._batched`` finds enough work.  Decoding lists and distance
-counts take Gabidulin codewords as blocks from ``GabidulinCode.codeword_blocks``
-(outer sums of ``matfq._row_tables``), ranked by ``matfq._block_distances``,
-the numpy block of ``matfq.rank_distances``; a mask keeps the words of a list
-and ``np.bincount`` counts the distances, so a block costs a fixed number of
-numpy calls and only listed words become tuples.  Every numpy rank, here and
-in the rank pass of ``_coset_counts``, goes through ``matfq._column_ranks``:
-while the word space has q^{mn} <= 2^16 matrices, one gather from the
-cached rank table of the whole space (``matfq._rank_table``), else an XOR
-basis of one unsigned vector per column at q = 2 and pivot counts of
+once ``matfq._batched`` finds enough work.  Decoding lists, distance
+counts and random mode take Gabidulin codewords as blocks from
+``GabidulinCode.codeword_blocks`` (outer sums of ``matfq._row_tables``),
+ranked by ``matfq._block_distances``, the numpy block of
+``matfq.rank_distances``; in ``_scan_blocks`` a mask keeps the words of a
+list and ``np.bincount`` counts the distances, so a block costs a fixed
+number of numpy calls and only listed words become tuples.  Every numpy
+rank, here and in the rank pass of ``_coset_counts``, goes through
+``matfq._column_ranks``: while the word space has q^{mn} <= 2^16 matrices,
+one gather from the cached rank table of the whole space
+(``matfq._rank_table``), else an XOR basis of one unsigned vector per column at q = 2 and pivot counts of
 ``matfq._rrefs`` at q > 2.  At odd characteristic the received word is
 subtracted from a block by one read of a cached Q x Q difference table
 while Q^2 <= 2^16, Q = q^m.  Ball counts read the same rank tables, and
 ``matfq._space_ranks`` directly for spaces above 2^16 matrices.  Below the
-numpy floor every path builds one tuple per word
-(``GabidulinCode.iter_codewords``, ``matfq._combine``) and ranks it with the
-scalar ``matfq._column_rank`` (an XOR basis at q = 2, pivot counts of
-``matfq._gauss_jordan`` at q > 2), as ``_count_ball`` does, which at q = 2
-stops each rank once it exceeds tau.
+numpy floor decoding lists and distance counts build one tuple per codeword
+(``GabidulinCode.iter_codewords``, ``matfq._combine``) and ball counts one
+per matrix, each ranked by the scalar ``matfq._column_rank`` (an XOR basis
+at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2).
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from typing import Sequence
 
 from . import ff
 from .bounds import rank_krawtchouk
-from .codes import ENUMERATION_GUARD, GabidulinCode
+from .codes import GabidulinCode
 from .ff import Field, json_int
 from .matfq import (
-    _BATCH_ROWS,
     _CODEWORD_WORK,
+    ENUMERATION_GUARD,
     _RANK_TABLE_MAX,
     _batched,
     _block_distances,
@@ -74,7 +75,6 @@ from .matfq import (
 )
 
 EXHAUSTIVE_GUARD = 1 << 28
-BRUTEFORCE_GUARD = 1 << 24
 _CHUNK = 1 << 16  # points ranked, or entries gathered, per numpy block of ``_coset_counts``
 
 
@@ -133,39 +133,39 @@ def _read_received(code, r: Sequence[int]) -> tuple[int, ...]:
     return r
 
 
+def _scan_blocks(r: tuple[int, ...], blocks, fld: Field, tau: int) -> tuple[list, list[int]]:
+    """(near, counts) of ``_ranked`` over the int64 codeword ``blocks``:
+    each block is ranked by ``matfq._block_distances``, a mask keeps the
+    words within tau and ``np.bincount`` counts the ranks, so a block costs
+    a fixed number of numpy calls and only the words kept become tuples."""
+    import numpy as np
+
+    center, counts, near = np.asarray(r, dtype=np.int64), np.zeros(len(r) + 1, dtype=np.int64), []
+    for block in blocks:
+        ranks = _block_distances(center, block, fld)
+        near += map(tuple, block[ranks <= tau].tolist())
+        counts += np.bincount(ranks, minlength=len(r) + 1)
+    return near, counts.tolist()
+
+
 def _ranked(code: GabidulinCode, r: tuple[int, ...], tau: int) -> tuple[list, list[int]]:
     """(near, counts) around r: the codewords within rank distance tau of r,
     as int tuples in message-index order, and counts[t], the number of
     codewords at rank distance t from r for t = 0..n.
 
-    With enough work for ``matfq._batched`` the int64 blocks of
-    ``codeword_blocks`` are ranked by ``matfq._block_distances``: not by
-    ``rank_distances``, which decides its path again and would send a small
-    block of numpy integers to the scalar loop.  A mask picks the words
-    within tau and ``np.bincount`` counts the ranks, so only the words kept
-    become tuples.  Else lists of at most _BATCH_ROWS word tuples of
-    ``iter_codewords`` are ranked by ``rank_distances``, which takes the
-    scalar loop too, since a list has fewer words than the code has work.
+    With enough work for ``matfq._batched`` the blocks of ``codeword_blocks``
+    go through ``_scan_blocks``: not through ``rank_distances``, which
+    decides its path again and would send a small block of numpy integers to
+    the scalar loop.  Else the word tuples of ``iter_codewords`` are ranked
+    by one ``rank_distances`` call, which takes the scalar loop too, since
+    the code has fewer words than work.
     """
-    fld, n = code.field, code.n
-    near = []
+    fld = code.field
     if _batched(code.cardinality * _CODEWORD_WORK, fld.order):
-        import numpy as np
-
-        center, counts = np.asarray(r, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
-        for block in code.codeword_blocks():
-            ranks = _block_distances(center, block, fld)
-            near += map(tuple, block[ranks <= tau].tolist())
-            counts += np.bincount(ranks, minlength=n + 1)
-        return near, counts.tolist()
-    counts = [0] * (n + 1)
-    codewords = code.iter_codewords()
-    while words := list(itertools.islice(codewords, _BATCH_ROWS)):
-        for word, dist in zip(words, rank_distances(r, words, fld)):
-            counts[dist] += 1
-            if dist <= tau:
-                near.append(word)
-    return near, counts
+        return _scan_blocks(r, code.codeword_blocks(), fld, tau)
+    words = list(code.iter_codewords())
+    dists = rank_distances(r, words, fld)
+    return [word for word, dist in zip(words, dists) if dist <= tau], [dists.count(t) for t in range(code.n + 1)]
 
 
 def list_codewords(code: GabidulinCode, r: Sequence[int], tau: int) -> ListResult:
@@ -188,18 +188,6 @@ class MaxListResult:
     word: tuple[int, ...]
     scanned: int
     exhaustive: bool
-
-
-def _count_ball(r: tuple[int, ...], words, fld: Field, tau: int, batched: bool) -> int:
-    """|{w in words : rank(r - w) <= tau}|, for int64 blocks of codewords if
-    ``batched``, else for word tuples, whose rank at q = 2 stops above tau."""
-    if batched:
-        import numpy as np
-
-        center = np.asarray(r, dtype=np.int64)
-        return sum(int(np.count_nonzero(_block_distances(center, block, fld) <= tau)) for block in words)
-    q, m, sub = fld.q, fld.m, fld.sub
-    return sum(_column_rank(tuple(map(sub, r, cw)), q, m, tau) <= tau for cw in words)
 
 
 def _points(order: int, r: int):
@@ -383,8 +371,9 @@ def sampled_max_list_size(
     indices from ``random.Random(seed)``, counts the codewords around each
     word and returns the largest count, with the smallest index drawn that
     reaches it.  Refused, before any word is drawn, when trials times
-    codewords exceed ``guard`` (default EXHAUSTIVE_GUARD).  The words are
-    counted in numpy once that work is enough for ``matfq._batched``.
+    codewords exceed ``guard`` (default EXHAUSTIVE_GUARD).  The codeword
+    blocks are built once and every word is counted on them by
+    ``_scan_blocks``, in numpy, as ``_coset_counts`` always runs.
     """
     guard = EXHAUSTIVE_GUARD if guard is None else guard
     _check_code(code)
@@ -395,13 +384,13 @@ def sampled_max_list_size(
         raise ValueError("random mode requires trials >= 1")
     if trials * size > guard:
         raise ValueError(f"scan of {trials} words against {size} codewords exceeds exhaustive guard {guard}")
-    batched = _batched(trials * size, fld.order)  # decided once, for every trial
-    words, total = list(code.codeword_blocks() if batched else code.iter_codewords()), fld.order**n
+    blocks, total = list(code.codeword_blocks()), fld.order**n
     rng = random.Random(seed)
     best_count, best_index = -1, -1
     for _ in range(trials):
         index = rng.randrange(total)
-        count = _count_ball(unpack_word(index, fld.order, n), words, fld, tau, batched)
+        # the ball of radius -1 is empty: no word becomes a tuple
+        count = sum(_scan_blocks(unpack_word(index, fld.order, n), blocks, fld, -1)[1][: tau + 1])
         if count > best_count or (count == best_count and index < best_index):
             best_count, best_index = count, index
     return MaxListResult(best_count, unpack_word(best_index, fld.order, n), trials, False)
@@ -419,8 +408,8 @@ def ball_volume_bruteforce(m: int, n: int, q: int, tau: int) -> int:
     """
     m, n, q, tau = (json_int(v, name) for v, name in ((m, "m"), (n, "n"), (q, "q"), (tau, "tau")))
     total = q ** (m * n)
-    if total > BRUTEFORCE_GUARD:
-        raise ValueError(f"matrix space {total} exceeds guard {BRUTEFORCE_GUARD}")
+    if total > ENUMERATION_GUARD:
+        raise ValueError(f"matrix space {total} exceeds guard {ENUMERATION_GUARD}")
     if m < 0 or n < 0:
         raise ValueError(f"need m >= 0 and n >= 0, got m={m}, n={n}")
     if not 0 <= tau <= min(m, n):

@@ -238,23 +238,34 @@ def test_max_list_size_random_mode(capsys):
 
 
 @pytest.mark.parametrize("seed", [3, 17])
-@pytest.mark.parametrize("q,m,n,k,tau", [(2, 3, 3, 1, 2), (3, 2, 2, 1, 1), (4, 2, 2, 1, 1), (3, 3, 3, 1, 1)])
-def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed, force_batching, monkeypatch):
+@pytest.mark.parametrize(
+    "q,m,n,k,tau",
+    [
+        (2, 3, 3, 1, 2),
+        (3, 2, 2, 1, 1),
+        (4, 2, 2, 1, 1),
+        (3, 3, 3, 1, 1),
+        (5, 2, 2, 1, 1),
+        (7, 2, 2, 1, 1),
+        (8, 2, 2, 1, 1),
+        (9, 2, 2, 1, 1),
+    ],
+)
+def test_random_mode_matches_the_reference_scan(q, m, n, k, tau, seed, monkeypatch):
     # the same draws of random.Random(seed), and among the words of the largest
-    # count the smallest index, which is not always the first one drawn; on
-    # each path, with the other path's rank function removed
+    # count the smallest index, which is not always the first one drawn; with
+    # the scalar rank and the codeword tuples removed, so every count comes
+    # from the numpy block scan
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     fld, trials = code.field, 40
     rng = random.Random(seed)
     drawn = [unpack_word(rng.randrange(fld.order**n), fld.order, n) for _ in range(trials)]
     expected = max_list_scan(list(code.iter_codewords()), fld, tau, drawn)
-    for batched, unused in ((False, "_block_distances"), (True, "_column_rank")):
-        force_batching(batched)
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, unused, None)
-            res = sampled_max_list_size(code, tau, trials, seed=seed)
-        assert (res.ell, res.word) == expected
-        assert res.scanned == trials and not res.exhaustive
+    monkeypatch.setattr(oracle, "_column_rank", None)
+    monkeypatch.setattr(GabidulinCode, "iter_codewords", None)
+    res = sampled_max_list_size(code, tau, trials, seed=seed)
+    assert (res.ell, res.word) == expected
+    assert res.scanned == trials and not res.exhaustive
 
 
 def test_random_mode_obeys_the_guard(monkeypatch, capsys):
@@ -271,18 +282,10 @@ def test_random_mode_obeys_the_guard(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("sampled before the guard")
 
-    monkeypatch.setattr(oracle, "_count_ball", refuse)
+    monkeypatch.setattr(oracle, "_scan_blocks", refuse)
     monkeypatch.setattr(oracle.random.Random, "randrange", refuse)
     assert main([*base, "--trials", "1000000000"]) == 2
     assert "exceeds exhaustive guard" in capsys.readouterr().err
-
-
-def test_random_mode_decides_its_path_once_for_all_trials(monkeypatch):
-    # trials times codewords, so a one-shot run batches as an in-process one does
-    calls = []
-    monkeypatch.setattr(oracle, "_batched", lambda work, order: calls.append((work, order)) or True)
-    sampled_max_list_size(GabidulinCode(F16, n=4, k=2), 2, 7, seed=1)
-    assert calls == [(7 * 256, 16)]
 
 
 def test_max_list_size_translation_invariance():
@@ -818,7 +821,7 @@ def test_list_and_count_paths_agree(q, m, n, force_batching, monkeypatch):
     # the scalar path (word tuples and lists of ranks) against the numpy one
     # (a mask and np.bincount per int64 block), over several blocks: the code
     # has more words than _BATCH_ROWS
-    for module in (codes, matfq, oracle):
+    for module in (codes, matfq):
         monkeypatch.setattr(module, "_BATCH_ROWS", 100)
     code = GabidulinCode(make_field(q, m), n=n, k=2)
     assert code.cardinality > 2 * 100
