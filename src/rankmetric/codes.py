@@ -11,8 +11,8 @@ Three families:
 
 A Gabidulin codeword sum_i f_i g_i, a coset key sum_j w_j key(u_j) and a
 constant-rank word G^T H (entry j is sum_i H_ij g_i) are one F_{q^m} row
-combination: ``matfq._combine`` for one word, ``matfq._row_tables`` for numpy
-blocks.
+combination: ``matfq._combine`` for one word, and for numpy blocks sums of
+the integer tables of ``matfq._row_tables`` by ``matfq._word_sums``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .matfq import (
     _outer_sums,
     _row_tables,
     _table_sums,
-    _undigits,
     rank_of_vector,
     subspace_from_jsonable,
 )
@@ -122,7 +121,7 @@ class GabidulinCode:
         index = np.asarray(indices, dtype=np.int64)
         if index.min() < 0 or index.max() >= self.cardinality:
             raise ValueError("message index out of range")
-        words = _table_sums(_row_tables(F, self._rows), _digits(index, F.order, self.k), F.char)
+        words = _table_sums(_row_tables(F, self._rows), _digits(index, F.order, self.k), F)
         return list(map(tuple, words.tolist()))
 
     def iter_codewords(self) -> Iterator[tuple[int, ...]]:
@@ -144,18 +143,17 @@ class GabidulinCode:
 
         if self.cardinality > ENUMERATION_GUARD:
             raise ValueError(f"code too large to enumerate ({self.cardinality} words)")
-        F, p, size = self.field, self.field.char, self.cardinality
+        F, size = self.field, self.cardinality
         d = next(d for d in range(self.k, 0, -1) if d == 1 or F.order**d <= _BATCH_ROWS)
         tables = _row_tables(F, self._rows)
-        low = reduce(lambda low, table: _outer_sums(table, low, p), tables[1:d], tables[0])
+        low = reduce(lambda low, table: _outer_sums(table, low, F), tables[1:d], tables[0])
         step = max(1, _BATCH_ROWS // len(low)) * len(low)
         for lo in range(0, size, step):
             sums = low
             if len(low) < size:
-                highs = _table_sums(tables, _digits(np.arange(lo, min(lo + step, size), len(low)), F.order, self.k), p)
-                sums = _outer_sums(highs if p == 2 else _digits(highs, p, F.m * F.base.e), low, p)
-            for block in (sums[start : start + _BATCH_ROWS] for start in range(0, len(sums), _BATCH_ROWS)):
-                yield block if p == 2 else _undigits(block, p)
+                highs = _table_sums(tables, _digits(np.arange(lo, min(lo + step, size), len(low)), F.order, self.k), F)
+                sums = _outer_sums(highs, low, F)
+            yield from (sums[start : start + _BATCH_ROWS] for start in range(0, len(sums), _BATCH_ROWS))
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Membership test: the coset key sum_j w_j key(u_j) is 0 (``_unit_keys``);
@@ -203,7 +201,7 @@ class GabidulinCode:
             block = np.asarray(words[lo : lo + _BATCH_ROWS])
             if block.dtype.kind not in "biu" or block.min() < 0 or block.max() >= F.order:
                 return False
-            if _table_sums(tables, block.astype(np.int64), F.char).any():
+            if _table_sums(tables, block.astype(np.int64), F).any():
                 return False
         return True
 

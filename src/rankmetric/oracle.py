@@ -33,11 +33,11 @@ rank, here and in the rank pass of ``_coset_counts``, goes through
 ``matfq._column_ranks``: while the word space has q^{mn} <= 2^16 matrices,
 one gather from the cached rank table of the whole space
 (``matfq._rank_table``), else an XOR basis of one unsigned vector per column at q = 2 and pivot counts of
-``matfq._rrefs`` at q > 2.  At odd characteristic the received word is
-subtracted from a block by one read of a cached Q x Q difference table
-while Q^2 <= 2^16, Q = q^m.  Ball counts read the same rank tables, and
-``matfq._space_ranks`` directly for spaces above 2^16 matrices.  Below the
-numpy floor decoding lists and distance counts build one tuple per codeword
+``matfq._rrefs`` at q > 2.  Every numpy sum or difference of words is
+``matfq._word_sums``: at odd characteristic one read of a cached Q x Q
+table per term while Q^2 <= 2^16, Q = q^m.  Ball counts read the same
+rank tables, and ``matfq._space_ranks`` directly for spaces above 2^16
+matrices.  Below the numpy floor decoding lists and distance counts build one tuple per codeword
 (``GabidulinCode.iter_codewords``, ``matfq._combine``) and ball counts one
 per matrix, each ranked by the scalar ``matfq._column_rank`` (an XOR basis
 at q = 2, pivot counts of ``matfq._gauss_jordan`` at q > 2).
@@ -69,8 +69,8 @@ from .matfq import (
     _rank_table,
     _row_tables,
     _space_ranks,
-    _sub_words,
     _table_sums,
+    _word_sums,
     rank_distances,
 )
 
@@ -259,23 +259,21 @@ def _walsh_sums(fld: Field, table, lower):
 def _gather_sums(fld: Field, table, lower):
     """Q H(1, a) for every a in F_Q^w ascending, at odd p: the sum of
     table[z', -<a, z'>] over the rows z' of ``lower``, _CHUNK reads at a
-    time, from a Q x (rows) product table per coordinate and, for w > 1, a
-    Q x Q subtraction table."""
+    time, from a Q x (rows) product table per coordinate, the first negated,
+    subtracted by ``matfq._word_sums`` (a table read for w > 1, where the
+    coset guard keeps Q^3 <= 2^24)."""
     import numpy as np
 
     order, (count, width) = fld.order, lower.shape
     values = np.arange(order)
     products = [_products(fld, values[:, None], lower[:, i]) for i in range(width)]
-    products[0] = _sub_words(0, products[0], fld)
-    minus = _sub_words(values[:, None], values, fld).reshape(-1) if width > 1 else None  # [u Q + v] = u - v
+    products[0] = _word_sums(fld, (0, products[0]), -1)
     flat, offsets = table.reshape(-1), np.arange(count) * order
     sums = np.empty(order**width, dtype=table.dtype)
     step = max(1, _CHUNK // count)
     for lo in range(0, order**width, step):
         a = _digits(np.arange(lo, min(lo + step, order**width)), order, width)  # a_1 is the last digit
-        neg = products[0][a[:, -1]]
-        for i in range(1, width):
-            neg = minus[neg * order + products[i][a[:, -1 - i]]]
+        neg = _word_sums(fld, (products[i][a[:, -1 - i]] for i in range(width)), -1)  # -<a, z'>
         sums[lo : lo + step] = flat[offsets + neg].sum(axis=1)
     return order * sums
 
@@ -328,7 +326,7 @@ def _coset_counts(code: GabidulinCode, tau: int):
     else:
         tables, ranks = _row_tables(fld, columns), np.empty(len(points), dtype=np.uint8)
         for lo in range(0, len(points), _CHUNK):
-            ranks[lo : lo + _CHUNK] = _column_ranks(_table_sums(tables, points[lo : lo + _CHUNK], fld.char), q, m)
+            ranks[lo : lo + _CHUNK] = _column_ranks(_table_sums(tables, points[lo : lo + _CHUNK], fld), q, m)
     f = np.array(lam, dtype=np.int64 if scale * lam[0] < 1 << 63 else object)[ranks]
     total = int(f.sum())
     own, rest = divmod(lam[0] + (order - 1) * total, scale)

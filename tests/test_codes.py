@@ -160,18 +160,21 @@ def test_codeword_blocks_match_iter_codewords(q, seed):
 def test_codeword_blocks_across_low_tables(q, m, n, k, monkeypatch):
     # odd p with k >= 3, fields with more elements than _BATCH_ROWS, and
     # _BATCH_ROWS below Q, where a block is a slice of one low table plus a
-    # high row; at k = 1 the blocks are slices of the one row table itself
+    # high row; at k = 1 the blocks are slices of the one row table itself.
+    # Odd-p sums read the sum tables, and with the cap at 0 add digitwise
     code = GabidulinCode(make_field(q, m), n=n, k=k)
     Q, expected = code.field.order, list(code.iter_codewords())
     made = []
     monkeypatch.setattr(codes, "_row_tables", lambda *args: made.append(matfq._row_tables(*args)) or made[-1])
-    for size in sorted({matfq._BATCH_ROWS, Q - 1, Q + 1, 2 * Q * Q + 1}):
-        monkeypatch.setattr(codes, "_BATCH_ROWS", size)
-        blocks = list(code.codeword_blocks())
-        assert all(b.dtype == np.int64 and b.shape[1:] == (n,) and 0 < len(b) <= size for b in blocks)
-        assert [tuple(w) for b in blocks for w in b.tolist()] == expected, size
-        if k == 1 and q == 2:
-            assert all(np.shares_memory(b, made[-1][0]) for b in blocks)
+    for table_max in (matfq._RANK_TABLE_MAX, 0):
+        monkeypatch.setattr(matfq, "_RANK_TABLE_MAX", table_max)
+        for size in sorted({matfq._BATCH_ROWS, Q - 1, Q + 1, 2 * Q * Q + 1}):
+            monkeypatch.setattr(codes, "_BATCH_ROWS", size)
+            blocks = list(code.codeword_blocks())
+            assert all(b.dtype == np.int64 and b.shape[1:] == (n,) and 0 < len(b) <= size for b in blocks)
+            assert [tuple(w) for b in blocks for w in b.tolist()] == expected, (table_max, size)
+            if k == 1:
+                assert all(np.shares_memory(b, made[-1][0]) for b in blocks)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -190,8 +193,10 @@ def test_contains_all_matches_contains(q, force_batching, monkeypatch):
     tampered.append(words[:-1] + [words[-1][:-1]])  # a word of the wrong length
     assert all(code.contains(w) for w in words)
     assert not any(all(code.contains(w) for w in t) for t in tampered)
-    for batched in (False, True):
+    # odd-p keys add through the sum tables, and with the cap at 0 digitwise
+    for batched, table_max in itertools.product((False, True), (matfq._RANK_TABLE_MAX, 0)):
         force_batching(batched)
+        monkeypatch.setattr(matfq, "_RANK_TABLE_MAX", table_max)
         with monkeypatch.context() as mp:
             if batched:
                 mp.setattr(GabidulinCode, "contains", None)  # the batched check never calls it
@@ -210,8 +215,10 @@ def test_codewords_match_codeword(q, force_batching, monkeypatch):
     # more indices than field elements, so that the batched path tabulates
     indices = [rng.randrange(code.cardinality) for _ in range(fld.order)] + [0, code.cardinality - 1]
     expected = [code.codeword(i) for i in indices]
-    for batched in (True, False):
+    # odd-p words add through the sum tables, and with the cap at 0 digitwise
+    for batched, table_max in itertools.product((True, False), (matfq._RANK_TABLE_MAX, 0)):
         force_batching(batched)
+        monkeypatch.setattr(matfq, "_RANK_TABLE_MAX", table_max)
         with monkeypatch.context() as mp:
             if batched:
                 mp.setattr(GabidulinCode, "codeword", None)  # one table pass, no scalar word

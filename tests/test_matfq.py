@@ -22,7 +22,7 @@ from rankmetric.matfq import (
     _rank_table,
     _rrefs,
     _space_ranks,
-    _sub_words,
+    _word_sums,
     grassmannian_enumerate,
     grassmannian_order_key,
     matrix_from_jsonable,
@@ -127,11 +127,11 @@ def test_column_ranks_match_column_rank(q, seed):
     results = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matfq, "_BATCH_ROWS", 16)  # pair blocks cross rows of pairs
-        # the rank and difference tables, then elimination and digit subtraction
+        # the rank and sum tables, then elimination and digit subtraction
         for table_max in (matfq._RANK_TABLE_MAX, 0):
             mp.setattr(matfq, "_RANK_TABLE_MAX", table_max)
             assert _column_ranks(np.array(words), q, m).tolist() == expected
-            diffs = _sub_words(np.array(r), np.array(words), fld).tolist()
+            diffs = _word_sums(fld, (np.array(r), np.array(words)), -1).tolist()
             assert diffs == [[fld.sub(x, y) for x, y in zip(r, w)] for w in words]
             for batch_min in (0, 1 << 60):
                 mp.setattr(matfq, "_BATCH_MIN", batch_min)
@@ -212,17 +212,42 @@ def test_block_distances_subtract_the_block_from_the_centre(q):
             for table_max in (matfq._RANK_TABLE_MAX, 0):
                 mp.setattr(matfq, "_RANK_TABLE_MAX", table_max)
                 center = np.array(centre, dtype=np.int64)
-                assert _sub_words(center, block, fld).tolist() == expected_diffs
+                assert _word_sums(fld, (center, block), -1).tolist() == expected_diffs
                 assert matfq._block_distances(center, block, fld).tolist() == expected
 
 
-def test_difference_tables_match_digit_subtraction():
-    for p, width in [(3, w) for w in range(1, 6)] + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]:
-        values = np.arange(p**width)
-        expected = matfq._digit_differences(values[:, None], values, p, width)
-        assert np.array_equal(matfq._difference_table(p, width), expected), (p, width)
-    fld = make_field(3, 3)
-    assert matfq._difference_table(3, 3)[5, 7] == fld.sub(5, 7) == 7  # (2, 1, 0) - (1, 2, 0) = (1, 2, 0)
+def test_sum_tables_match_scalar_field_arithmetic():
+    # both signs of every odd (p, width) whose sums read a table, every pair
+    # of elements, against the scalar Field.add and Field.sub
+    fields = {}
+    for q in SUPPORTED_Q:
+        for m in range(1, 6):
+            if q % 2 and q ** (2 * m) <= matfq._RANK_TABLE_MAX:
+                fld = make_field(q, m)
+                fields.setdefault((fld.char, fld.m * fld.base.e), fld)
+    assert sorted(fields) == [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+    for (p, width), fld in fields.items():
+        pairs = list(itertools.product(range(fld.order), repeat=2))
+        for sign, op in ((1, fld.add), (-1, fld.sub)):
+            table = matfq._sum_table(p, width, sign)
+            assert table.dtype == np.int64 and table.shape == (fld.order, fld.order)
+            assert table.reshape(-1).tolist() == [op(x, y) for x, y in pairs], (p, width, sign)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_word_sums_add_and_subtract_every_term(q):
+    # several terms, broadcast, on the table path and off it, against scalar sums
+    fld = make_field(q, 2)
+    rng = np.random.default_rng(q)
+    terms = [rng.integers(0, fld.order, (5, 1, 3)), rng.integers(0, fld.order, (4, 3)), rng.integers(0, fld.order, 3)]
+    a, b, c = (np.broadcast_to(t, (5, 4, 3)).reshape(-1).tolist() for t in terms)
+    with pytest.MonkeyPatch.context() as mp:
+        for table_max in (matfq._RANK_TABLE_MAX, 0):
+            mp.setattr(matfq, "_RANK_TABLE_MAX", table_max)
+            sums, diffs = _word_sums(fld, iter(terms)), _word_sums(fld, iter(terms), -1)
+            assert sums.shape == diffs.shape == (5, 4, 3) and sums.dtype == diffs.dtype == np.int64
+            assert sums.reshape(-1).tolist() == [fld.add(fld.add(x, y), z) for x, y, z in zip(a, b, c)]
+            assert diffs.reshape(-1).tolist() == [fld.sub(fld.sub(x, y), z) for x, y, z in zip(a, b, c)]
 
 
 def test_rank_tables_are_cached_read_only_and_bounded():
@@ -230,8 +255,9 @@ def test_rank_tables_are_cached_read_only_and_bounded():
     assert _rank_table(3, 2, 2) is table and not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0] = 1
-    for p, width in ((3, 2), (5, 1)):
-        assert not matfq._difference_table(p, width).flags.writeable
+    for p, width, sign in ((3, 2, 1), (5, 1, -1)):
+        assert matfq._sum_table(p, width, sign) is matfq._sum_table(p, width, sign)
+        assert not matfq._sum_table(p, width, sign).flags.writeable
     _rank_table.cache_clear()
     for q, m, n in _small_spaces()[:40]:
         _rank_table(q, m, n)

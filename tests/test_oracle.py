@@ -608,6 +608,20 @@ def test_max_list_size_on_a_large_field():
     assert (res.ell, res.word) == (3, (0, 1))
 
 
+def test_odd_p_max_list_size_on_and_off_the_sum_tables(monkeypatch):
+    # Gab[4,1]/F_81: the rank pass sums three row tables and the gather
+    # subtracts two products; both read the sum tables, and with the cap at 0
+    # add digitwise (the rank table gives way to elimination too)
+    code = GabidulinCode(make_field(3, 4), n=4, k=1)
+    results = []
+    for table_max in (matfq._RANK_TABLE_MAX, 0):
+        monkeypatch.setattr(matfq, "_RANK_TABLE_MAX", table_max)
+        res = max_list_size(code, 2)
+        results.append((res.ell, res.word))
+        assert list_codewords(code, res.word, 2).size == res.ell
+    assert results[0] == results[1]
+
+
 def _smallest_of_orbit(key, fld):
     """Independent normalization: min over x in F_{q^m}^* of x * key."""
     return min(tuple(fld.mul(x, c) for c in key) for x in range(1, fld.order))
@@ -942,8 +956,8 @@ def test_rank_tables_take_a_few_bytes_per_matrix():
     for q, m, n in largest:
         matfq._rank_table.cache_clear()
         assert _peak_bytes(lambda: matfq._rank_table(q, m, n)) < 5 * cap, (q, m, n)
-    matfq._difference_table.cache_clear()
-    assert _peak_bytes(lambda: matfq._difference_table(3, 5)) < 16 * 243**2  # int64 entries, int16 digits
+    matfq._sum_table.cache_clear()
+    assert _peak_bytes(lambda: matfq._sum_table(3, 5, -1)) < 16 * 243**2  # int64 entries, int16 digits
 
 
 def test_ball_volume_bruteforce_guard():
