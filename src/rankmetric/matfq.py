@@ -4,9 +4,9 @@ Matrices are immutable value types with entries 0..q-1 (integer encoding of
 F_q, see :mod:`rankmetric.ff`).  Subspaces of F_q^n are kept in reduced row
 echelon form, so equal subspaces compare equal and enumeration is canonical.
 ``grassmannian_order_key`` places a subspace in that enumeration order, and
-``_singer_orbits`` lists one subspace of F_{q^m} per orbit of Gr(m, t) under
-multiplication by F_{q^m}^*, walking the smaller of Gr(m, t) and
-Gr(m, m - t), for the Gabidulin witnesses.
+``_singer_orbits`` lists the RREF basis, as elements of F_{q^m}, of one
+subspace per orbit of Gr(m, t) under multiplication by F_{q^m}^*, walking
+the smaller of Gr(m, t) and Gr(m, m - t), for the Gabidulin witnesses.
 
 Linear algebra runs on two elimination algorithms, each in a scalar form and
 a numpy form over a stack: Gauss-Jordan reduction to RREF for every q
@@ -28,9 +28,10 @@ numpy ``_block_distances`` per block of words, the step that the oracle's
 decoding lists also take on their codeword blocks.  ``_word_sums`` alone
 adds and subtracts numpy words: XOR at p = 2, at odd p one read of a cached
 Q x Q table (``_sum_table``) per term while Q^2 <= _RANK_TABLE_MAX, Q = q^m,
-base-p digits above that.  Over F_q both RREF kernels, the span tables and
-the matrix product read one row-operation table per base field,
-``BaseField._axpy[c][x][y] = x - c y``.
+base-p digits above that.  Over F_q both RREF kernels and the span tables
+read one row-operation table per base field,
+``BaseField._axpy[c][x][y] = x - c y``; a row combination over F_{q^m} is
+``_combine`` (scalar) or a sum of ``_row_tables`` (numpy).
 """
 
 from __future__ import annotations
@@ -106,22 +107,6 @@ class MatrixFq:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def mul(self, other: "MatrixFq") -> "MatrixFq":
-        if self.q != other.q:
-            raise ValueError("field size mismatch")
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch: {self.shape} x {other.shape}")
-        F = base_field(self.q)
-        zero = (0,) * other.ncols
-        out = []
-        for ra in self.rows:
-            row = zero
-            for a, rb in zip(ra, other.rows):
-                if a:
-                    row = F.axpy_row(F.neg(a), row, rb)  # row + a rb
-            out.append(row)
-        return MatrixFq._unchecked(self.q, tuple(out), other.ncols)
 
     def to_jsonable(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -670,12 +655,12 @@ def grassmannian_order_key(U: Subspace) -> tuple:
 
 
 def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
-    """One (span, size) per orbit of Gr(m, t) under multiplication by F_{q^m}^*.
+    """One (basis, size) per orbit of Gr(m, t) under multiplication by F_{q^m}^*.
 
-    ``span`` lists the elements of the orbit's representative U, span[a] =
-    sum_i a_i b_i over the base-q digits a_i of a and the RREF basis b_i of
-    U; ``size`` is the number of subspaces xU.  {0} and F_{q^m} are orbits of
-    one subspace each.  Otherwise the walk runs on the smaller side:
+    ``basis`` lists the RREF basis of the orbit's representative U as
+    elements of F_{q^m}; ``size`` is the number of subspaces xU.  {0} is an
+    orbit of one subspace, with an empty basis.  Otherwise the walk runs on
+    the smaller side:
 
     * 2t <= m: the orbit members that hold 1 are the u^{-1} U, u in U
       nonzero, and are the U = <1> + (0 | W), W in Gr(m - 1, t - 1), with
@@ -683,26 +668,29 @@ def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
       the smallest of theirs; the (q^m - 1)/size u with u^{-1} U = U are its
       stabilizer.
     * 2t > m: the orbits of Gr(m, m - t) are walked, and each representative
-      V gives its dual V^perp under the trace form Tr(xy), read from the
-      Gram matrix Tr(x^i x^j) of the polynomial basis.  (xV)^perp =
+      V gives its dual V^perp = {y : Tr(b y) = 0 for b in V} under the trace
+      form.  Over the basis b_i of V and the polynomial basis x^j, the
+      equation rows Tr(b_i x^j) are the rows of the Gram matrix Tr(x^i x^j)
+      combined by b_i's coordinates (``_combine``).  (xV)^perp =
       x^{-1} V^perp, so V -> V^perp maps orbits onto orbits and keeps their
-      sizes.
+      sizes; F_{q^m}, t = m, is the dual of {0}, with the polynomial basis.
     """
     q, m = fld.q, fld.m
-    if t == 0 or t == m:
-        return [(list(range(fld.order if t else 1)), 1)]
+    if t == 0:
+        return [([], 1)]
     if 2 * t > m:
-        traces = [_trace(fld, fld.pow(fld.basis_element(1), s)) for s in range(2 * m - 1)]
-        gram = MatrixFq._unchecked(q, tuple(tuple(traces[i : i + m]) for i in range(m)), m)
+        xs = [fld.basis_element(i) for i in range(m)]
+        gram = [[_trace(fld, fld.mul(a, b)) for b in xs] for a in xs]
         orbits = []
-        for span, size in _singer_orbits(fld, m - t):
-            V = MatrixFq._unchecked(q, tuple(fld.coeffs(span[q**i]) for i in range(m - t)), m)
-            dual = row_space(MatrixFq._unchecked(q, tuple(right_kernel(V.mul(gram))), m))
-            orbits.append((_span(fld, [ff._undigits(row, q) for row in dual.basis]), size))
+        for basis, size in _singer_orbits(fld, m - t):
+            equations = MatrixFq._unchecked(q, tuple(_combine(fld, fld.coeffs(b), gram, m) for b in basis), m)
+            dual = row_space(MatrixFq._unchecked(q, tuple(right_kernel(equations)), m))
+            orbits.append(([ff._undigits(row, q) for row in dual.basis], size))
         return orbits
     orbits = []
     for W in grassmannian_enumerate(m - 1, t - 1, q):
-        span = _span(fld, [1] + [ff._undigits((0,) + row, q) for row in W.basis])
+        basis = [1] + [ff._undigits((0,) + row, q) for row in W.basis]
+        span = _span(fld, basis)
         smallest, stabilizer = sorted(span), 0
         for u in span[1:]:
             inv = fld.inv(u)
@@ -711,7 +699,7 @@ def _singer_orbits(fld: Field, t: int) -> list[tuple[list[int], int]]:
                 break
             stabilizer += moved == smallest
         else:
-            orbits.append((span, (fld.order - 1) // stabilizer))
+            orbits.append((basis, (fld.order - 1) // stabilizer))
     return orbits
 
 

@@ -14,16 +14,19 @@ tie-breaking), so identical inputs serialize to identical JSON.
 * bound1_alt: the coset C + b, b in a complementary code B, holding the most
   rank-tau words of the MRD direct sum C + B = Gab[n, n - tau + 1].  Those
   words are the x P_V(alpha), x in F_{q^m}^*, so every coset count is the
-  size of a bound1 bucket, with k = n - d + 1.
+  size of a bound1 bucket, with k = n - d + 1, and the best b evaluates the
+  best key's polynomial x^{q^{n-tau}} + sum_i kappa_i x^{q^{k+i}}, as
+  bound1 evaluates its representative.
 * bound3: the constant-rank code of crc_theorem8 viewed from the zero word
   (or from one of its own words, the ``translate`` variant).
 
-Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``, which walks
-one subspace per orbit (``matfq._singer_orbits``, on the smaller of Gr(n, t)
-and Gr(n, n - t)) and orders a best bucket worth numpy by one batched RREF
-(``matfq._rrefs``).  They encode only the words they store, all in one call
-of ``GabidulinCode.codewords`` (one table pass once there are enough), and a
-certificate writes its words in one ``Field.words_to_jsonable`` call.
+Both Gabidulin witnesses bucket in ``_subspace_poly_buckets``, which reads
+the basis of one subspace per orbit (``matfq._singer_orbits``, walking the
+smaller of Gr(n, t) and Gr(n, n - t)) and orders a best bucket worth numpy
+by one batched RREF (``matfq._rrefs``).  They encode only the words they
+store, all in one call of ``GabidulinCode.codewords`` (one table pass once
+there are enough), and a certificate writes its words in one
+``Field.words_to_jsonable`` call.
 Distances to the received word are computed by ``matfq.rank_distances``, and
 the pairwise distances of bound3 by ``matfq.min_pairwise_rank_distance``;
 both batch the ranks in numpy once there are enough of them.  Gabidulin codes
@@ -187,11 +190,11 @@ def _subspace_poly_buckets(
     if count > WITNESS_GUARD:
         raise ValueError(f"{count} subspaces of Gr({n}, {t}) exceed the witness guard {WITNESS_GUARD}")
     g = fld.primitive
-    orbits = []  # (span, coefficients of P_U) per orbit representative U
+    orbits = []  # (basis, coefficients of P_U) per orbit representative U
     members: dict[tuple[int, ...], list[int]] = {}  # key -> packed (orbit, j) of each g^j U
-    for o, (span, size) in enumerate(_singer_orbits(fld, t)):
-        coeffs = min_subspace_poly([span[q**i] for i in range(t)], fld).coeffs
-        orbits.append((span, coeffs))
+    for o, (basis, size) in enumerate(_singer_orbits(fld, t)):
+        coeffs = min_subspace_poly(basis, fld).coeffs
+        orbits.append((basis, coeffs))
         steps = [fld.pow(g, q**t - q**i) for i in range(k, t)]
         key = coeffs[k:t]
         for j in range(size):
@@ -206,9 +209,9 @@ def _subspace_poly_buckets(
     bucket = []
     for packed in members[best]:
         o, j = divmod(packed, fld.order)
-        span, coeffs = orbits[o]
+        basis, coeffs = orbits[o]
         x = fld.pow(g, j)
-        U = row_space(MatrixFq._unchecked(q, tuple(fld.coeffs(fld.mul(x, span[q**i])) for i in range(t)), n))
+        U = row_space(MatrixFq._unchecked(q, tuple(fld.coeffs(fld.mul(x, b)) for b in basis), n))
         scaled = tuple(fld.mul(a, fld.pow(x, q**t - q**i)) for i, a in enumerate(coeffs))
         bucket.append((grassmannian_order_key(U), scaled))
     bucket.sort(key=lambda entry: entry[0])
@@ -229,8 +232,8 @@ def _orbit_members(fld: Field, t: int, orbits: list, packed: list[int]) -> list[
     q, n, cycle = fld.q, fld.m, fld.order - 1
     log, exp = _log_arrays(fld)
     o, j = np.divmod(np.array(packed, dtype=np.int64), fld.order)
-    spans = np.array([[span[q**i] for i in range(t)] for span, _ in orbits], dtype=np.int64)
-    reduced, _ = _rrefs(_digits(exp[log[spans[o]] + j[:, None]], q, n), q)
+    bases = np.array([basis for basis, _ in orbits], dtype=np.int64)
+    reduced, _ = _rrefs(_digits(exp[log[bases[o]] + j[:, None]], q, n), q)
     pivots = (reduced != 0).argmax(axis=2)
     ordered = np.lexsort(np.hstack([pivots, reduced.reshape(len(packed), -1)]).T[::-1])
     # coefficient i of P_{xU} is a_i x^{q^t - q^i}, x = g^j; log 0 reads a zero
@@ -291,13 +294,16 @@ def bound1_witness(code: GabidulinCode, tau: int) -> WitnessCertificate:
 def bound1_alt_witness(params: CodeParams, tau: int) -> WitnessCertificate:
     """Coset witness via the direct sum of two Gabidulin codes (n = m).
 
-    C = Gab[n, n-d+1] on the default points alpha_i; B = Gab[n, d-tau] on the
-    Frobenius-shifted points alpha_i^{q^{n-d+1}}.  The best translate C + b
-    over b in B holds at least ceil([n; tau](q^m - 1)/q^{m(d-tau)}) words of
-    rank exactly tau.  b - c evaluates the polynomial with coefficients
-    -(c's message), then b's message (f_0, ..., f_{d-tau-1}); it has rank tau
-    exactly when it is x P_V, x = f_{d-tau-1} != 0, with P_V in the bucket
-    x^{-1} (f_0, ..., f_{d-tau-2}) for k = n-d+1.  The best coset has x = 1.
+    C = Gab[n, k], k = n-d+1, on the default points alpha_i; B holds the
+    evaluations of sum_i f_i x^{q^{k+i}}, i < d-tau, at the same points, so
+    C + B = Gab[n, n-tau+1].  The best translate C + b over b in B holds at
+    least ceil([n; tau](q^m - 1)/q^{m(d-tau)}) words of rank exactly tau.
+    b - c evaluates the polynomial with coefficients -(c's message), then b's
+    message (f_0, ..., f_{d-tau-1}); it has rank tau exactly when it is x P_V,
+    x = f_{d-tau-1} != 0, with P_V in the bucket x^{-1} (f_0, ..., f_{d-tau-2})
+    for k.  The best coset has x = 1: the received word evaluates
+    x^{q^{n-tau}} + sum_i kappa_i x^{q^{k+i}}, kappa the best key, and
+    ``meta.best_coset_index`` is b's message index, base q^m.
     """
     q, m, n, d = params.q, params.m, params.n, params.d
     if n != m:
@@ -306,16 +312,15 @@ def bound1_alt_witness(params: CodeParams, tau: int) -> WitnessCertificate:
         raise ValueError(f"need 1 <= tau < d, got tau={tau}, d={d}")
     fld = make_field(q, m)
     Q = fld.order
-    code_c = GabidulinCode(fld, n=n, k=n - d + 1)
-    alphas_b = tuple(fld.frobenius(a, code_c.k) for a in code_c.alphas)
-    code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
-    sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, code_c.k, order=lambda key: _undigits(key, Q))
-    best_index = _undigits(best_key + (1,), Q)
-    messages = sorted(_undigits(map(fld.neg, P[: code_c.k]), Q) for P in bucket)
+    k = n - d + 1
+    code_c = GabidulinCode(fld, n=n, k=k)
+    sizes, best_key, bucket = _subspace_poly_buckets(fld, n, tau, k, order=lambda key: _undigits(key, Q))
+    b_best = LinearizedPoly(fld, (0,) * k + best_key + (1,))
+    messages = sorted(_undigits(map(fld.neg, P[:k]), Q) for P in bucket)
     claimed = max(1, math.ceil(bound1_alt_lower(params, tau)))
     sample, truncated = _cap_words(messages)
-    meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": best_index}
-    if code_b.cardinality <= 4096:  # b's message digits, f_{d-tau-1} = x first, in message-index order
+    meta: dict = {"coset_total": mrd_weight_tau(n, m, tau, q), "best_coset_index": _undigits(best_key + (1,), Q)}
+    if Q ** (d - tau) <= 4096:  # b's message digits, f_{d-tau-1} = x first, in message-index order
         meta["coset_counts"] = [
             sizes.get(tuple(fld.mul(fld.inv(x), f) for f in reversed(low)), 0) if x else 0
             for x, *low in itertools.product(range(Q), repeat=d - tau)
@@ -325,12 +330,12 @@ def bound1_alt_witness(params: CodeParams, tau: int) -> WitnessCertificate:
         q=q,
         m=m,
         n=n,
-        k=code_c.k,
+        k=k,
         d=d,
         tau=tau,
         modulus=fld.modulus,
         alphas=code_c.alphas,
-        received_word=code_b.codeword(best_index),
+        received_word=tuple(evaluate(b_best, a) for a in code_c.alphas),
         codewords=tuple(code_c.codewords(sample)),
         claimed_size=claimed,
         total_size=len(messages),

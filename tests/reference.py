@@ -3,8 +3,12 @@
 This module holds no tests.  Each function is the plain form of a question
 the library answers another way, written on the primitives it keeps (``rref``,
 ``row_space``, ``subspace_distance``, ``rank``, ``rank_of_vector``,
-``BaseField.axpy_row`` and ``Field.coeffs``/``from_coeffs``/``sub``):
+``BaseField.axpy_row``/``add``/``mul`` and
+``Field.coeffs``/``from_coeffs``/``sub``):
 
+* ``matrix_product`` multiplies F_q matrices entry by entry; the tests check
+  ``rank_decompose``, ``right_kernel``, the words of ``crc_from_cdc_pair``
+  and criterion 3's batched products with it;
 * ``rank_decompose`` and ``distance_sandwich_check`` (with ``column_space``)
   are the references for acceptance criteria 3 and 4, which run batched;
 * ``expand_to_matrix`` and ``vector_from_matrix`` are the references for
@@ -39,6 +43,21 @@ from rankmetric.bounds import gaussian_binomial
 from rankmetric.ff import Field, base_field
 from rankmetric.linpoly import LinearizedPoly
 from rankmetric.matfq import MatrixFq, Subspace, rank, rank_of_vector, row_space, rref, subspace_distance
+
+
+def matrix_product(a: MatrixFq, b: MatrixFq) -> MatrixFq:
+    """a b over F_q, each entry summed term by term with ``BaseField.add``/``mul``."""
+    F = base_field(a.q)
+    rows = []
+    for ra in a.rows:
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for x, rb in zip(ra, b.rows):
+                acc = F.add(acc, F.mul(x, rb[j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return MatrixFq(a.q, tuple(rows), ncols=b.ncols)
 
 
 def transpose(mat: MatrixFq) -> MatrixFq:

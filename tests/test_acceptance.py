@@ -14,7 +14,7 @@ from rankmetric import acceptance, cli, matfq
 from rankmetric.acceptance import CRITERIA
 from rankmetric.ff import _digits
 from rankmetric.matfq import MatrixFq
-from reference import column_space, distance_sandwich_check, rank_decompose, transpose
+from reference import column_space, distance_sandwich_check, matrix_product, rank_decompose, transpose
 
 # stated runtime budgets, seconds
 BUDGETS = {1: 1, 2: 1, 3: 5, 4: 5, 5: 10, 6: 30, 7: 10, 8: 300, 9: 10, 10: 10, 11: 30, 12: 1}
@@ -87,7 +87,7 @@ def test_criterion_3_batched_decomposition_matches_the_scalar_functions():
             G_s, H_s = rank_decompose(mat)
             assert _as_rows(X[i]) == _padded(mat.rows, cols)
             assert _as_rows(G[i]) == _padded(G_s.rows, rows) and _as_rows(H[i]) == _padded(H_s.rows, cols)
-            assert _as_rows(product[i]) == _padded(transpose(G_s).mul(H_s).rows, cols)
+            assert _as_rows(product[i]) == _padded(matrix_product(transpose(G_s), H_s).rows, cols)
             assert _as_rows(reduced["G"][i]) == _padded(matfq.row_space(G_s).basis, rows)
             assert _as_rows(reduced["XT"][i]) == _padded(column_space(mat).basis, rows)
             assert _as_rows(reduced["H"][i]) == _padded(matfq.row_space(H_s).basis, cols)

@@ -23,7 +23,7 @@ from rankmetric.ff import SUPPORTED_Q, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate
 from rankmetric.matfq import MatrixFq, Subspace, rank_of_vector, subspace_distance
 from rankmetric.witness import bound1_witness
-from reference import transpose, vector_from_matrix
+from reference import matrix_product, transpose, vector_from_matrix
 
 F16 = make_field(2, 4)
 
@@ -43,7 +43,7 @@ def slow_pair_words(M, N, fld):
     words = []
     for U, V in zip(M.words, N.words):
         G, H = MatrixFq(fld.q, U.basis, ncols=M.ambient), MatrixFq(fld.q, V.basis, ncols=N.ambient)
-        words.append(vector_from_matrix(transpose(G).mul(H), fld))
+        words.append(vector_from_matrix(matrix_product(transpose(G), H), fld))
     return tuple(words)
 
 

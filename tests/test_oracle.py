@@ -514,8 +514,9 @@ def test_singer_orbits_partition_the_grassmannian(q, m, t):
     assert len(orbits) == orbit_count(m, t, q)
     # the stabilizer of U is F_{q^s}^* for some s dividing m and t
     assert set(sizes) <= {(q**m - 1) // (q**s - 1) for s in range(1, t + 1) if m % s == 0 and t % s == 0}
-    for span, _ in orbits:
-        assert len(set(span)) == q**t
+    for basis, _ in orbits:
+        assert len(basis) == rank_of_vector(basis, fld) == t
+        assert len(set(matfq._span(fld, basis))) == q**t
     if (q, m, t) == (2, 4, 2):
         assert sorted(sizes) == [5, 15, 15]  # F_16 holds one orbit of the 5 lines of F_4^2
 
@@ -538,7 +539,8 @@ def test_singer_orbits_cover_the_grassmannian_once(q, m, t):
     # independent cross-check: expand each representative by every x in F_{q^m}^*
     fld = make_field(q, m)
     covered = set()
-    for span, size in matfq._singer_orbits(fld, t):
+    for basis, size in matfq._singer_orbits(fld, t):
+        span = matfq._span(fld, basis)
         orbit = {frozenset(fld.mul(x, s) for s in span) for x in range(1, fld.order)}
         assert len(orbit) == size
         assert covered.isdisjoint(orbit)
@@ -559,16 +561,17 @@ _DUAL_SIDE = [
 @pytest.mark.parametrize("q,m,t", _DUAL_SIDE)
 def test_singer_orbits_on_the_dual_side_partition_the_grassmannian(q, m, t):
     # every 2t > m with q^m <= 256, t = m included: the sizes add up to [m; t]_q,
-    # no two representatives share an orbit, and each span is laid out over
-    # its RREF basis, span[a] = sum_i a_i b_i
+    # no two representatives share an orbit, and each basis is a full-rank
+    # RREF basis of t elements
     fld = make_field(q, m)
     orbits = matfq._singer_orbits(fld, t)
     assert sum(size for _, size in orbits) == gaussian_binomial(m, t, q)
     labels = set()
-    for span, size in orbits:
-        basis = [span[q**i] for i in range(t)]
+    for basis, size in orbits:
         matfq.Subspace(q, m, tuple(fld.coeffs(b) for b in basis))  # raises unless a full-rank RREF basis
-        assert span == matfq._span(fld, basis) and len(set(span)) == q**t
+        assert len(basis) == rank_of_vector(basis, fld) == t
+        span = matfq._span(fld, basis)
+        assert len(set(span)) == q**t
         # the orbit's members through 1 are the u^{-1} U, u in U nonzero; the
         # smallest sorted one labels the orbit, and as many u give it as the
         # stabilizer of U has elements
@@ -581,7 +584,7 @@ def test_singer_orbits_on_the_dual_side_partition_the_grassmannian(q, m, t):
 
 def test_singer_orbits_walk_only_the_subspaces_through_one(monkeypatch):
     # Gr(m - 1, t - 1) when 2t <= m, Gr(m - 1, m - t - 1) when 2t > m, and no
-    # walk for {0} or the whole field
+    # walk for {0} (an empty basis) or the whole field (the polynomial basis)
     calls = []
 
     def recorded(n, r, q, *rest):
@@ -595,9 +598,11 @@ def test_singer_orbits_walk_only_the_subspaces_through_one(monkeypatch):
         calls.clear()
         matfq._singer_orbits(make_field(q, m), t)
         assert calls == [(m - 1, walked, q)]
-    for q, m, t in [(2, 4, 4), (2, 4, 0), (3, 1, 1), (2, 1, 0)]:
+    for q, m, t in [(2, 4, 4), (2, 4, 0), (3, 1, 1), (2, 1, 0), (3, 3, 3), (9, 2, 2), (5, 3, 0)]:
         calls.clear()
-        assert matfq._singer_orbits(make_field(q, m), t) == [(list(range(q**m if t else 1)), 1)]
+        fld = make_field(q, m)
+        assert matfq._singer_orbits(fld, t) == [([fld.basis_element(i) for i in range(t)], 1)]
+        assert [fld.basis_element(i) for i in range(m)] == [q**i for i in range(m)]
         assert calls == []
 
 

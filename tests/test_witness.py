@@ -8,7 +8,7 @@ import pytest
 
 from rankmetric.bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, mrd_weight_tau
 from rankmetric.codes import GabidulinCode, crc_theorem8
-from rankmetric.ff import _undigits, make_field
+from rankmetric.ff import SUPPORTED_Q, _undigits, make_field
 from rankmetric.linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from rankmetric.matfq import grassmannian_enumerate, min_pairwise_rank_distance, rank_of_vector
 from rankmetric.oracle import list_codewords
@@ -150,6 +150,25 @@ def test_alt_witness_received_word_is_in_complement_code():
     alphas_b = tuple(F16.frobenius(a, shift) for a in GabidulinCode(F16, n=4, k=2).alphas)
     code_b = GabidulinCode(F16, n=4, k=1, alphas=alphas_b)
     assert code_b.contains(cert.received_word)
+
+
+# (n, d, tau) of alt per q, B of dimension d - tau = 1 to 4
+ALT_RECEIVED_SETS = {
+    2: [(4, 3, 2), (5, 4, 1), (6, 6, 2)], 3: [(3, 3, 1), (4, 3, 2), (4, 4, 1)], 4: [(3, 3, 1)], 5: [(3, 3, 1)],
+    7: [(2, 2, 1)], 8: [(2, 2, 1)], 9: [(2, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_alt_received_word_is_the_complement_codeword_of_the_best_coset(q):
+    # the reference: B as a second Gabidulin code, on the Frobenius-shifted
+    # points alpha_i^{q^k}, encoding the best coset's message index
+    for n, d, tau in ALT_RECEIVED_SETS[q]:
+        fld = make_field(q, n)
+        cert = bound1_alt_witness(CodeParams(q=q, m=n, n=n, d=d), tau)
+        alphas_b = tuple(fld.frobenius(a, cert.k) for a in cert.alphas)
+        code_b = GabidulinCode(fld, n=n, k=d - tau, alphas=alphas_b)
+        assert cert.received_word == code_b.codeword(cert.meta["best_coset_index"])
 
 
 def test_alt_witness_validation():
