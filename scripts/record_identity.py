@@ -14,8 +14,9 @@ for seeds 0-2, ``oracle max`` on Gab[5,2]/F_243 tau=3 and Gab[3,1]/F_343
 tau=1, ``oracle list`` on Gab[3,2]/F_343 tau=1, README's CLI block, then
 Gabidulin witnesses at every q of ``SUPPORTED_Q``, ``oracle max --mode
 random`` at every q, the sub-second ``oracle max`` rows of the heavy suite,
-constructions at q = 3 (crc reading the files the rows before it write) and
-refusals, in that order.  Each entry keeps the argv, the SHA-256 of stdout
+constructions at q = 3 (crc reading the files the rows before it write),
+refusals and word lists in fields above the 4096-element digit table, in
+that order.  Each entry keeps the argv, the SHA-256 of stdout
 with the value of ``elapsed_ms`` masked, the exit code and the stderr text,
 with usage messages wrapped at 80 columns whatever the terminal.  Ball counts, which have no command, keep the (m, n, q, tau) of their
 ``oracle.ball_volume_bruteforce`` call as ``ball`` instead of an argv.  The
@@ -112,6 +113,14 @@ REFUSALS = [
     "regions --grid",
 ]
 
+# word lists in fields above ff._DIGIT_TABLE_MAX (4096 elements), written
+# from words_to_jsonable's lists rather than from the element-text tables
+ABOVE_DIGIT_TABLE = [
+    "oracle list --q 2 --m 13 --n 2 --k 1 --tau 1 --received [[1,0,1,0,0,0,0,0,0,0,0,0,1],[0,1,1,0,0,0,0,0,0,0,0,1,0]]",
+    "construct crc-theorem8 --q 2 --m 13 --n 3 --d 2 --tau 1",
+    "witness alt --q 3 --n 8 --d 8 --tau 1",
+]
+
 
 def _workloads():
     """perfbench/workloads.py, loaded from its file and only read."""
@@ -138,7 +147,8 @@ def entries() -> list[dict]:
     out = [{"ball": list(t.ball)} if t.kind == "ball_count" else {"argv": list(t.argv)} for t in tasks]
     out += [{"argv": line.split()} for line in EXTRA]
     out += [{"argv": argv} for argv in _readme_commands()]
-    return out + [{"argv": line.split()} for line in WITNESSES + RANDOM + HEAVY + CONSTRUCTIONS + REFUSALS]
+    lines = WITNESSES + RANDOM + HEAVY + CONSTRUCTIONS + REFUSALS + ABOVE_DIGIT_TABLE
+    return out + [{"argv": line.split()} for line in lines]
 
 
 def run(entry: dict) -> dict:

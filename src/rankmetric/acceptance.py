@@ -2,7 +2,7 @@
 
 Each check returns (passed, detail).  They are deterministic (fixed seeds)
 and sized to run on a laptop: on a 2-vCPU Intel Xeon VM criterion 3 (rank
-decompositions of 2000 random matrices) takes about 15 ms, criterion 5 about
+decompositions of 2000 random matrices) takes about 12 ms, criterion 5 about
 6 ms and each other one under 5 ms.
 
 Criteria 3 and 4 run batched in numpy: they draw their random matrices with

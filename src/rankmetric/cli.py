@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import acceptance, bounds, codes, oracle, witness
-from .ff import json_text, make_field
+from .ff import Words, json_text, make_field
 
 CSV_SCHEMA_BOUNDS = "rankmetric-bounds-csv-v1"
 CSV_SCHEMA_REGIONS = "rankmetric-regions-csv-v1"
@@ -173,7 +173,7 @@ def _cmd_witness(args) -> int:
             n=args.n, m=args.m, tau=args.tau, d=args.d, q=args.q, translate=args.translate
         )
     ok, checks = witness.verify_certificate(cert)
-    doc = cert.to_jsonable()
+    doc = cert._document(Words(cert.field, cert.codewords))
     doc["verified"] = ok
     doc["checks"] = checks
     _emit(json_text(doc), args.out)
@@ -206,7 +206,7 @@ def _cmd_oracle(args) -> int:
             "tau": result.tau,
             "size": result.size,
             "sphere_counts": list(result.sphere_counts),
-            "codewords": fld.words_to_jsonable(result.codewords),
+            "codewords": Words(fld, result.codewords),
             "elapsed_ms": elapsed,
         }
     else:
@@ -232,19 +232,17 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.family == "cdc":
-        code = codes.lifted_mrd_cdc(args.n, args.tau, args.d, args.q)
-        doc = code.to_jsonable()
+        text = json_text(codes.lifted_mrd_cdc(args.n, args.tau, args.d, args.q).to_jsonable())
     elif args.family == "cdc-odd":
-        code = codes.lifted_mrd_cdc_odd(args.ambient, args.tau, args.d, args.variant, args.q)
-        doc = code.to_jsonable()
+        text = json_text(codes.lifted_mrd_cdc_odd(args.ambient, args.tau, args.d, args.variant, args.q).to_jsonable())
     elif args.family == "crc":
         M = codes.ConstantDimensionCode.from_jsonable(_json_input("--m-file", path=args.m_file))
         N = codes.ConstantDimensionCode.from_jsonable(_json_input("--n-file", path=args.n_file))
         fld = make_field(M.q, M.ambient)
-        doc = codes.crc_from_cdc_pair(M, N, fld).to_jsonable()
+        text = codes.crc_from_cdc_pair(M, N, fld).to_json()
     else:
-        doc = codes.crc_theorem8(args.n, args.m, args.tau, args.d, args.q).to_jsonable()
-    _emit(json_text(doc), args.out)
+        text = codes.crc_theorem8(args.n, args.m, args.tau, args.d, args.q).to_json()
+    _emit(text, args.out)
     return 0
 
 

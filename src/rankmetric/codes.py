@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 from . import ff
-from .ff import Field, json_bool, json_int, json_key, json_list, make_field
+from .ff import Field, Words, json_bool, json_int, json_key, json_list, json_text, make_field
 from .matfq import (
     _BATCH_ROWS,
     _CODEWORD_WORK,
@@ -274,6 +274,14 @@ class ConstantRankCode:
         return len(self.words)
 
     def to_jsonable(self) -> dict:
+        return self._document(self.field.words_to_jsonable(self.words))
+
+    def to_json(self) -> str:
+        return json_text(self._document(Words(self.field, self.words)))
+
+    def _document(self, words) -> dict:
+        """The JSON object of the code, with ``words`` as its word list: lists
+        for ``to_jsonable``, a ``Words`` leaf for ``json_text``."""
         return {
             "type": "constant_rank",
             "q": self.field.q,
@@ -283,7 +291,7 @@ class ConstantRankCode:
             "rank": self.rank,
             "min_rank_distance": self.min_rank_distance,
             "distance_exact": self.distance_exact,
-            "words": self.field.words_to_jsonable(self.words),
+            "words": words,
         }
 
     @classmethod

@@ -36,7 +36,8 @@ SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 
 _LOG_TABLE_LIMIT = 1 << 16
 # fields of at most this many elements write their words' digits from a
-# cached table, at most 0.6 MB (q = 2, m = 12)
+# cached table, at most 0.6 MB (q = 2, m = 12), and their word lists' text
+# from a cached table of each element's text (``_element_texts``)
 _DIGIT_TABLE_MAX = 1 << 12
 # Largest extension degree m a Field accepts, checked before q**m or the
 # modulus search.  On a 2-vCPU VM the slowest default modulus up to it,
@@ -136,6 +137,21 @@ def _digit_table(q: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(digits[::-1] for digits in itertools.product(range(q), repeat=m))
 
 
+@lru_cache(maxsize=16)
+def _element_texts(q: int, m: int, indent: int) -> tuple[str, ...]:
+    """The JSON text of row x of ``_digit_table(q, m)`` at index x, as
+    ``json_text`` writes it in a list of words whose closing bracket is on a
+    line of ``indent`` spaces: its digits on lines of indent + 6 spaces, its
+    own closing bracket on a line of indent + 4.  Kept for the last 16
+    (q, m, indent) asked for.  An entry takes m (indent + 9) + indent + 63
+    bytes, so a table takes at most 0.8 MB at indent 2, where every writer in
+    this package puts its word lists (q = 2, m = 12), and the 16 at most
+    13 MB together."""
+    line = "\n" + " " * (indent + 6)
+    template = f"[{line}{(',' + line).join(['{}'] * m)}\n{' ' * (indent + 4)}]"
+    return tuple(itertools.starmap(template.format, _digit_table(q, m)))
+
+
 def _undigits(digits: Iterable[int], base: int) -> int:
     v = 0
     for d in reversed(list(digits)):
@@ -175,6 +191,33 @@ _encode_scalar = json.JSONEncoder().encode  # no indent, so the C encoder
 _EXACT_INT, _ARRAYS = {int}, {list, tuple}  # leaf and node types of an integer grid
 
 
+class Words:
+    """A list of words over ``field`` as a ``json_text`` leaf: written as the
+    text of ``field.words_to_jsonable(words)``, with the same ValueError
+    naming the first element outside the field.  In a field of at most
+    _DIGIT_TABLE_MAX elements a nonempty list of nonempty words of one
+    length is written with no digit lists: its grid template
+    (``_grid_template``) is filled with each element's cached text
+    (``_element_texts``) by one ``str.format`` call.  ``json.dumps`` cannot
+    write it: data goes through ``words_to_jsonable``."""
+
+    __slots__ = ("field", "words")
+
+    def __init__(self, field: Field, words: Sequence[Sequence[int]]):
+        self.field, self.words = field, words
+
+    def _text(self, newline: str) -> str:
+        fld, words, order = self.field, self.words, self.field.order
+        widths = set(map(len, words))
+        if order > _DIGIT_TABLE_MAX or len(widths) != 1 or 0 in widths:  # or an empty or ragged list
+            return _json_value(fld.words_to_jsonable(words), newline)
+        elements = tuple(itertools.chain.from_iterable(words))
+        if not (0 <= min(elements) and max(elements) < order):  # a negative index would wrap
+            fld.coeffs(next(x for x in elements if not 0 <= x < order))  # raises, naming it
+        texts = _element_texts(fld.q, fld.m, len(newline) - 1)
+        return _grid_template([len(words), widths.pop()], newline).format(*map(texts.__getitem__, elements))
+
+
 def json_text(doc) -> str:
     """The text ``json.dumps`` writes for ``doc`` with sorted keys and an
     indent of 2, byte for byte.
@@ -183,9 +226,11 @@ def json_text(doc) -> str:
     encoder serves only unindented output); this writer builds the same text
     with one join per container, and writes an integer grid, a rectangular
     nest of lists and tuples of any depth whose leaves are all exact ints,
-    with one ``str.format`` call (``_int_grid``).  Unsupported types raise
-    the same TypeError; a document that contains itself ends in
-    RecursionError, not json's ValueError.
+    with one ``str.format`` call (``_int_grid``).  A ``Words`` leaf is
+    written as ``json.dumps`` writes ``field.words_to_jsonable(words)``, from
+    each element's cached text.  Unsupported types raise the same TypeError;
+    a document that contains itself ends in RecursionError, not json's
+    ValueError.
     """
     return _json_value(doc, "\n")
 
@@ -212,6 +257,8 @@ def _json_value(value, newline: str) -> str:
         return int.__repr__(value)
     if value is None:
         return "null"
+    if isinstance(value, Words):
+        return value._text(newline)
     return _encode_scalar(value)  # raises json's TypeError on an unsupported type
 
 
@@ -223,9 +270,8 @@ def _int_grid(value, newline: str) -> str | None:
     the recursive writer takes.
 
     The shape is found level by level, flattening each with
-    ``itertools.chain``; then the text of the whole grid is one template,
-    with ``{}`` for each leaf, filled by one ``str.format`` call, which
-    writes an exact int as ``int.__repr__`` does.
+    ``itertools.chain``; then the grid's template is filled by one
+    ``str.format`` call, which writes an exact int as ``int.__repr__`` does.
     """
     shape, leaves = [len(value)], value
     while (types := set(map(type, leaves))) != _EXACT_INT:
@@ -236,13 +282,20 @@ def _int_grid(value, newline: str) -> str | None:
             return None
         shape.append(widths.pop())
         leaves = tuple(itertools.chain.from_iterable(leaves))  # passed on as the arguments, not copied
+    return _grid_template(shape, newline).format(*leaves)
+
+
+def _grid_template(shape: list[int], newline: str) -> str:
+    """The JSON text of a rectangular nest of lists of the nonzero ``shape``,
+    with ``{}`` for each leaf, whose nested lines start with ``newline`` plus
+    two spaces."""
     indent = newline + "  " * len(shape)  # the start of a leaf's line
     text = "{}"
     for width in reversed(shape):
         outer = indent[:-2]
         text = f"[{indent}{(',' + indent).join([text] * width)}{outer}]"
         indent = outer
-    return text.format(*leaves)
+    return text
 
 
 def _json_key(key) -> str:

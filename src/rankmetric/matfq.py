@@ -198,18 +198,19 @@ def _column_rank(cols: Sequence[int], q: int, m: int, limit: int) -> int:
 # computations, against a floor.  While numpy is not yet imported the floor
 # is _BATCH_MIN: a one-shot run must not pay numpy's import (37-62 ms) to
 # save less work than that.  Once numpy is loaded only its per-call overhead
-# is left, and _BATCH_MIN_LOADED lies above the crossover at every q
-# measured: 128 rank distances take 0.17 ms scalar against 0.04 ms batched
-# at q=2, m=n=4 (32 take 0.04 against 0.015 ms), and 1.1 against 0.04 ms at
-# q=3, m=n=3 (32 take 0.29 against 0.015 ms); a 16-word decoding list (64
-# work) takes 0.06 ms scalar against 0.02 ms batched, a 256-word one (1024
-# work) 1.15 against 0.035 ms.  Batched, a rank read from a rank table
+# is left, and _BATCH_MIN_LOADED is the lowest power of two at which numpy
+# wins at every q measured: 32 rank distances take 0.043 ms scalar against
+# 0.015 ms batched at q=2, m=n=4, 0.28 against 0.015 ms at q=3, m=n=3, 0.23
+# against 0.12 ms at q=2, m=n=16 and 4.5 against 0.66 ms at q=3, m=n=12,
+# while 16 at q=2, m=n=16 take 0.11 ms either way (8: 0.06 scalar against
+# 0.10 ms); a 256-word decoding list (1024 work) takes 1.15 ms scalar
+# against 0.035 ms batched.  Batched, a rank read from a rank table
 # (q^{mn} <= _RANK_TABLE_MAX) costs 0.005-0.008 us at every q once the table
 # is built (0.01-8 ms per space); by elimination it costs 0.007-0.02 us at
 # q=2 (m=n=4..8) and 0.37-0.82 us at q>2.  Figures from a 2-vCPU Intel Xeon
 # VM, Python 3.11.7, numpy 2.4.6.
 _BATCH_MIN = 1 << 17
-_BATCH_MIN_LOADED = 128
+_BATCH_MIN_LOADED = 32
 # scalar work per item, in ranks: one ``_combine`` call (a codeword from its
 # message, or a membership test from the unit keys), 5-23 us at q=2, m=4..8
 _CODEWORD_WORK = 4
@@ -485,14 +486,15 @@ def _rrefs(block, q: int):
         if not found.size:
             continue
         r, i = ranks[found], candidates[:, found].argmax(axis=0)
-        lead_rows = work[i, :, found]  # (len(found), ncols): row i of each matrix found
-        work[i, :, found] = work[r, :, found]
-        work[r, :, found] = mul[inv[lead_rows[:, c]][:, None], lead_rows]
-        pivot_rows = np.zeros((ncols, count), dtype=index)
-        pivot_rows[:, found] = work[r, :, found].T
+        tail = work[:, c:]  # rows at or below the rank, the pivot row among them, are zero left of column c
+        lead_rows = tail[i, :, found]  # (len(found), ncols - c): row i of each matrix found
+        tail[i, :, found] = tail[r, :, found]
+        tail[r, :, found] = mul[inv[lead_rows[:, 0]][:, None], lead_rows]
+        pivot_rows = np.zeros((ncols - c, count), dtype=index)
+        pivot_rows[:, found] = tail[r, :, found].T
         coefs = work[:, c].astype(index) * q
         coefs[r, found] = 0  # every row but the pivot row, i != r
-        work = np.take(axpy, (coefs[:, None, :] + work) * q + pivot_rows)
+        tail[...] = np.take(axpy, (coefs[:, None, :] + tail) * q + pivot_rows)
         ranks[found] += 1
     return np.ascontiguousarray(work.transpose(2, 0, 1)), ranks
 

@@ -25,8 +25,8 @@ the basis of one subspace per orbit (``matfq._singer_orbits``, walking the
 smaller of Gr(n, t) and Gr(n, n - t)) and orders a best bucket worth numpy
 by one batched RREF (``matfq._rrefs``).  They encode only the words they
 store, all in one call of ``GabidulinCode.codewords`` (one table pass once
-there are enough), and a certificate writes its words in one
-``Field.words_to_jsonable`` call.
+there are enough), and a certificate's text writes its words as one
+``ff.Words`` leaf, from each element's cached JSON text.
 Distances to the received word are computed by ``matfq.rank_distances``, and
 the pairwise distances of bound3 by ``matfq.min_pairwise_rank_distance``;
 both batch the ranks in numpy once there are enough of them.  Gabidulin codes
@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 
 from .bounds import CodeParams, bound1_alt_lower, bound1_lower, bound3_lower, gaussian_binomial, mrd_weight_tau
 from .codes import GabidulinCode, crc_theorem8
-from .ff import Field, _undigits, json_bool, json_int, json_key, json_list, json_text, make_field
+from .ff import Field, Words, _undigits, json_bool, json_int, json_key, json_list, json_text, make_field
 from .linpoly import LinearizedPoly, evaluate, min_subspace_poly
 from .matfq import (
     _CODEWORD_WORK,
@@ -92,6 +92,14 @@ class WitnessCertificate:
         return make_field(self.q, self.m, self.modulus)
 
     def to_jsonable(self) -> dict:
+        return self._document(self.field.words_to_jsonable(self.codewords))
+
+    def to_json(self) -> str:
+        return json_text(self._document(Words(self.field, self.codewords)))
+
+    def _document(self, codewords) -> dict:
+        """The JSON object of the certificate, with ``codewords`` as its word
+        list: lists for ``to_jsonable``, a ``Words`` leaf for ``json_text``."""
         fld = self.field
         params = {
             "q": self.q,
@@ -111,12 +119,9 @@ class WitnessCertificate:
             "claimed_size": str(self.claimed_size),
             "total_size": str(self.total_size),
             "truncated": self.truncated,
-            "codewords": fld.words_to_jsonable(self.codewords),
+            "codewords": codewords,
             "meta": self.meta,
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_jsonable())
 
 
 def _size(value, name: str) -> int:

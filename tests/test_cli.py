@@ -654,18 +654,19 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import rankmetric.cli
 from rankmetric import GabidulinCode, make_field
+from rankmetric.ff import _element_texts
 from workloads import WORKLOADS
 codes = {c for w in WORKLOADS.values() for c in w.codes}
 for q, m, n, k in sorted(codes):
     GabidulinCode(make_field(q, m), n=n, k=k)
-print(len(codes), "numpy" in sys.modules)
+print(len(codes), "numpy" in sys.modules, _element_texts.cache_info().currsize)
 """
 
 
 def test_setup_does_not_import_numpy():
     # the benchmark's set-up (perfbench/probe.py) imports the CLI and builds its
-    # workloads' codes in a fresh interpreter; numpy's import belongs to the
-    # work that needs it, not to every start
+    # workloads' codes in a fresh interpreter; numpy's import and the element
+    # texts of word lists belong to the work that needs them, not to every start
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     if not (perfbench / "workloads.py").is_file():
         pytest.skip("no perfbench/ in this checkout")
@@ -676,8 +677,8 @@ def test_setup_does_not_import_numpy():
         [sys.executable, "-c", _SETUP_CODES, str(perfbench)], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    count, loaded = proc.stdout.split()
-    assert int(count) > 0 and loaded == "False"
+    count, loaded, tables = proc.stdout.split()
+    assert int(count) > 0 and loaded == "False" and tables == "0"
 
 
 def test_readme_cli_block_runs_as_written(capsys, tmp_path, monkeypatch):

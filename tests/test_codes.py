@@ -1,6 +1,7 @@
 """Code constructions: Gabidulin, lifting, constant-dimension, constant-rank."""
 
 import itertools
+import json
 import random
 
 import numpy as np
@@ -560,6 +561,8 @@ def test_cdc_serialization_roundtrip():
 
 def test_crc_serialization_roundtrip():
     crc = crc_theorem8(6, 6, 2, 3, 2)
+    # the text and the data share one document
+    assert crc.to_json() == json.dumps(crc.to_jsonable(), indent=2, sort_keys=True)
     back = ConstantRankCode.from_jsonable(crc.to_jsonable())
     assert back.words == crc.words
     assert back.field == crc.field

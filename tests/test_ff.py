@@ -3,11 +3,21 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rankmetric.ff import SUPPORTED_Q, base_field, default_modulus, is_irreducible, json_text, make_field
+from rankmetric.ff import (
+    _DIGIT_TABLE_MAX,
+    SUPPORTED_Q,
+    Words,
+    base_field,
+    default_modulus,
+    is_irreducible,
+    json_text,
+    make_field,
+)
 from rankmetric.matfq import rank
 from reference import expand_to_matrix, vector_from_matrix
 
@@ -318,10 +328,70 @@ def test_digit_table_limit():
     table = ff._digit_table(q, m)
     assert len(table) == ff._DIGIT_TABLE_MAX and table[0] == (0,) * m and table[-1] == (1,) * m
     assert [list(row) for row in table[:: 97]] == [ff._digits(x, q, m) for x in range(0, q**m, 97)]
+    # its element texts at indent 2 take the 0.8 MB the docstring states
+    texts = ff._element_texts(q, m, 2)
+    assert len(texts) == len(table) and sum(map(sys.getsizeof, texts)) + sys.getsizeof(texts) < 0.81e6
     ff._digit_table.cache_clear()
+    ff._element_texts.cache_clear()
     F = make_field(2, m + 1)  # one step above: no table is built
     assert F.words_to_jsonable([(F.order - 1, 1)]) == [[[1] * (m + 1), [1] + [0] * m]]
-    assert ff._digit_table.cache_info().currsize == 0
+    assert json_text([Words(F, [(F.order - 1, 1)])]) == _dumps([[[[1] * (m + 1), [1] + [0] * m]]])
+    assert ff._digit_table.cache_info().currsize == ff._element_texts.cache_info().currsize == 0
+
+
+# per q, the smallest degree whose field is above ff._DIGIT_TABLE_MAX, so it has no element texts
+_ABOVE_TABLES = {q: next(m for m in itertools.count(1) if q**m > _DIGIT_TABLE_MAX) for q in SUPPORTED_Q}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+@given(data=st.data())
+def test_words_leaf_is_json_dumps_of_words_to_jsonable(q, data):
+    # on both sides of the element-text tables, at the top level, in dicts
+    # and in lists, for empty lists, zero-length words and ragged lists
+    F = make_field(q, data.draw(st.sampled_from([1, 2, 3, _ABOVE_TABLES[q]])))
+    elements = st.integers(0, F.order - 1)
+    length = data.draw(st.integers(0, 3))
+    words = data.draw(
+        st.lists(st.lists(elements, min_size=length, max_size=length), max_size=5)
+        | st.lists(st.lists(elements, max_size=3), max_size=5)
+    )
+    words = [tuple(w) for w in words] if data.draw(st.booleans()) else words
+    place = data.draw(
+        st.sampled_from([lambda w: w, lambda w: {"words": w, "b": [1, {"c": w}]}, lambda w: [0, [w, [w]], w]])
+    )
+    assert json_text(place(Words(F, words))) == _dumps(place(F.words_to_jsonable(words)))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_words_leaf_names_the_first_element_outside_the_field(q):
+    for m in (2, _ABOVE_TABLES[q]):
+        F = make_field(q, m)
+        for bad, after in itertools.product((F.order, -1, F.order + 3), (0, F.order + 7)):
+            # in a list of one length, and in a ragged one
+            for words in ([(1, 2), (3, 0), (1, bad), (after, 0)], [(1, 2), (), (3, 0, 1), (bad, after)]):
+                with pytest.raises(ValueError) as data:
+                    F.words_to_jsonable(words)
+                with pytest.raises(ValueError) as text:
+                    json_text({"codewords": Words(F, words)})
+                assert str(text.value) == str(data.value) == f"{bad} is not an element of a field of order {F.order}"
+
+
+def test_words_leaf_writes_from_element_texts(monkeypatch):
+    import rankmetric.ff as ff
+
+    F, words = make_field(3, 2), [(0, 1, 8), (4, 4, 2)]
+    data = [[[0, 0], [1, 0], [2, 2]], [[1, 1], [1, 1], [2, 0]]]
+    assert F.words_to_jsonable(words) == data
+    ff._element_texts.cache_clear()
+    # no digit lists: one table per (q, m, indent), built on first use
+    monkeypatch.setattr(ff.Field, "words_to_jsonable", None)
+    assert json_text({"w": Words(F, words)}) == _dumps({"w": data})
+    assert json_text([1, Words(F, words[::-1])]) == _dumps([1, data[::-1]])
+    assert ff._element_texts.cache_info()[:2] == (1, 1)  # hits, misses
+    assert json_text(Words(F, words)) == _dumps(data)
+    assert ff._element_texts.cache_info()[:2] == (1, 2)
+    texts = ff._element_texts(3, 2, 2)
+    assert texts[5] == "[\n        2,\n        1\n      ]" and len(texts) == 9
 
 
 def test_field_degree_limit_refuses_before_the_modulus_search(monkeypatch):

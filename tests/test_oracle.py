@@ -882,7 +882,7 @@ def test_list_paths_agree_across_full_blocks(force_batching, monkeypatch):
     assert results[0][1] == [1, rank1, 16384 - 1 - rank1]
 
 
-@pytest.mark.parametrize("fld", [make_field(2, 6), make_field(3, 3)], ids=["F64", "F27"])
+@pytest.mark.parametrize("fld", [make_field(2, 4), make_field(3, 3)], ids=["F16", "F27"])
 def test_batched_lists_rank_every_block_in_numpy(fld, force_batching, monkeypatch):
     # Gab[3,1] has fewer codewords than _BATCH_MIN_LOADED: with the floor at
     # the call's work, the call batches although its one block alone would

@@ -423,6 +423,7 @@ def test_certify_certificates_round_trip():
     ]
     for cert in certs:
         assert certificate_from_jsonable(json.loads(cert.to_json())).to_json() == cert.to_json()
+        assert cert.to_json() == json.dumps(cert.to_jsonable(), indent=2, sort_keys=True)
 
 
 # --- bound 3 ---------------------------------------------------------------------------
